@@ -1,11 +1,10 @@
 // Scaling of the parallel candidate-check layer (topk/batch_check.h): a
 // fixed pool of candidate targets over a Syn workload is checked with 1,
-// 2, 4 and 8 worker threads, under both check strategies (kTrail — the
-// default — and the kCopy reference). Reports wall-clock per (strategy,
-// threads), the speedup over the sequential kCopy baseline (expect >= 2x
-// at 8 threads on hardware with >= 4 cores; a 1-core machine shows ~1x),
-// and verifies that the verdicts — and a full TopKCT run — are identical
-// across thread counts and strategies. Emits BENCH_batch_check_scaling.json
+// 2, 4 and 8 worker threads. Reports wall-clock per thread count, the
+// speedup over the sequential run (expect >= 2x at 8 threads on hardware
+// with >= 4 cores; a 1-core machine shows ~1x), and verifies that the
+// verdicts — and a full TopKCT run — are identical across thread counts.
+// Emits BENCH_batch_check_scaling.json
 // (bench::JsonReport); RELACC_BENCH_SMALL shrinks the workload for CI.
 
 #include <cstdio>
@@ -32,7 +31,7 @@ namespace {
 int Run() {
   const bool small = SmallScale();
   SynConfig config;
-  // The paper's low ‖Ie‖ point: ~1 ms per kCopy check at 300 tuples.
+  // The paper's low ‖Ie‖ point: 300 tuples.
   config.num_tuples = small ? 100 : 300;
   config.master_size = small ? 50 : 150;
   std::printf("== batch candidate-check scaling "
@@ -59,49 +58,41 @@ int Run() {
               candidates.size(), te.NullCount());
 
   JsonReport report("batch_check_scaling");
-  std::printf("%9s %8s %12s %9s %8s\n", "strategy", "threads", "ms",
-              "speedup", "passed");
+  std::printf("%8s %12s %9s %8s\n", "threads", "ms", "speedup", "passed");
   std::vector<char> baseline;
   double base_ms = 0.0;
   bool all_identical = true;
-  for (CheckStrategy strategy : {CheckStrategy::kCopy, CheckStrategy::kTrail}) {
-    Specification run_spec = spec;
-    run_spec.config.check_strategy = strategy;
-    for (int threads : {1, 2, 4, 8}) {
-      std::vector<char> verdicts;
-      // Engine construction and the per-worker checkpoint chase are part
-      // of the measured cost: that is what a top-k caller pays too.
-      const double ms = TimeMs([&] {
-        verdicts = CheckCandidates(run_spec, candidates, threads);
-      });
-      if (baseline.empty()) {
-        baseline = verdicts;
-        base_ms = ms;
-      } else if (verdicts != baseline) {
-        all_identical = false;
-      }
-      std::size_t passed = 0;
-      for (char v : verdicts) passed += v != 0;
-      const double speedup = ms > 0.0 ? base_ms / ms : 0.0;
-      std::printf("%9s %8d %12.1f %8.2fx %8zu\n", CheckStrategyName(strategy),
-                  threads, ms, speedup, passed);
-      JsonReport::Row row;
-      row.Set("name", "batch_check_scaling")
-          .Set("strategy", CheckStrategyName(strategy))
-          .Set("threads", threads)
-          .Set("n", config.num_tuples)
-          .Set("candidates", static_cast<int64_t>(candidates.size()))
-          .Set("ms", ms)
-          .Set("ns_per_check",
-               ms * 1e6 / static_cast<double>(candidates.size()))
-          .Set("checks_per_s",
-               ms > 0.0 ? static_cast<double>(candidates.size()) / (ms / 1e3)
-                        : 0.0)
-          .Set("speedup_vs_copy_seq", speedup);
-      report.Add(std::move(row));
+  for (int threads : {1, 2, 4, 8}) {
+    std::vector<char> verdicts;
+    // Engine construction and the per-worker checkpoint chase are part of
+    // the measured cost: that is what a top-k caller pays too.
+    const double ms =
+        TimeMs([&] { verdicts = CheckCandidates(spec, candidates, threads); });
+    if (baseline.empty()) {
+      baseline = verdicts;
+      base_ms = ms;
+    } else if (verdicts != baseline) {
+      all_identical = false;
     }
+    std::size_t passed = 0;
+    for (char v : verdicts) passed += v != 0;
+    const double speedup = ms > 0.0 ? base_ms / ms : 0.0;
+    std::printf("%8d %12.1f %8.2fx %8zu\n", threads, ms, speedup, passed);
+    JsonReport::Row row;
+    row.Set("name", "batch_check_scaling")
+        .Set("threads", threads)
+        .Set("n", config.num_tuples)
+        .Set("candidates", static_cast<int64_t>(candidates.size()))
+        .Set("ms", ms)
+        .Set("ns_per_check",
+             ms * 1e6 / static_cast<double>(candidates.size()))
+        .Set("checks_per_s",
+             ms > 0.0 ? static_cast<double>(candidates.size()) / (ms / 1e3)
+                      : 0.0)
+        .Set("speedup_vs_seq", speedup);
+    report.Add(std::move(row));
   }
-  std::printf("verdicts identical across strategies and thread counts: %s\n",
+  std::printf("verdicts identical across thread counts: %s\n",
               all_identical ? "yes" : "NO (BUG)");
 
   // End to end: TopKCT with a parallel checker returns the same ranked

@@ -1,14 +1,11 @@
 // IsCR timing (Sec. 7, text: "IsCR takes about 10ms" per entity) plus the
 // interactive-session resume cost: the Fig. 3 loop re-chases once per user
-// revision via ChaseEngine::ResumeWith, and this bench pits the
-// trail-native resume (a persistent session state that extends across
-// accumulating revisions and rolls back through its trail) against the
-// kCopy escape hatch (deep-copy the
-// all-null checkpoint per revision, O(attrs · n²/64) words). Outcomes must
-// be identical — Church-Rosser flag, target, violation emptiness and the
-// per-call stats delta — and trail is expected to win by ≥ 5x from n = 64
-// up on med-profile entities (the copy cost is quadratic in n; the trail
-// cost follows the resume's footprint).
+// revision via ChaseEngine::ResumeWith — a persistent session state that
+// extends across accumulating revisions and rolls back through its trail.
+// Each revision's resume outcome (Church-Rosser flag and target) is
+// checked against the from-scratch chase Run(revision), whose per-revision
+// cost is reported alongside as the non-incremental baseline
+// (FrameworkOptions::incremental = false).
 //
 // Emits BENCH_iscr_timing.json (bench::JsonReport); exits nonzero only on
 // an outcome mismatch, so perf noise cannot break CI.
@@ -52,9 +49,8 @@ void TimeIsCR(JsonReport* report, const char* profile,
 /// The rounds of one simulated interactive session over `spec`:
 /// cumulative truth reveals — round r designates the true values of the
 /// first r still-null attributes, exactly the Exp-3 shape RunFramework
-/// feeds ResumeWith. Under kTrail each round extends the session prefix,
-/// so only the new reveal is chased in; kCopy replays the whole prefix
-/// on a fresh checkpoint copy every round.
+/// feeds ResumeWith. Each round extends the session prefix, so only the
+/// new reveal is chased in.
 std::vector<Tuple> SessionRounds(const Specification& spec,
                                  const Tuple& deduced, const Tuple& truth) {
   const int num_attrs = spec.ie.schema().size();
@@ -71,7 +67,7 @@ std::vector<Tuple> SessionRounds(const Specification& spec,
 }
 
 /// Independent one-attribute revisions (no two extend each other), so a
-/// trail session resets to the checkpoint on every call — the
+/// session resets to the checkpoint on every call — the
 /// no-prefix-reuse worst case.
 std::vector<Tuple> IndependentRevisions(const Specification& spec,
                                         const Tuple& deduced) {
@@ -92,33 +88,35 @@ std::vector<Tuple> IndependentRevisions(const Specification& spec,
   return revisions;
 }
 
+/// Outcome of one revision as compared against the oracle: CR flag and
+/// target (or an abort marker). Stats are excluded deliberately: a
+/// session-extending resume legitimately reports less work.
+std::string OutcomeKey(const ChaseOutcome& out) {
+  return out.church_rosser ? out.target.ToString() : "abort";
+}
+
 struct ResumeRun {
   double ms = 0.0;
-  /// One entry per revision: CR flag and target (or violation marker) —
-  /// must match across strategies. Stats are excluded deliberately: a
-  /// session-extending trail resume legitimately reports less work.
-  std::vector<std::string> outcomes;
+  std::vector<std::string> outcomes;  ///< one OutcomeKey per revision
 };
 
-ResumeRun RunResumes(const Specification& spec, const GroundProgram& prog,
-                     CheckStrategy strategy,
-                     const std::vector<Tuple>& revisions, int rounds) {
-  ChaseConfig config = spec.config;
-  config.check_strategy = strategy;
-  ChaseEngine engine(spec.ie, &prog, config);
+/// `rounds` passes over `revisions`, through ResumeWith (`resume`) or the
+/// from-scratch Run.
+ResumeRun RunRevisions(const Specification& spec, const GroundProgram& prog,
+                       bool resume, const std::vector<Tuple>& revisions,
+                       int rounds) {
+  ChaseEngine engine(spec.ie, &prog, spec.config);
   ResumeRun run;
   if (!engine.RunFromCheckpoint().church_rosser) return run;
-  // Warm-up: builds the kTrail session state (a one-time copy a
-  // framework session amortizes over all its rounds).
-  (void)engine.ResumeWith(revisions[0]);
+  // Warm-up: builds the session state (a one-time copy a framework
+  // session amortizes over all its rounds).
+  if (resume) (void)engine.ResumeWith(revisions[0]);
   run.ms = TimeMs([&] {
     for (int r = 0; r < rounds; ++r) {
       for (const Tuple& revision : revisions) {
-        const ChaseOutcome out = engine.ResumeWith(revision);
-        if (r == 0) {
-          run.outcomes.push_back(out.church_rosser ? out.target.ToString()
-                                                   : "abort");
-        }
+        const ChaseOutcome out =
+            resume ? engine.ResumeWith(revision) : engine.Run(revision);
+        if (r == 0) run.outcomes.push_back(OutcomeKey(out));
       }
     }
   });
@@ -146,11 +144,11 @@ int Run() {
     TimeIsCR(&report, "cfp", cfp, small ? 12 : 100);
   }
 
-  std::printf("\n== per-revision ResumeWith: trail vs copy "
+  std::printf("\n== per-revision ResumeWith vs from-scratch Run "
               "(med profile, exact |Ie| per point%s) ==\n",
               small ? "; RELACC_BENCH_SMALL" : "");
   std::printf("%6s %-12s %10s %14s %14s %9s\n", "n", "kind", "revisions",
-              "copy us/rev", "trail us/rev", "speedup");
+              "run us/rev", "resume us/rev", "speedup");
 
   const std::vector<int> sizes =
       small ? std::vector<int>{16, 32} : std::vector<int>{16, 64, 96};
@@ -197,27 +195,28 @@ int Run() {
             1, target_resumes / static_cast<int64_t>(revisions.size())));
         const int64_t resumes =
             static_cast<int64_t>(revisions.size()) * rounds;
-        const ResumeRun copy =
-            RunResumes(spec, prog, CheckStrategy::kCopy, revisions, rounds);
-        const ResumeRun trail =
-            RunResumes(spec, prog, CheckStrategy::kTrail, revisions, rounds);
-        if (copy.outcomes != trail.outcomes) all_identical = false;
+        const ResumeRun full =
+            RunRevisions(spec, prog, /*resume=*/false, revisions, rounds);
+        const ResumeRun resumed =
+            RunRevisions(spec, prog, /*resume=*/true, revisions, rounds);
+        if (full.outcomes != resumed.outcomes) all_identical = false;
 
-        const double copy_us = copy.ms * 1e3 / static_cast<double>(resumes);
-        const double trail_us =
-            trail.ms * 1e3 / static_cast<double>(resumes);
-        const double speedup = trail.ms > 0.0 ? copy.ms / trail.ms : 0.0;
+        const double run_us = full.ms * 1e3 / static_cast<double>(resumes);
+        const double resume_us =
+            resumed.ms * 1e3 / static_cast<double>(resumes);
+        const double speedup =
+            resumed.ms > 0.0 ? full.ms / resumed.ms : 0.0;
         std::printf("%6d %-12s %10zu %14.1f %14.1f %8.2fx\n", n, kind,
-                    revisions.size(), copy_us, trail_us, speedup);
+                    revisions.size(), run_us, resume_us, speedup);
 
         JsonReport::Row row;
-        row.Set("section", "resume_trail_vs_copy")
+        row.Set("section", "resume")
             .Set("kind", kind)
             .Set("n", n)
             .Set("revisions", static_cast<int64_t>(revisions.size()))
             .Set("rounds", rounds)
-            .Set("copy_us_per_resume", copy_us)
-            .Set("trail_us_per_resume", trail_us)
+            .Set("run_us_per_revision", run_us)
+            .Set("resume_us_per_revision", resume_us)
             .Set("speedup", speedup);
         report.Add(std::move(row));
       }
@@ -229,7 +228,7 @@ int Run() {
   }
 
   report.Write();
-  std::printf("resume outcomes identical across strategies: %s\n",
+  std::printf("resume outcomes identical to from-scratch runs: %s\n",
               all_identical ? "yes" : "NO (BUG)");
   return all_identical ? 0 : 1;
 }

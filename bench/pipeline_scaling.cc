@@ -1,10 +1,8 @@
 // Whole-database accuracy pipeline (the paper's Sec. 8 future-work
 // scenario) under the single thread budget, in two sections:
 //
-// 1. Batch A/B (via the deprecated RunPipeline shim): reuse_checkers on
-//    vs off across budgets — one persistent completion checker rebound
-//    per entity vs a fresh checker (and pool) torn down per entity.
-//    Reports must be identical across modes and budgets.
+// 1. Batch (via the deprecated RunPipeline shim) across budgets: the
+//    reference report, which must be identical for every budget.
 //
 // 2. Streaming (AccuracyService::StartPipeline): entities submitted in
 //    arrival-sized batches through a bounded window. The report must be
@@ -50,7 +48,7 @@
 #include "pipeline/pipeline.h"
 
 // The batch section deliberately exercises the deprecated RunPipeline
-// shim — it is the A/B baseline the streaming session must match.
+// shim — it is the reference the streaming session must match.
 #include "api/version.h"
 
 RELACC_SUPPRESS_DEPRECATED_BEGIN
@@ -350,12 +348,11 @@ int Run() {
                         scenario.dataset.rules, warm);
     }
     for (int budget : scenario.budgets) {
-      for (const bool reuse : {true, false}) {
+      {
         PipelineOptions options;
         options.num_threads = budget;
         options.completion = CompletionPolicy::kBestCandidate;
         options.chase = scenario.dataset.chase_config;
-        options.reuse_checkers = reuse;
         PipelineReport report;
         const double ms = TimeMs([&] {
           for (int r = 0; r < scenario.reps; ++r) {
@@ -376,13 +373,12 @@ int Run() {
         } else if (key != reference_key) {
           all_identical = false;
         }
-        const char* mode = reuse ? "reuse" : "rebuild";
-        std::printf("%8d %10s %6d %6d %12.2f %14.0f\n", budget, mode,
+        std::printf("%8d %10s %6d %6d %12.2f %14.0f\n", budget, "batch",
                     report.plan.chase_threads, report.plan.check_threads,
                     ms_per_run, entities_per_s);
         JsonReport::Row row;
         row.Set("scenario", scenario.name)
-            .Set("mode", mode)
+            .Set("mode", "batch")
             .Set("budget", budget)
             .Set("chase_threads", report.plan.chase_threads)
             .Set("completion_workers", report.plan.completion_workers)

@@ -830,9 +830,7 @@ PipelineSession::WindowResult PipelineSession::ProcessWindow(
   // count and check width.
   TopKOptions topk = options_.topk;
   topk.num_threads = check_width;
-  if (options_.reuse_checkers) {
-    service_->EnsureCompletionSlots(workers);
-  }
+  service_->EnsureCompletionSlots(workers);
   service_->ChasePool().ParallelForSlots(
       static_cast<int64_t>(todo.size()), workers,
       [&](int slot, int64_t t) {
@@ -840,17 +838,10 @@ PipelineSession::WindowResult PipelineSession::ProcessWindow(
             static_cast<std::size_t>(todo[static_cast<std::size_t>(t)]);
         std::unique_ptr<PendingCompletion>& p = pending[k];
         const ChaseEngine& engine = *p->engine;
-        std::unique_ptr<CandidateChecker> fresh;
-        const CandidateChecker* checker;
-        if (options_.reuse_checkers) {
-          checker = &service_->AcquireCompletionChecker(slot, check_width,
-                                                        engine);
-        } else {
-          fresh = std::make_unique<CandidateChecker>(engine, check_width);
-          checker = fresh.get();
-        }
+        const CandidateChecker& checker =
+            service_->AcquireCompletionChecker(slot, check_width, engine);
         CompleteEntityPhase(entities[k], spec.masters, completion_, topk,
-                            options_.preference, engine, *checker,
+                            options_.preference, engine, checker,
                             &result.reports[k]);
         p.reset();  // free the checkpoint/probe memory as we go
       });

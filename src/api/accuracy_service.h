@@ -46,8 +46,8 @@ struct ServiceOptions {
   /// Chase configuration override. When set it replaces the `config`
   /// embedded in the Specification; when empty the spec's own config
   /// governs. An optional (rather than a plain ChaseConfig) so a
-  /// spec-pinned check strategy is never silently clobbered by a
-  /// default-constructed option.
+  /// spec-pinned config (e.g. an action budget) is never silently
+  /// clobbered by a default-constructed option.
   std::optional<ChaseConfig> chase;
 
   /// Default completion policy for pipeline sessions and one-shot runs.
@@ -142,13 +142,6 @@ struct PipelineSessionOptions {
   /// masters) unless a model is supplied here.
   const PreferenceModel* preference = nullptr;
 
-  /// Serve every completion through the service's persistent checker
-  /// slot pool (one CandidateChecker per completion worker, rebound per
-  /// entity) instead of building and tearing one down per entity.
-  /// Reports are identical either way; false restores the per-entity
-  /// teardown for A/B measurement.
-  bool reuse_checkers = true;
-
   /// Phase-2 entity-level parallelism: how many in-flight entities
   /// complete concurrently, each through its own slot-pooled checker of
   /// width budget/workers (see PipelineThreadPlan). 0 derives
@@ -238,8 +231,8 @@ enum class TopKAlgorithm {
 ///     complete, Finish() for the aggregate PipelineReport. At most
 ///     `window` completion engines are in flight, so memory is bounded by
 ///     the window, not by the number of entities; the report is
-///     byte-identical to the legacy batch RunPipeline for every window,
-///     budget and check strategy.
+///     byte-identical to the legacy batch RunPipeline for every window
+///     and budget.
 ///   * StartInteraction() — the Fig. 3 user loop as a stateful object:
 ///     Suggest()/Revise()/Accept() over a persistent chase session
 ///     (ChaseEngine::ResumeWith), so each accumulating revision costs
@@ -506,8 +499,8 @@ class AccuracyService {
 /// one-session-at-a-time contract has always required.
 ///
 /// Reports come back in input order and are byte-identical to the legacy
-/// batch path for every window size, thread budget, completion-worker
-/// count, reuse setting and check strategy (enforced by
+/// batch path for every window size, thread budget and completion-worker
+/// count (enforced by
 /// tests/test_accuracy_service.cc and bench/pipeline_scaling.cc).
 class PipelineSession {
  public:

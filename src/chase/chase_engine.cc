@@ -11,8 +11,8 @@ namespace relacc {
 
 /// Mutable per-run state; one instance per Run() call so the engine itself
 /// stays const and reusable. Everything is dictionary-encoded: te slots
-/// are TermIds (4 bytes, trivially copyable), so the kCopy strategy's
-/// deep copy and the kTrail journal both shrank with the columnar layer.
+/// are TermIds (4 bytes, trivially copyable), so the one checkpoint copy
+/// per long-lived state and the rollback journal both stay small.
 struct ChaseEngine::RunState {
   std::vector<PartialOrder> orders;
   std::vector<TermId> te;
@@ -29,7 +29,7 @@ struct ChaseEngine::RunState {
   std::string violation;
   int64_t actions = 0;
 
-  /// Composite journal for the kTrail strategy. Disabled — and therefore
+  /// Composite rollback journal. Disabled — and therefore
   /// empty and copy-free — on checkpoint states; enabled exactly once per
   /// long-lived state (the engine's check probe state and its resume
   /// session state). The order-pair deltas live inside each
@@ -519,8 +519,8 @@ bool ChaseEngine::EnsureCheckpoint() const {
     auto base = std::make_unique<RunState>();
     Tuple all_null(std::vector<Value>(num_attrs_, Value::Null()));
     if (InitState(base.get(), all_null) && DrainQueue(base.get())) {
-      // Frozen from here on: CheckCandidate either copies it (kCopy) or
-      // probes a long-lived copy (kTrail); workers share it by pointer.
+      // Frozen from here on: CheckCandidate and ResumeWith work on
+      // long-lived copies of it; workers share it by pointer.
       checkpoint_ = std::shared_ptr<const RunState>(std::move(base));
     } else {
       checkpoint_failed_ = true;  // base spec is not Church-Rosser
@@ -706,11 +706,7 @@ void ChaseEngine::RollbackTo(RunState* st, const StateMark& mark) const {
 
 bool ChaseEngine::CheckCandidate(const Tuple& t) const {
   if (!EnsureCheckpoint()) return false;
-  if (config_.check_strategy == CheckStrategy::kCopy) {
-    RunState st = *checkpoint_;  // deep copy of the terminal all-null state
-    return ContinueWith(&st, t);
-  }
-  // kTrail: chase forward on the shared-checkpoint copy in place, then
+  // Chase forward on the long-lived copy of the checkpoint in place, then
   // undo exactly what this probe changed — O(delta), not O(state).
   RunState* st = EnsureProbeState();
   MarkState(*st, &probe_mark_);
@@ -722,7 +718,8 @@ bool ChaseEngine::CheckCandidate(const Tuple& t) const {
 namespace {
 
 /// Per-call stats of a resume: only the work done beyond `base` (the
-/// checkpoint). ground_steps is |Γ|, a program constant, not additive.
+/// session state the call started from). ground_steps is |Γ|, a program
+/// constant, not additive.
 ChaseStats ResumeDelta(const ChaseStats& now, const ChaseStats& base) {
   ChaseStats delta;
   delta.ground_steps = now.ground_steps;
@@ -741,21 +738,7 @@ ChaseOutcome ChaseEngine::ResumeWith(const Tuple& extra_te) const {
     out.stats = checkpoint_failed_stats_;
     return out;
   }
-  if (config_.check_strategy == CheckStrategy::kCopy) {
-    RunState st = *checkpoint_;
-    const bool ok = ContinueWith(&st, extra_te);
-    out.stats = ResumeDelta(st.stats, checkpoint_->stats);
-    if (!ok) {
-      out.church_rosser = false;
-      out.violation = st.violation;
-      return out;
-    }
-    out.church_rosser = true;
-    out.target = MaterializeTe(st.te);
-    if (config_.keep_orders) out.orders = std::move(st.orders);
-    return out;
-  }
-  // kTrail: resume on the persistent session state. When `extra_te`
+  // Resume on the persistent session state. When `extra_te`
   // extends the applied prefix — the framework's case: revisions only
   // accumulate — the continuation starts from the last terminal instance
   // and chases in just the new designated values, O(changes of this

@@ -112,11 +112,9 @@ class ChaseEngine {
   /// because orders and te only grow monotonically: every violation the
   /// from-scratch run would find, the continuation finds too.
   ///
-  /// Under ChaseConfig::check_strategy == kCopy each call deep-copies the
-  /// checkpoint; under kTrail the engine keeps one long-lived probe state,
-  /// chases forward in place and rolls every change back in O(changes) —
-  /// whether the probe succeeded or aborted mid-chase on a Church-Rosser
-  /// violation. Both paths return identical verdicts.
+  /// The engine keeps one long-lived probe state, chases forward in place
+  /// and rolls every change back in O(changes) — whether the probe
+  /// succeeded or aborted mid-chase on a Church-Rosser violation.
   bool CheckCandidate(const Tuple& t) const;
 
   /// Shares `other`'s prepared all-null checkpoint with this engine,
@@ -134,8 +132,7 @@ class ChaseEngine {
   /// everything the all-null chase already derived; the interactive
   /// framework calls this once per user revision.
   ///
-  /// The resume obeys ChaseConfig::check_strategy. Under kTrail the
-  /// engine keeps a persistent *chase session*: a long-lived state —
+  /// The engine keeps a persistent *chase session*: a long-lived state —
   /// separate from CheckCandidate's probe state, so checks and resumes
   /// never disturb each other — holding the terminal instance of the
   /// last successful resume. When `extra_te` extends the session's
@@ -145,15 +142,14 @@ class ChaseEngine {
   /// through its trail and re-chases `extra_te` from there. The outcome
   /// (flag, target, stats, orders when keep_orders) is extracted before
   /// any rollback; a resume that aborts mid-chase rolls back to the last
-  /// valid session state. Under kCopy each call deep-copies the
-  /// checkpoint and replays the whole continuation — the cross-validated
-  /// escape hatch. Outcomes are identical on both paths.
+  /// valid session state.
   ///
   /// Stats are per-call deltas — the work *this call* performed, so
   /// summing them across framework rounds never double-counts the
   /// checkpoint chase (ground_steps stays |Γ|, a program constant).
-  /// Consequently kTrail may legitimately report smaller numbers than
-  /// kCopy for session-extending calls: it genuinely does less work.
+  /// Consequently a session-extending call may legitimately report
+  /// smaller numbers than a resume from the checkpoint would: it
+  /// genuinely does less work.
   /// Exception: when the base spec itself is not Church-Rosser, the
   /// failing all-null chase's own stats are reported.
   ChaseOutcome ResumeWith(const Tuple& extra_te) const;
@@ -207,13 +203,13 @@ class ChaseEngine {
   // specification is not Church-Rosser.
   bool EnsureCheckpoint() const;
 
-  // The long-lived mutable state the kTrail check probes on, created
+  // The long-lived mutable state CheckCandidate probes on, created
   // lazily as one copy of the checkpoint (per engine, not per candidate).
   RunState* EnsureProbeState() const;
 
-  // The kTrail resume session (see ResumeWith): another long-lived copy
-  // of the checkpoint, plus session_te_/session_mark_ tracking the
-  // applied prefix, created lazily on the first trail resume.
+  // The resume session (see ResumeWith): another long-lived copy of the
+  // checkpoint, plus session_te_/session_mark_ tracking the applied
+  // prefix, created lazily on the first resume.
   RunState* EnsureSessionState() const;
 
   // True iff `extra_te` agrees with every designated value the session
@@ -230,7 +226,7 @@ class ChaseEngine {
   // queue drain. Shared by CheckCandidate and ResumeWith.
   bool ContinueWith(RunState* st, const Tuple& te) const;
 
-  // kTrail rollback bracket: MarkState snapshots a rollback point on a
+  // Rollback bracket: MarkState snapshots a rollback point on a
   // trail-enabled state; RollbackTo undoes everything done since (te
   // slots, residual counters, dead flags, queue, dirty lists, order
   // pairs, stats) in O(changes) — valid on success and mid-chase abort
@@ -333,11 +329,11 @@ class ChaseEngine {
   /// Violation + stats of the failed all-null chase (for RunFromCheckpoint).
   mutable std::string checkpoint_violation_;
   mutable ChaseStats checkpoint_failed_stats_;
-  /// kTrail probe state; mutated and rolled back by CheckCandidate.
+  /// Probe state; mutated and rolled back by CheckCandidate.
   mutable std::unique_ptr<RunState> probe_state_;
   /// Scratch mark for the per-candidate probe bracket (reused).
   mutable StateMark probe_mark_;
-  /// kTrail resume session (ResumeWith): state, applied designated
+  /// Resume session (ResumeWith): state, applied designated
   /// values (interned; kNullTermId = unset), and the rollback points at
   /// the checkpoint and at the end of the applied prefix.
   mutable std::unique_ptr<RunState> session_state_;

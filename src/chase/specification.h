@@ -11,39 +11,6 @@
 
 namespace relacc {
 
-/// How ChaseEngine::CheckCandidate restores the shared all-null
-/// checkpoint between candidate probes.
-enum class CheckStrategy {
-  /// Deep-copy the checkpoint per candidate: every PartialOrder bit-matrix
-  /// plus the per-step counters, O(attrs · n²/64) words each time. Kept as
-  /// the reference implementation the trail path is cross-validated
-  /// against (tests/test_check_strategy.cc).
-  kCopy,
-  /// Chase forward on one long-lived state and roll back through trails in
-  /// O(changes the probe made). The default: candidate checks dominate the
-  /// top-k algorithms' runtime (bench/trail_vs_copy.cc measures the gap).
-  kTrail,
-};
-
-/// Canonical name of a strategy ("trail" / "copy") — the single mapping
-/// used by the CLI flag, the spec-JSON config and the bench/test labels.
-inline const char* CheckStrategyName(CheckStrategy strategy) {
-  return strategy == CheckStrategy::kCopy ? "copy" : "trail";
-}
-
-/// Inverse of CheckStrategyName; false iff `name` is not a strategy.
-inline bool ParseCheckStrategy(const std::string& name, CheckStrategy* out) {
-  if (name == "trail") {
-    *out = CheckStrategy::kTrail;
-    return true;
-  }
-  if (name == "copy") {
-    *out = CheckStrategy::kCopy;
-    return true;
-  }
-  return false;
-}
-
 /// Tuning knobs of the chase.
 struct ChaseConfig {
   /// Handle the axioms ϕ7 (null lowest), ϕ8 (te anchor) and ϕ9 (equality)
@@ -59,10 +26,6 @@ struct ChaseConfig {
   /// Safety valve on internal actions; -1 = unbounded. The chase provably
   /// terminates (Prop. 1), so this only guards against implementation bugs.
   int64_t max_actions = -1;
-
-  /// Candidate-check rollback strategy; ranked top-k output is identical
-  /// for both values (guarded by tests/test_check_strategy.cc).
-  CheckStrategy check_strategy = CheckStrategy::kTrail;
 };
 
 /// A specification S = (D0, Σ, Im, te^{D0}) of an entity (Sec. 2.2):

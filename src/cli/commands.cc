@@ -192,8 +192,6 @@ Status CmdTopK(const Args& args, std::ostream& out) {
   Result<int64_t> k = args.GetInt("k", 5);
   Result<int64_t> threads = args.GetInt("threads", 1);
   const std::string algo = args.GetString("algo", "topkct");
-  const bool strategy_given = args.Has("check-strategy");
-  const std::string strategy = args.GetString("check-strategy", "trail");
   const bool as_json = args.Has("json");
   const std::string snapshot = args.GetString("snapshot");
   if (!k.ok()) return k.status();
@@ -214,10 +212,6 @@ Status CmdTopK(const Args& args, std::ostream& out) {
     return Status::InvalidArgument(
         "--algo must be topkct, heuristic, rankjoin or brute");
   }
-  CheckStrategy check_strategy = CheckStrategy::kTrail;
-  if (!ParseCheckStrategy(strategy, &check_strategy)) {
-    return Status::InvalidArgument("--check-strategy must be trail or copy");
-  }
   RELACC_RETURN_NOT_OK(CheckUnread(args));
 
   ServiceOptions service_options;
@@ -225,13 +219,7 @@ Status CmdTopK(const Args& args, std::ostream& out) {
   std::unique_ptr<AccuracyService> service;
   Schema schema;
   if (!snapshot.empty()) {
-    // The artifact replaces the spec document (and carries its own
-    // chase config, so the strategy flag has nothing to override).
-    if (strategy_given) {
-      return Status::InvalidArgument(
-          "--check-strategy conflicts with --snapshot: the chase config "
-          "is part of the artifact");
-    }
+    // The artifact replaces the spec document, chase config included.
     if (!args.positionals().empty()) {
       return Status::InvalidArgument(
           "--snapshot replaces the <spec.json> argument");
@@ -246,9 +234,6 @@ Status CmdTopK(const Args& args, std::ostream& out) {
     Result<SpecDocument> doc = LoadSpec(args);
     if (!doc.ok()) return doc.status();
     Specification& spec = doc.value().spec;
-    // The flag overrides the spec document's config only when given, so
-    // a spec pinned to one strategy keeps it by default.
-    if (strategy_given) spec.config.check_strategy = check_strategy;
     schema = spec.ie.schema();
     Result<std::unique_ptr<AccuracyService>> created =
         AccuracyService::Create(std::move(spec), std::move(service_options));
@@ -354,7 +339,7 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
 
   // The flat relation goes through entity resolution, then every cluster
   // streams through one pipeline session. The spec document's chase
-  // config (check_strategy, builtin_axioms, action budget) governs every
+  // config (builtin_axioms, action budget) governs every
   // per-entity chase; it used to be dropped here, silently running the
   // default config instead.
   ResolutionResult resolution = ResolveEntities(spec.ie, resolver);
@@ -1039,8 +1024,7 @@ std::string CliUsage() {
       "            [--attr <name>] [--depth N]\n"
       "  topk      top-k candidate targets for an incomplete target\n"
       "            [--k N] [--algo topkct|heuristic|rankjoin|brute]\n"
-      "            [--threads N] [--check-strategy trail|copy] [--json]\n"
-      "            [--snapshot FILE]\n"
+      "            [--threads N] [--json] [--snapshot FILE]\n"
       "  fmt       normalize a spec document / its rule program\n"
       "            [--rules-only]\n"
       "  lint      static analysis of the spec (schema, dead rules,\n"

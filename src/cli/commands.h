@@ -24,7 +24,7 @@ namespace relacc {
 ///   relacc explain <spec.json> --attr <name> [--depth N]
 ///       Proof tree for the deduced te[attr].
 ///   relacc topk <spec.json> [--k N] [--algo topkct|heuristic|rankjoin]
-///       [--threads N] [--check-strategy trail|copy] [--json]
+///       [--threads N] [--json] [--snapshot FILE]
 ///       Top-k candidate targets for an incomplete te.
 ///   relacc fmt <spec.json> [--rules-only]
 ///       Normalized spec (canonical rule DSL) back to stdout.

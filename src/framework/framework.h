@@ -64,9 +64,9 @@ struct FrameworkOptions {
   int max_rounds = 32;              ///< hard stop on interaction
   /// Re-chase after a user revision by resuming from the all-null terminal
   /// checkpoint (ChaseEngine::ResumeWith) instead of replaying the full
-  /// chase; under ChaseConfig::check_strategy == kTrail the engine keeps
-  /// a persistent session (separate from the candidate-check probe
-  /// state), so each accumulating revision costs O(its own changes).
+  /// chase; the engine keeps a persistent session (separate from the
+  /// candidate-check probe state), so each accumulating revision costs
+  /// O(its own changes).
   /// Identical outcomes (tested); see bench/ablation_incremental and
   /// bench/iscr_timing.
   bool incremental = true;

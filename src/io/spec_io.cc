@@ -212,20 +212,22 @@ Result<SpecDocument> SpecFromJsonImpl(const Json& doc,
     if (!config->is_object()) {
       return Status::InvalidArgument("'config' must be an object");
     }
-    Result<bool> builtin = config->GetBool("builtin_axioms");
-    if (builtin.ok()) out.spec.config.builtin_axioms = builtin.value();
-    Result<bool> keep = config->GetBool("keep_orders");
-    if (keep.ok()) out.spec.config.keep_orders = keep.value();
-    Result<int64_t> max_actions = config->GetInt("max_actions");
-    if (max_actions.ok()) out.spec.config.max_actions = max_actions.value();
-    Result<std::string> strategy = config->GetString("check_strategy");
-    if (strategy.ok()) {
-      if (!ParseCheckStrategy(strategy.value(),
-                              &out.spec.config.check_strategy)) {
-        return Status::InvalidArgument(
-            "config.check_strategy must be 'trail' or 'copy'");
+    // A missing key keeps its default and an unknown key is ignored, but
+    // a known key of the wrong type is an error, not a silent default.
+    auto read = [](const auto& value, auto* field) {
+      if (value.ok()) {
+        *field = value.value();
+      } else if (value.status().code() != StatusCode::kNotFound) {
+        return Status::InvalidArgument("config: " + value.status().message());
       }
-    }
+      return Status::OK();
+    };
+    RELACC_RETURN_NOT_OK(read(config->GetBool("builtin_axioms"),
+                              &out.spec.config.builtin_axioms));
+    RELACC_RETURN_NOT_OK(read(config->GetBool("keep_orders"),
+                              &out.spec.config.keep_orders));
+    RELACC_RETURN_NOT_OK(read(config->GetInt("max_actions"),
+                              &out.spec.config.max_actions));
   }
 
   const Json* rules = doc.Find("rules");
@@ -347,8 +349,6 @@ Json SpecToJson(const SpecDocument& doc) {
   config.Set("builtin_axioms", Json::Bool(doc.spec.config.builtin_axioms));
   config.Set("keep_orders", Json::Bool(doc.spec.config.keep_orders));
   config.Set("max_actions", Json::Int(doc.spec.config.max_actions));
-  config.Set("check_strategy",
-             Json::Str(CheckStrategyName(doc.spec.config.check_strategy)));
   out.Set("config", std::move(config));
   return out;
 }

@@ -95,9 +95,8 @@ bool PartialOrder::AddPair(int i, int j,
       }
     }
   }
-  // Leave the scratch empty (capacity retained): a deep copy of this
-  // order — the kCopy strategy's per-candidate cost — must not pay for
-  // a stale snapshot.
+  // Leave the scratch empty (capacity retained): a copy of this order
+  // must not pay for a stale snapshot.
   sources.clear();
   return true;
 }

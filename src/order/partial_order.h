@@ -26,12 +26,12 @@ namespace relacc {
 /// in-degree counting.
 ///
 /// Representation: successor and predecessor adjacency bit-matrices in two
-/// flat word arrays (row stride = ⌈n/64⌉). The flat layout keeps the
-/// kCopy check strategy cheap — one PartialOrder copy is two memcpys, not
-/// 2n vector allocations — while the kTrail strategy avoids the copy
-/// entirely: with the trail enabled, every inserted pair (and every
-/// greatest-element change) is journaled, so Mark()/UndoTo() roll a probe
-/// back in O(pairs inserted since the mark) instead of O(n²/64) words.
+/// flat word arrays (row stride = ⌈n/64⌉). The flat layout keeps a copy
+/// cheap — two memcpys, not 2n vector allocations — and candidate checks
+/// avoid copies entirely: with the trail enabled, every inserted pair
+/// (and every greatest-element change) is journaled, so Mark()/UndoTo()
+/// roll a probe back in O(pairs inserted since the mark) instead of
+/// O(n²/64) words.
 class PartialOrder {
  public:
   /// `column` holds the interned term id of ti[A] for every tuple (nulls

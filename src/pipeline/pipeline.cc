@@ -29,7 +29,8 @@ namespace {
 /// build a service over (masters, rules, config), stream every entity
 /// through a PipelineSession with the legacy window, finish. Report
 /// identity with the historical in-place implementation is enforced by
-/// tests/test_accuracy_service.cc across windows, budgets and strategies.
+/// tests/test_accuracy_service.cc across windows, budgets and completion
+/// workers.
 PipelineReport RunPipelineViaService(
     const std::vector<EntityInstance>& entities,
     const std::vector<Relation>& masters,
@@ -58,7 +59,6 @@ PipelineReport RunPipelineViaService(
   if (!service.ok()) std::abort();
 
   PipelineSessionOptions session_options;
-  session_options.reuse_checkers = options.reuse_checkers;
   session_options.preference = options.preference;
   session_options.topk = options.topk;
   // The legacy contract: whatever the caller put in topk.num_threads /

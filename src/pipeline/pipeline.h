@@ -70,13 +70,6 @@ struct PipelineOptions {
   /// Occurrence-count preference weights are built per entity instance
   /// (plus masters) unless the caller supplies a model via `preference`.
   const PreferenceModel* preference = nullptr;
-  /// Serve every completion-phase top-k call from one persistent
-  /// CandidateChecker (and one thread pool), rebound per entity
-  /// (CandidateChecker::Rebind), instead of building and tearing one
-  /// down per entity. Reports are identical either way; false restores
-  /// the per-entity teardown for A/B measurement
-  /// (bench/pipeline_scaling.cc).
-  bool reuse_checkers = true;
 };
 
 /// Per-entity outcome of the pipeline.
@@ -134,7 +127,7 @@ struct PipelineReport {
 /// incomplete.
 ///
 /// Reports are ordered deterministically by input position and identical
-/// for every budget, completion-phase width and reuse setting.
+/// for every budget and completion-phase width.
 ///
 /// Deprecated: this is now a thin shim — one AccuracyService pipeline
 /// session submitted in a single batch (api/accuracy_service.h). New code

@@ -50,7 +50,7 @@ namespace relacc {
 namespace snapshot {
 
 inline constexpr char kMagic[8] = {'R', 'E', 'L', 'A', 'C', 'C', 'S', 'N'};
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 32;
 inline constexpr std::size_t kSectionEntryBytes = 32;
 

@@ -239,18 +239,13 @@ Result<std::unique_ptr<SnapshotReader>> SnapshotReader::Open(
   info.config.builtin_axioms = meta.U8() != 0;
   info.config.keep_orders = meta.U8() != 0;
   info.config.max_actions = meta.I64();
-  const uint8_t strategy = meta.U8();
   info.num_attrs = static_cast<int>(meta.U32());
   info.entity_rows = static_cast<int64_t>(meta.U64());
   info.num_masters = static_cast<int>(meta.U32());
   info.dict_terms = static_cast<int64_t>(meta.U64());
   info.program_steps = static_cast<int64_t>(meta.U64());
   info.checkpoint_ok = meta.U8() != 0;
-  if (!meta.AtEnd() ||
-      strategy > static_cast<uint8_t>(CheckStrategy::kTrail)) {
-    return Corrupt("malformed meta section");
-  }
-  info.config.check_strategy = static_cast<CheckStrategy>(strategy);
+  if (!meta.AtEnd()) return Corrupt("malformed meta section");
   return reader;
 }
 

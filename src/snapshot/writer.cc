@@ -151,7 +151,6 @@ void EncodeMeta(const SnapshotContents& c, ByteSink* out) {
   out->U8(c.config->builtin_axioms ? 1 : 0);
   out->U8(c.config->keep_orders ? 1 : 0);
   out->I64(c.config->max_actions);
-  out->U8(static_cast<uint8_t>(c.config->check_strategy));
   out->U32(static_cast<uint32_t>(c.entity->schema().size()));
   out->U64(static_cast<uint64_t>(c.entity->size()));
   out->U32(static_cast<uint32_t>(c.masters.size()));

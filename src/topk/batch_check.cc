@@ -38,8 +38,8 @@ void CandidateChecker::EnsureWorkers() const {
     // prototype's shares it by pointer (it is immutable once built)
     // instead of re-running the all-null chase per worker. Each worker
     // engine then grows its own long-lived probe state from it — marked
-    // and rolled back per candidate under the kTrail strategy — so the
-    // per-candidate cost is O(changes), not O(state copy).
+    // and rolled back per candidate — so the per-candidate cost is
+    // O(changes), not O(state copy).
     engine->AdoptCheckpointFrom(*prototype_);
     engines_.push_back(std::move(engine));
   }

@@ -15,7 +15,7 @@
 namespace relacc {
 
 /// Fans the per-candidate `check` chase (CheckCandidateTarget, Sec. 6) out
-/// over a ThreadPool. A ChaseEngine holds mutable run state — the kTrail
+/// over a ThreadPool. A ChaseEngine holds mutable run state — the
 /// probe state that CheckCandidate chases on and rolls back — so engines
 /// must not be shared between workers: the checker owns one engine per
 /// worker slot, all built over the same (Ie, ground program, config) as

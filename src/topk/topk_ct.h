@@ -36,10 +36,9 @@ struct TopKOptions {
   /// Workers for the candidate-target `check` (see topk/batch_check.h).
   /// With 1 the algorithms run their original strictly-sequential loops;
   /// with more, checks are batched and fanned out over a thread pool with
-  /// one ChaseEngine per worker (each holding a long-lived probe state
-  /// under ChaseConfig::check_strategy == kTrail, all sharing the
-  /// prototype's checkpoint by pointer). Ranked results (targets and
-  /// scores) are identical for every thread count and check strategy; the
+  /// one ChaseEngine per worker (each holding a long-lived probe state,
+  /// all sharing the prototype's checkpoint by pointer). Ranked results
+  /// (targets and scores) are identical for every thread count; the
   /// stats counters may report more work with >1 threads because batch
   /// members past the k-th accepted target are checked speculatively.
   /// <= 0 is treated as 1. Superseded by `checker` when that is set.

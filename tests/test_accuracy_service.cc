@@ -66,14 +66,12 @@ EntityDataset MedDataset(uint64_t seed = 5, int entities = 40,
   return GenerateProfile(config);
 }
 
-Specification ServiceSpec(const EntityDataset& ds,
-                          CheckStrategy strategy = CheckStrategy::kTrail) {
+Specification ServiceSpec(const EntityDataset& ds) {
   Specification spec;
   spec.ie = Relation(ds.schema);
   spec.masters = ds.masters;
   spec.rules = ds.rules;
   spec.config = ds.chase_config;
-  spec.config.check_strategy = strategy;
   return spec;
 }
 
@@ -115,27 +113,21 @@ PipelineReport StreamAll(AccuracyService& service,
 
 TEST(PipelineSessionTest, IdenticalToLegacyAcrossBudgetsAndStrategies) {
   const EntityDataset ds = MedDataset();
-  for (const CheckStrategy strategy :
-       {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    for (const int budget : {1, 4, 8}) {
-      PipelineOptions legacy_options;
-      legacy_options.num_threads = budget;
-      legacy_options.chase = ds.chase_config;
-      legacy_options.chase.check_strategy = strategy;
-      const PipelineReport legacy = RunPipeline(ds.entities, ds.masters,
-                                                ds.rules, legacy_options);
-      for (const int64_t window : {int64_t{1}, int64_t{3}, int64_t{64}}) {
-        ServiceOptions service_options;
-        service_options.num_threads = budget;
-        service_options.window = window;
-        auto service =
-            MakeService(ServiceSpec(ds, strategy), service_options);
-        const PipelineReport streamed =
-            StreamAll(*service, ds.entities, /*batch=*/7);
-        EXPECT_EQ(Serialize(streamed), Serialize(legacy))
-            << CheckStrategyName(strategy) << " budget " << budget
-            << " window " << window;
-      }
+  for (const int budget : {1, 4, 8}) {
+    PipelineOptions legacy_options;
+    legacy_options.num_threads = budget;
+    legacy_options.chase = ds.chase_config;
+    const PipelineReport legacy =
+        RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
+    for (const int64_t window : {int64_t{1}, int64_t{3}, int64_t{64}}) {
+      ServiceOptions service_options;
+      service_options.num_threads = budget;
+      service_options.window = window;
+      auto service = MakeService(ServiceSpec(ds), service_options);
+      const PipelineReport streamed =
+          StreamAll(*service, ds.entities, /*batch=*/7);
+      EXPECT_EQ(Serialize(streamed), Serialize(legacy))
+          << "budget " << budget << " window " << window;
     }
   }
 }
@@ -321,35 +313,28 @@ TEST(PipelineSessionTest, SubmitReturnsWhileTheDriverCompletesWindows) {
 TEST(PipelineSessionTest,
      ReportsIdenticalAcrossCompletionWorkersWindowsAndStrategies) {
   // The parallel-completion determinism matrix: completion workers
-  // {1, 2, 8} × window {1, 5, 64} × check strategy {trail, copy} at a
-  // fixed budget of 8 must reproduce the legacy batch report byte for
-  // byte — the input-order reduction makes worker count and per-worker
-  // check width unobservable.
+  // {1, 2, 8} × window {1, 5, 64} at a fixed budget of 8 must reproduce
+  // the legacy batch report byte for byte — the input-order reduction
+  // makes worker count and per-worker check width unobservable.
   const EntityDataset ds = MedDataset(/*seed=*/13, /*entities=*/18,
                                       /*corruption=*/0.8);
-  for (const CheckStrategy strategy :
-       {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    PipelineOptions legacy_options;
-    legacy_options.num_threads = 8;
-    legacy_options.chase = ds.chase_config;
-    legacy_options.chase.check_strategy = strategy;
-    const PipelineReport legacy =
-        RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
-    for (const int workers : {1, 2, 8}) {
-      for (const int64_t window : {int64_t{1}, int64_t{5}, int64_t{64}}) {
-        ServiceOptions service_options;
-        service_options.num_threads = 8;
-        service_options.window = window;
-        auto service =
-            MakeService(ServiceSpec(ds, strategy), service_options);
-        PipelineSessionOptions session_options;
-        session_options.completion_workers = workers;
-        const PipelineReport streamed = StreamAll(
-            *service, ds.entities, /*batch=*/7, std::move(session_options));
-        EXPECT_EQ(Serialize(streamed), Serialize(legacy))
-            << CheckStrategyName(strategy) << " workers " << workers
-            << " window " << window;
-      }
+  PipelineOptions legacy_options;
+  legacy_options.num_threads = 8;
+  legacy_options.chase = ds.chase_config;
+  const PipelineReport legacy =
+      RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
+  for (const int workers : {1, 2, 8}) {
+    for (const int64_t window : {int64_t{1}, int64_t{5}, int64_t{64}}) {
+      ServiceOptions service_options;
+      service_options.num_threads = 8;
+      service_options.window = window;
+      auto service = MakeService(ServiceSpec(ds), service_options);
+      PipelineSessionOptions session_options;
+      session_options.completion_workers = workers;
+      const PipelineReport streamed = StreamAll(
+          *service, ds.entities, /*batch=*/7, std::move(session_options));
+      EXPECT_EQ(Serialize(streamed), Serialize(legacy))
+          << "workers " << workers << " window " << window;
     }
   }
 }
@@ -436,14 +421,13 @@ TEST(AccuracyServiceTest, GroundShardsDoNotChangeAnyOutcome) {
 
 TEST(AccuracyServiceTest, ChaseOverrideReplacesSpecConfig) {
   Specification spec = MjSpecification();
-  spec.config.check_strategy = CheckStrategy::kTrail;
+  ASSERT_EQ(spec.config.max_actions, -1);
   ServiceOptions options;
   ChaseConfig override_config = spec.config;
-  override_config.check_strategy = CheckStrategy::kCopy;
+  override_config.max_actions = 1000000;
   options.chase = override_config;
   auto service = MakeService(std::move(spec), std::move(options));
-  EXPECT_EQ(service->specification().config.check_strategy,
-            CheckStrategy::kCopy);
+  EXPECT_EQ(service->specification().config.max_actions, 1000000);
 }
 
 TEST(AccuracyServiceTest, ManagedTopKKnobsAreRejectedNotOverridden) {

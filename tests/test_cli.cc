@@ -170,6 +170,46 @@ TEST_F(CliTest, TopKAlgoValidation) {
   EXPECT_NE(err_.str().find("--algo"), std::string::npos);
 }
 
+TEST_F(CliTest, TopKCheckStrategyFlagIsUnknown) {
+  // The candidate check has a single rollback path, so the flag that
+  // used to pick one is gone and reported like any other unknown flag.
+  int rc = Run({"topk", path_, "--check-strategy", "trail"});
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err_.str().find("unknown flag(s): --check-strategy"),
+            std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, TopKIgnoresLegacyCheckStrategyConfigKey) {
+  // The shipped example no longer carries config.check_strategy; a copy
+  // that still does (as documents written by older releases) must rank
+  // exactly the same.
+  const std::string example =
+      std::string(RELACC_SOURCE_DIR) + "/examples/specs/mj.json";
+  Result<std::string> text = ReadFile(example);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  ASSERT_EQ(text.value().find("check_strategy"), std::string::npos);
+  std::string legacy_text = text.value();
+  const std::string key = "\"max_actions\": -1";
+  const std::size_t at = legacy_text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  legacy_text.insert(at + key.size(), ",\n    \"check_strategy\": \"trail\"");
+  const std::string legacy = ::testing::TempDir() + "/relacc_cli_legacy.json";
+  ASSERT_TRUE(WriteFile(legacy, legacy_text).ok());
+
+  for (const bool json : {false, true}) {
+    std::vector<std::string> argv = {"topk", example, "--k", "3"};
+    if (json) argv.push_back("--json");
+    ASSERT_EQ(Run(argv), 0) << err_.str();
+    const std::string expected = out_.str();
+    EXPECT_NE(expected.find("United Center"), std::string::npos);
+    argv[1] = legacy;
+    ASSERT_EQ(Run(argv), 0) << err_.str();
+    EXPECT_EQ(out_.str(), expected) << "json=" << json;
+  }
+  std::remove(legacy.c_str());
+}
+
 TEST_F(CliTest, FmtRulesOnlyEmitsParsableDsl) {
   int rc = Run({"fmt", path_, "--rules-only"});
   EXPECT_EQ(rc, 0) << err_.str();

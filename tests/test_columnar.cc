@@ -4,7 +4,7 @@
 // cross-type classes), FromRelation/ToRelation must round-trip exactly,
 // columnar grounding must produce the row program step for step, and
 // the service's columnar mode must reproduce the row pipeline/top-k
-// reports byte for byte across check strategies and thread budgets.
+// reports byte for byte across thread budgets.
 
 #include <sstream>
 #include <string>
@@ -31,14 +31,12 @@ EntityDataset SmallMed(uint64_t seed = 5, int entities = 24,
   return GenerateProfile(config);
 }
 
-Specification SpecOf(const EntityDataset& ds, CheckStrategy strategy,
-                     Relation ie) {
+Specification SpecOf(const EntityDataset& ds, Relation ie) {
   Specification spec;
   spec.ie = std::move(ie);
   spec.masters = ds.masters;
   spec.rules = ds.rules;
   spec.config = ds.chase_config;
-  spec.config.check_strategy = strategy;
   return spec;
 }
 
@@ -224,35 +222,29 @@ TEST(ColumnarGrounding, ProgramIdenticalToRowSerialAndSharded) {
 
 TEST(ColumnarService, PipelineReportsByteIdenticalToRow) {
   const EntityDataset ds = SmallMed();
-  for (const CheckStrategy strategy :
-       {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    for (const int budget : {1, 4}) {
-      std::string reports[2];
-      for (const bool columnar : {false, true}) {
-        ServiceOptions options;
-        options.num_threads = budget;
-        options.window = 5;
-        options.columnar_storage = columnar;
-        auto service = MakeService(
-            SpecOf(ds, strategy, Relation(ds.schema)), options);
-        Result<std::unique_ptr<PipelineSession>> session =
-            service->StartPipeline();
-        ASSERT_TRUE(session.ok()) << session.status().ToString();
-        for (std::size_t begin = 0; begin < ds.entities.size(); begin += 7) {
-          const std::size_t end =
-              std::min(ds.entities.size(), begin + 7);
-          ASSERT_TRUE(session.value()
-                          ->Submit({ds.entities.begin() + begin,
-                                    ds.entities.begin() + end})
-                          .ok());
-        }
-        Result<PipelineReport> report = session.value()->Finish();
-        ASSERT_TRUE(report.ok()) << report.status().ToString();
-        reports[columnar ? 1 : 0] = Serialize(report.value());
+  for (const int budget : {1, 4}) {
+    std::string reports[2];
+    for (const bool columnar : {false, true}) {
+      ServiceOptions options;
+      options.num_threads = budget;
+      options.window = 5;
+      options.columnar_storage = columnar;
+      auto service = MakeService(SpecOf(ds, Relation(ds.schema)), options);
+      Result<std::unique_ptr<PipelineSession>> session =
+          service->StartPipeline();
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      for (std::size_t begin = 0; begin < ds.entities.size(); begin += 7) {
+        const std::size_t end = std::min(ds.entities.size(), begin + 7);
+        ASSERT_TRUE(session.value()
+                        ->Submit({ds.entities.begin() + begin,
+                                  ds.entities.begin() + end})
+                        .ok());
       }
-      EXPECT_EQ(reports[1], reports[0])
-          << CheckStrategyName(strategy) << " budget " << budget;
+      Result<PipelineReport> report = session.value()->Finish();
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      reports[columnar ? 1 : 0] = Serialize(report.value());
     }
+    EXPECT_EQ(reports[1], reports[0]) << "budget " << budget;
   }
 }
 
@@ -261,30 +253,24 @@ TEST(ColumnarService, TopKAndDeduceByteIdenticalToRow) {
   // so TopK genuinely searches candidates through the checker.
   const EntityDataset ds = SmallMed(/*seed=*/17, /*entities=*/6,
                                     /*corruption=*/1.0);
-  for (const CheckStrategy strategy :
-       {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    for (const int budget : {1, 4}) {
-      std::string deduced[2];
-      std::string topk[2];
-      for (const bool columnar : {false, true}) {
-        ServiceOptions options;
-        options.num_threads = budget;
-        options.columnar_storage = columnar;
-        auto service =
-            MakeService(SpecOf(ds, strategy, ds.entities[0]), options);
-        Result<ChaseOutcome> outcome = service->DeduceEntity();
-        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-        ASSERT_TRUE(outcome.value().church_rosser);
-        deduced[columnar ? 1 : 0] = outcome.value().target.ToString();
-        Result<TopKResult> result = service->TopK(5);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        topk[columnar ? 1 : 0] = Serialize(result.value());
-      }
-      EXPECT_EQ(deduced[1], deduced[0])
-          << CheckStrategyName(strategy) << " budget " << budget;
-      EXPECT_EQ(topk[1], topk[0])
-          << CheckStrategyName(strategy) << " budget " << budget;
+  for (const int budget : {1, 4}) {
+    std::string deduced[2];
+    std::string topk[2];
+    for (const bool columnar : {false, true}) {
+      ServiceOptions options;
+      options.num_threads = budget;
+      options.columnar_storage = columnar;
+      auto service = MakeService(SpecOf(ds, ds.entities[0]), options);
+      Result<ChaseOutcome> outcome = service->DeduceEntity();
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      ASSERT_TRUE(outcome.value().church_rosser);
+      deduced[columnar ? 1 : 0] = outcome.value().target.ToString();
+      Result<TopKResult> result = service->TopK(5);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      topk[columnar ? 1 : 0] = Serialize(result.value());
     }
+    EXPECT_EQ(deduced[1], deduced[0]) << "budget " << budget;
+    EXPECT_EQ(topk[1], topk[0]) << "budget " << budget;
   }
 }
 
@@ -297,8 +283,7 @@ TEST(ColumnarService, SpecDocumentDictionaryIsShared) {
   ServiceOptions options;
   options.columnar_storage = true;
   options.dictionary = dict;
-  auto service = MakeService(SpecOf(ds, CheckStrategy::kTrail, ds.entities[0]),
-                             options);
+  auto service = MakeService(SpecOf(ds, ds.entities[0]), options);
   Result<ChaseOutcome> outcome = service->DeduceEntity();
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(service->dictionary(), dict.get());

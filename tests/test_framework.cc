@@ -112,7 +112,9 @@ class TranscriptUser : public UserOracle {
 
 TEST(Framework, TranscriptsIdenticalAcrossStrategiesAndThreadBudgets) {
   // More corrupted free attributes than Med proper, so sessions run
-  // several rounds and the trail session's prefix reuse is exercised.
+  // several rounds and the resume session's prefix reuse is exercised.
+  // The re-chase strategies compared are the incremental resume
+  // (ChaseEngine::ResumeWith) and the from-scratch chase per round.
   ProfileConfig c = MedConfig(55);
   c.num_entities = 8;
   c.master_size = 12;
@@ -124,21 +126,20 @@ TEST(Framework, TranscriptsIdenticalAcrossStrategiesAndThreadBudgets) {
     std::string reference;
     std::string reference_config;
     Tuple reference_target;
-    for (CheckStrategy strategy :
-         {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
+    for (bool incremental : {true, false}) {
       for (int threads : {1, 4, 8}) {
-        Specification spec = ds.SpecFor(static_cast<int>(i));
-        spec.config.check_strategy = strategy;
+        const Specification spec = ds.SpecFor(static_cast<int>(i));
         const PreferenceModel pref =
             PreferenceModel::FromOccurrences(spec.ie, spec.masters);
         TranscriptUser user(ds.truths[i]);
         FrameworkOptions opts;
         opts.k = 5;
+        opts.incremental = incremental;
         opts.topk.num_threads = threads;
         const FrameworkResult r = RunFramework(spec, pref, &user, opts);
         ASSERT_TRUE(r.church_rosser) << "entity " << i;
         const std::string config_name =
-            std::string(CheckStrategyName(strategy)) + "/" +
+            std::string(incremental ? "incremental" : "full") + "/" +
             std::to_string(threads);
         if (reference_config.empty()) {
           reference = user.transcript();

@@ -37,27 +37,12 @@ Specification IncompleteMjSpec() {
   return spec;
 }
 
-// The resume tests run under both check strategies: kTrail resumes on
-// the engine's persistent session state; kCopy deep-copies the
-// checkpoint per call. Outcomes must be identical.
-class ResumeWithStrategy
-    : public ::testing::TestWithParam<CheckStrategy> {
- protected:
-  Specification WithStrategy(Specification spec) const {
-    spec.config.check_strategy = GetParam();
-    return spec;
-  }
-};
+// The resume tests compare ResumeWith, which continues on the engine's
+// persistent session state, against from-scratch Run() of the same
+// designated values: outcomes must be identical.
 
-INSTANTIATE_TEST_SUITE_P(AllStrategies, ResumeWithStrategy,
-                         ::testing::Values(CheckStrategy::kTrail,
-                                           CheckStrategy::kCopy),
-                         [](const auto& info) {
-                           return std::string(CheckStrategyName(info.param));
-                         });
-
-TEST_P(ResumeWithStrategy, AllNullResumeEqualsPlainRun) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+TEST(ResumeWith, AllNullResumeEqualsPlainRun) {
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   ChaseEngine engine(spec.ie, &program, spec.config);
 
@@ -69,8 +54,8 @@ TEST_P(ResumeWithStrategy, AllNullResumeEqualsPlainRun) {
   EXPECT_EQ(full.target, resumed.target);
 }
 
-TEST_P(ResumeWithStrategy, PartialRevisionMatchesFromScratchRun) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+TEST(ResumeWith, PartialRevisionMatchesFromScratchRun) {
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   ChaseEngine engine(spec.ie, &program, spec.config);
   const Schema& schema = spec.ie.schema();
@@ -87,8 +72,8 @@ TEST_P(ResumeWithStrategy, PartialRevisionMatchesFromScratchRun) {
   EXPECT_EQ(resumed.target, MjExpectedTarget());
 }
 
-TEST_P(ResumeWithStrategy, ConflictingRevisionIsRejectedOnBothPaths) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+TEST(ResumeWith, ConflictingRevisionIsRejectedOnBothPaths) {
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   ChaseEngine engine(spec.ie, &program, spec.config);
   const Schema& schema = spec.ie.schema();
@@ -105,8 +90,8 @@ TEST_P(ResumeWithStrategy, ConflictingRevisionIsRejectedOnBothPaths) {
   EXPECT_FALSE(resumed.violation.empty());
 }
 
-TEST_P(ResumeWithStrategy, NonChurchRosserBaseReportsViolation) {
-  Specification spec = WithStrategy(MjSpecification());
+TEST(ResumeWith, NonChurchRosserBaseReportsViolation) {
+  Specification spec = MjSpecification();
   spec.rules.push_back(Phi12(spec.ie.schema()));
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   ChaseEngine engine(spec.ie, &program, spec.config);
@@ -117,8 +102,8 @@ TEST_P(ResumeWithStrategy, NonChurchRosserBaseReportsViolation) {
   EXPECT_FALSE(resumed.violation.empty());
 }
 
-TEST_P(ResumeWithStrategy, RepeatedResumesAreIndependent) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+TEST(ResumeWith, RepeatedResumesAreIndependent) {
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   ChaseEngine engine(spec.ie, &program, spec.config);
   const Schema& schema = spec.ie.schema();
@@ -129,7 +114,7 @@ TEST_P(ResumeWithStrategy, RepeatedResumesAreIndependent) {
   Tuple r2(std::vector<Value>(schema.size(), Value::Null()));
   r2.set(arena, Value::Str("Regions Park"));
 
-  // Mutually incompatible revisions: the trail session must reset to the
+  // Mutually incompatible revisions: the session must reset to the
   // checkpoint between them instead of leaking the previous value.
   ChaseOutcome a = engine.ResumeWith(r1);
   ChaseOutcome b = engine.ResumeWith(r2);
@@ -141,14 +126,14 @@ TEST_P(ResumeWithStrategy, RepeatedResumesAreIndependent) {
   EXPECT_EQ(a.target, c.target);
 }
 
-TEST_P(ResumeWithStrategy, AgreesWithFullRunsAcrossGeneratedRevisions) {
+TEST(ResumeWith, AgreesWithFullRunsAcrossGeneratedRevisions) {
   ProfileConfig config = MedConfig(/*seed=*/77);
   config.num_entities = 25;
   config.master_size = 20;
   EntityDataset dataset = GenerateProfile(config);
   int compared = 0;
   for (size_t i = 0; i < dataset.entities.size(); ++i) {
-    Specification spec = WithStrategy(dataset.SpecFor(static_cast<int>(i)));
+    Specification spec = dataset.SpecFor(static_cast<int>(i));
     GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
     ChaseEngine engine(spec.ie, &program, spec.config);
     ChaseOutcome base = engine.RunFromInitial();
@@ -174,8 +159,8 @@ TEST_P(ResumeWithStrategy, AgreesWithFullRunsAcrossGeneratedRevisions) {
   EXPECT_GT(compared, 10);
 }
 
-TEST_P(ResumeWithStrategy, KeepOrdersIsHonoured) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+TEST(ResumeWith, KeepOrdersIsHonoured) {
+  Specification spec = IncompleteMjSpec();
   spec.config.keep_orders = true;
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   ChaseEngine engine(spec.ie, &program, spec.config);
@@ -195,8 +180,7 @@ struct SessionFixture {
   std::vector<std::pair<AttrId, Value>> reveals;  ///< null attr -> truth
 };
 
-std::optional<SessionFixture> FindSessionFixture(CheckStrategy strategy,
-                                                 std::size_t min_nulls) {
+std::optional<SessionFixture> FindSessionFixture(std::size_t min_nulls) {
   ProfileConfig config = MedConfig(/*seed=*/123);
   config.num_entities = 20;
   config.master_size = 30;
@@ -206,7 +190,6 @@ std::optional<SessionFixture> FindSessionFixture(CheckStrategy strategy,
   for (size_t i = 0; i < dataset.entities.size(); ++i) {
     SessionFixture fx;
     fx.spec = dataset.SpecFor(static_cast<int>(i));
-    fx.spec.config.check_strategy = strategy;
     GroundProgram program =
         Instantiate(fx.spec.ie, fx.spec.masters, fx.spec.rules);
     ChaseEngine engine(fx.spec.ie, &program, fx.spec.config);
@@ -223,8 +206,8 @@ std::optional<SessionFixture> FindSessionFixture(CheckStrategy strategy,
   return std::nullopt;
 }
 
-TEST_P(ResumeWithStrategy, SessionExtensionMatchesFromScratchEveryRound) {
-  std::optional<SessionFixture> fx = FindSessionFixture(GetParam(), 3);
+TEST(ResumeWith, SessionExtensionMatchesFromScratchEveryRound) {
+  std::optional<SessionFixture> fx = FindSessionFixture(3);
   ASSERT_TRUE(fx.has_value());
   GroundProgram program =
       Instantiate(fx->spec.ie, fx->spec.masters, fx->spec.rules);
@@ -254,8 +237,8 @@ TEST_P(ResumeWithStrategy, SessionExtensionMatchesFromScratchEveryRound) {
   }
 }
 
-TEST_P(ResumeWithStrategy, AbortedResumeKeepsSessionUsable) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+TEST(ResumeWith, AbortedResumeKeepsSessionUsable) {
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   ChaseEngine engine(spec.ie, &program, spec.config);
   const Schema& schema = spec.ie.schema();
@@ -286,67 +269,36 @@ TEST(ResumeWithStats, ReportsPerCallDeltas) {
   Tuple revision = all_null;
   revision.set(schema.MustIndexOf("arena"), Value::Str("United Center"));
 
-  for (CheckStrategy strategy :
-       {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    spec.config.check_strategy = strategy;
-    ChaseEngine engine(spec.ie, &program, spec.config);
-    const ChaseOutcome checkpoint = engine.RunFromCheckpoint();
-    ASSERT_TRUE(checkpoint.church_rosser);
+  ChaseEngine engine(spec.ie, &program, spec.config);
+  const ChaseOutcome checkpoint = engine.RunFromCheckpoint();
+  ASSERT_TRUE(checkpoint.church_rosser);
 
-    // Resuming with nothing new performs no work: the checkpoint chase
-    // must not be re-reported (the pre-fix behaviour double-counted it
-    // in every round's stats).
-    ChaseOutcome nothing = engine.ResumeWith(all_null);
-    EXPECT_EQ(nothing.stats.steps_applied, 0) << CheckStrategyName(strategy);
-    EXPECT_EQ(nothing.stats.pairs_derived, 0) << CheckStrategyName(strategy);
-    EXPECT_EQ(nothing.stats.ground_steps, checkpoint.stats.ground_steps);
+  // Resuming with nothing new performs no work: the checkpoint chase
+  // must not be re-reported (the pre-fix behaviour double-counted it
+  // in every round's stats).
+  ChaseOutcome nothing = engine.ResumeWith(all_null);
+  EXPECT_EQ(nothing.stats.steps_applied, 0);
+  EXPECT_EQ(nothing.stats.pairs_derived, 0);
+  EXPECT_EQ(nothing.stats.ground_steps, checkpoint.stats.ground_steps);
 
-    // A real revision reports only its own work, and summing rounds
-    // cannot double-count: under kTrail the second identical call
-    // extends the session and reports zero; under kCopy it redoes (and
-    // so re-reports) the same continuation.
-    ChaseOutcome first = engine.ResumeWith(revision);
-    ASSERT_TRUE(first.church_rosser);
-    EXPECT_GT(first.stats.pairs_derived, 0);
-    EXPECT_LT(first.stats.pairs_derived, checkpoint.stats.pairs_derived);
-    ChaseOutcome second = engine.ResumeWith(revision);
-    ASSERT_TRUE(second.church_rosser);
-    if (strategy == CheckStrategy::kTrail) {
-      EXPECT_EQ(second.stats.pairs_derived, 0);
-      EXPECT_EQ(second.stats.steps_applied, 0);
-    } else {
-      EXPECT_EQ(second.stats.pairs_derived, first.stats.pairs_derived);
-      EXPECT_EQ(second.stats.steps_applied, first.stats.steps_applied);
-    }
-  }
-}
-
-TEST(ResumeWithStats, FirstCallDeltasAgreeAcrossStrategies) {
-  Specification spec = IncompleteMjSpec();
-  GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  const Schema& schema = spec.ie.schema();
-  Tuple revision(std::vector<Value>(schema.size(), Value::Null()));
-  revision.set(schema.MustIndexOf("arena"), Value::Str("United Center"));
-
-  spec.config.check_strategy = CheckStrategy::kTrail;
-  ChaseEngine trail(spec.ie, &program, spec.config);
-  spec.config.check_strategy = CheckStrategy::kCopy;
-  ChaseEngine copy(spec.ie, &program, spec.config);
-  // Both continue from the checkpoint (fresh trail session), so the
-  // per-call deltas describe the same derivation.
-  ChaseOutcome t = trail.ResumeWith(revision);
-  ChaseOutcome c = copy.ResumeWith(revision);
-  ASSERT_TRUE(t.church_rosser);
-  ASSERT_TRUE(c.church_rosser);
-  EXPECT_EQ(t.stats.pairs_derived, c.stats.pairs_derived);
-  EXPECT_EQ(t.stats.steps_applied, c.stats.steps_applied);
+  // A real revision reports only its own work, and summing rounds
+  // cannot double-count: the second identical call extends the session
+  // and reports zero.
+  ChaseOutcome first = engine.ResumeWith(revision);
+  ASSERT_TRUE(first.church_rosser);
+  EXPECT_GT(first.stats.pairs_derived, 0);
+  EXPECT_LT(first.stats.pairs_derived, checkpoint.stats.pairs_derived);
+  ChaseOutcome second = engine.ResumeWith(revision);
+  ASSERT_TRUE(second.church_rosser);
+  EXPECT_EQ(second.stats.pairs_derived, 0);
+  EXPECT_EQ(second.stats.steps_applied, 0);
 }
 
 TEST(ResumeWith, CandidateChecksPristineAcrossSessionActivity) {
-  // The kTrail check probe state and the resume session state are
+  // The check probe state and the resume session state are
   // separate; resumes (including aborting ones) must not disturb
   // candidate verdicts, and vice versa.
-  Specification spec = IncompleteMjSpec();  // default strategy: trail
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   ChaseEngine engine(spec.ie, &program, spec.config);
   const Schema& schema = spec.ie.schema();

@@ -288,29 +288,6 @@ TEST(Pipeline, ReportsItsThreadPlan) {
   EXPECT_EQ(report.plan.check_threads, 1);
 }
 
-TEST(Pipeline, CheckerReuseAndRebuildAgreeExactly) {
-  ProfileConfig config = MedConfig(/*seed=*/5);
-  config.num_entities = 40;
-  config.master_size = 45;
-  EntityDataset dataset = GenerateProfile(config);
-  PipelineOptions reuse;
-  reuse.num_threads = 4;
-  reuse.reuse_checkers = true;
-  PipelineOptions rebuild = reuse;
-  rebuild.reuse_checkers = false;
-  PipelineReport a =
-      RunPipeline(dataset.entities, dataset.masters, dataset.rules, reuse);
-  PipelineReport b =
-      RunPipeline(dataset.entities, dataset.masters, dataset.rules, rebuild);
-  ASSERT_EQ(a.entities.size(), b.entities.size());
-  EXPECT_GT(a.num_completed_by_candidates, 0);  // the checkers did work
-  for (size_t i = 0; i < a.entities.size(); ++i) {
-    EXPECT_EQ(a.entities[i].church_rosser, b.entities[i].church_rosser) << i;
-    EXPECT_EQ(a.entities[i].complete, b.entities[i].complete) << i;
-    EXPECT_EQ(a.entities[i].target, b.entities[i].target) << i;
-  }
-}
-
 TEST(Pipeline, ReportsAgreeAcrossThreadBudgets) {
   PipelineReport one = MedPipelineReport(1, CompletionPolicy::kBestCandidate);
   PipelineReport three =

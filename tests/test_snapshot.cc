@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -465,6 +466,23 @@ TEST_F(SnapshotCorruptionTest, GarbageIsRejected) {
 }
 
 TEST(SnapshotFixtureTest, CheckedInBadArtifactsFailCleanly) {
+  // Each fixture must be rejected for its stated damage
+  // (tests/snapshots/README.md), not for some earlier check.
+  const struct {
+    const char* file;
+    StatusCode code;
+    const char* message;
+  } expected[] = {
+      {"truncated.snap", StatusCode::kDataLoss, "truncated"},
+      {"bad_magic.snap", StatusCode::kInvalidArgument, "bad magic"},
+      {"bad_version.snap", StatusCode::kInvalidArgument,
+       "format version 238 is not supported"},
+      {"section_crc.snap", StatusCode::kDataLoss, "snapshot: section 7 CRC"},
+      {"table_crc.snap", StatusCode::kDataLoss, "header/table CRC mismatch"},
+      {"garbage.snap", StatusCode::kInvalidArgument, "bad magic"},
+      {"format_v1.snap", StatusCode::kInvalidArgument,
+       "format version 1 is not supported"},
+  };
   const std::string dir =
       std::string(RELACC_SOURCE_DIR) + "/tests/snapshots/bad";
   int seen = 0;
@@ -478,8 +496,15 @@ TEST(SnapshotFixtureTest, CheckedInBadArtifactsFailCleanly) {
     EXPECT_TRUE(code == StatusCode::kDataLoss ||
                 code == StatusCode::kInvalidArgument)
         << entry.path() << ": " << opened.status().ToString();
+    for (const auto& e : expected) {
+      if (entry.path().filename() != e.file) continue;
+      EXPECT_EQ(code, e.code) << e.file << ": " << opened.status().ToString();
+      EXPECT_NE(opened.status().message().find(e.message), std::string::npos)
+          << e.file << ": " << opened.status().ToString();
+    }
   }
-  EXPECT_GE(seen, 4) << "fixture directory lost its bad artifacts";
+  EXPECT_EQ(seen, static_cast<int>(std::size(expected)))
+      << "fixture directory and expectation table disagree";
 }
 
 }  // namespace

@@ -100,6 +100,55 @@ TEST(SpecIo, ConfigIsApplied) {
   EXPECT_EQ(doc.value().spec.config.max_actions, 99);
 }
 
+TEST(SpecIo, RejectsWrongTypedConfigKeys) {
+  // A known config key of the wrong type is an error naming the key, not
+  // a silent fall-back to the default.
+  const struct {
+    const char* key;
+    const char* config;
+  } cases[] = {
+      {"builtin_axioms", R"("builtin_axioms": "false")"},
+      {"builtin_axioms", R"("builtin_axioms": 0)"},
+      {"keep_orders", R"("keep_orders": "true")"},
+      {"max_actions", R"("max_actions": 1.5)"},
+      {"max_actions", R"("max_actions": "99")"},
+  };
+  for (const auto& c : cases) {
+    const std::string text =
+        std::string(R"json({
+    "entity": {"schema": [{"name": "A", "type": "int"}], "tuples": []},
+    "config": {)json") +
+        c.config + "}}";
+    Result<SpecDocument> doc = SpecFromJsonText(text);
+    ASSERT_FALSE(doc.ok()) << c.config;
+    EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument) << c.config;
+    EXPECT_NE(doc.status().message().find(c.key), std::string::npos)
+        << doc.status().ToString();
+  }
+}
+
+TEST(SpecIo, LegacyCheckStrategyKeyIsIgnored) {
+  // Documents written before the candidate check had a single rollback
+  // path carry "check_strategy"; like any unknown key it is ignored.
+  const std::string base = R"json({
+    "entity": {"schema": [{"name": "A", "type": "int"}], "tuples": [[1]]},
+    "config": {"builtin_axioms": false, "keep_orders": true,
+               "max_actions": 99)json";
+  Result<SpecDocument> plain = SpecFromJsonText(base + "}}");
+  Result<SpecDocument> legacy =
+      SpecFromJsonText(base + R"(, "check_strategy": "copy"}})");
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  const ChaseConfig& a = plain.value().spec.config;
+  const ChaseConfig& b = legacy.value().spec.config;
+  EXPECT_EQ(a.builtin_axioms, b.builtin_axioms);
+  EXPECT_EQ(a.keep_orders, b.keep_orders);
+  EXPECT_EQ(a.max_actions, b.max_actions);
+  // And it is not written back out.
+  EXPECT_EQ(SpecToJson(legacy.value()).Dump(2),
+            SpecToJson(plain.value()).Dump(2));
+}
+
 TEST(SpecIo, IntegerCellWidensForDoubleAttribute) {
   const std::string text = R"json({
     "entity": {"schema": [{"name": "x", "type": "double"}], "tuples": [[3]]}
