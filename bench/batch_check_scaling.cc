@@ -8,8 +8,11 @@
 // (bench::JsonReport); RELACC_BENCH_SMALL shrinks the workload for CI.
 
 #include <cstdio>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "api/accuracy_service.h"
 #include "chase/chase_engine.h"
 #include "common.h"
 #include "datagen/syn_generator.h"
@@ -17,16 +20,26 @@
 #include "topk/batch_check.h"
 #include "topk/topk_ct.h"
 
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
-
 namespace relacc {
 namespace bench {
 namespace {
+
+/// The batch `check` at a `threads` budget, paying what a caller without
+/// a warm service pays: grounding, the checkpoint chase and the worker
+/// engines of a fresh AccuracyService. Empty on a service error.
+std::vector<char> CheckOnFreshService(const Specification& spec,
+                                      const std::vector<Tuple>& candidates,
+                                      int threads) {
+  ServiceOptions options;
+  options.num_threads = threads;
+  Result<std::unique_ptr<AccuracyService>> service =
+      AccuracyService::Create(spec, std::move(options));
+  if (!service.ok()) return {};
+  Result<std::vector<char>> verdicts =
+      service.value()->CheckCandidates(candidates);
+  if (!verdicts.ok()) return {};
+  return std::move(verdicts).value();
+}
 
 int Run() {
   const bool small = SmallScale();
@@ -66,8 +79,9 @@ int Run() {
     std::vector<char> verdicts;
     // Engine construction and the per-worker checkpoint chase are part of
     // the measured cost: that is what a top-k caller pays too.
-    const double ms =
-        TimeMs([&] { verdicts = CheckCandidates(spec, candidates, threads); });
+    const double ms = TimeMs([&] {
+      verdicts = CheckOnFreshService(spec, candidates, threads);
+    });
     if (baseline.empty()) {
       baseline = verdicts;
       base_ms = ms;
@@ -133,5 +147,3 @@ int Run() {
 }  // namespace relacc
 
 int main() { return relacc::bench::Run(); }
-
-RELACC_SUPPRESS_DEPRECATED_END

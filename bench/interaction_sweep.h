@@ -7,19 +7,11 @@
 // targets found after h rounds.
 
 #include <map>
+#include <memory>
 
+#include "api/accuracy_service.h"
 #include "common.h"
 #include "framework/framework.h"
-
-// This sweep deliberately exercises the deprecated RunFramework shim:
-// it is now a thin wrapper over AccuracyService::StartInteraction, so
-// the figures double as a regression bench for the shim path. The
-// suppression macro pair (api/version.h) is scoped — END at the end of
-// this header — so including TUs keep the deprecation wall for their
-// own code.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace bench {
@@ -34,9 +26,20 @@ inline void RunInteractionSweep(const EntityDataset& ds, int sample,
     const PreferenceModel pref =
         PreferenceModel::FromOccurrences(spec.ie, spec.masters);
     SimulatedUser user(ds.truths[i]);
-    FrameworkOptions opts;
-    opts.k = 15;
-    const FrameworkResult r = RunFramework(spec, pref, &user, opts);
+    // One single-threaded service per entity, its own instance the entity.
+    ServiceOptions service_options;
+    service_options.num_threads = 1;
+    Result<std::unique_ptr<AccuracyService>> service =
+        AccuracyService::Create(std::move(spec), std::move(service_options));
+    InteractionOptions options;
+    options.k = 15;
+    options.preference = &pref;
+    FrameworkResult r;  // a service error counts as never found
+    if (service.ok()) {
+      Result<std::unique_ptr<InteractionSession>> session =
+          service.value()->StartInteraction(std::move(options));
+      if (session.ok()) r = DriveInteraction(*session.value(), &user);
+    }
     if (r.found_complete_target && r.target == ds.truths[i]) {
       ++found_at[r.interaction_rounds];
     } else {
@@ -60,7 +63,5 @@ inline void RunInteractionSweep(const EntityDataset& ds, int sample,
 
 }  // namespace bench
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END
 
 #endif  // RELACC_BENCH_INTERACTION_SWEEP_H_

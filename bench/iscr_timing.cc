@@ -4,8 +4,8 @@
 // extends across accumulating revisions and rolls back through its trail.
 // Each revision's resume outcome (Church-Rosser flag and target) is
 // checked against the from-scratch chase Run(revision), whose per-revision
-// cost is reported alongside as the non-incremental baseline
-// (FrameworkOptions::incremental = false).
+// cost is reported alongside as the baseline a re-chase without the
+// session would pay.
 //
 // Emits BENCH_iscr_timing.json (bench::JsonReport); exits nonzero only on
 // an outcome mismatch, so perf noise cannot break CI.
@@ -48,7 +48,7 @@ void TimeIsCR(JsonReport* report, const char* profile,
 
 /// The rounds of one simulated interactive session over `spec`:
 /// cumulative truth reveals — round r designates the true values of the
-/// first r still-null attributes, exactly the Exp-3 shape RunFramework
+/// first r still-null attributes, exactly the Exp-3 shape DriveInteraction
 /// feeds ResumeWith. Each round extends the session prefix, so only the
 /// new reveal is chased in.
 std::vector<Tuple> SessionRounds(const Specification& spec,

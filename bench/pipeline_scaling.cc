@@ -1,8 +1,9 @@
 // Whole-database accuracy pipeline (the paper's Sec. 8 future-work
 // scenario) under the single thread budget, in two sections:
 //
-// 1. Batch (via the deprecated RunPipeline shim) across budgets: the
-//    reference report, which must be identical for every budget.
+// 1. Batch (the whole dataset in one Submit, default 64-entity window)
+//    across budgets: the reference report, which must be identical for
+//    every budget.
 //
 // 2. Streaming (AccuracyService::StartPipeline): entities submitted in
 //    arrival-sized batches through a bounded window. The report must be
@@ -46,12 +47,6 @@
 #include "common.h"
 #include "datagen/profile_generator.h"
 #include "pipeline/pipeline.h"
-
-// The batch section deliberately exercises the deprecated RunPipeline
-// shim — it is the reference the streaming session must match.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace bench {
@@ -338,30 +333,28 @@ int Run() {
     std::printf("%8s %10s %6s %6s %12s %14s\n", "budget", "mode", "chase",
                 "check", "ms/run", "entities/s");
     std::string reference_key;
+    const std::size_t all = scenario.dataset.entities.size();
     {
       // Untimed warm-up: faults in the dataset and allocator so the first
       // timed configuration is not charged for cold caches.
-      PipelineOptions warm;
-      warm.num_threads = scenario.budgets.front();
-      warm.chase = scenario.dataset.chase_config;
-      (void)RunPipeline(scenario.dataset.entities, scenario.dataset.masters,
-                        scenario.dataset.rules, warm);
+      int64_t peak = 0;
+      bool ok = true;
+      (void)RunStreaming(scenario.dataset, scenario.budgets.front(),
+                         /*window=*/64, all, &peak, &ok);
     }
     for (int budget : scenario.budgets) {
       {
-        PipelineOptions options;
-        options.num_threads = budget;
-        options.completion = CompletionPolicy::kBestCandidate;
-        options.chase = scenario.dataset.chase_config;
+        int64_t peak = 0;
+        bool ok = true;
         PipelineReport report;
         const double ms = TimeMs([&] {
           for (int r = 0; r < scenario.reps; ++r) {
-            report = RunPipeline(scenario.dataset.entities,
-                                 scenario.dataset.masters,
-                                 scenario.dataset.rules, options);
+            report = RunStreaming(scenario.dataset, budget, /*window=*/64,
+                                  all, &peak, &ok);
           }
         });
         const double ms_per_run = ms / scenario.reps;
+        if (!ok) window_bound_held = false;
         const double entities_per_s =
             ms_per_run > 0.0
                 ? static_cast<double>(scenario.dataset.entities.size()) /
@@ -509,5 +502,3 @@ int main(int argc, char** argv) {
   }
   return relacc::bench::Run();
 }
-
-RELACC_SUPPRESS_DEPRECATED_END

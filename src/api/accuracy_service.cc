@@ -1,7 +1,6 @@
 #include "api/accuracy_service.h"
 
 #include <algorithm>
-#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -653,17 +652,6 @@ PipelineSession::PipelineSession(AccuracyService* service,
       completion_(completion),
       window_(window) {}
 
-PipelineSession::~PipelineSession() {
-  if (driver_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    work_cv_.notify_all();
-    driver_.join();
-  }
-}
-
 Status PipelineSession::Submit(EntityInstance entity) {
   std::vector<EntityInstance> batch;
   batch.push_back(std::move(entity));
@@ -676,121 +664,42 @@ Status PipelineSession::Submit(std::vector<EntityInstance> batch) {
         "PipelineSession::Submit after Finish()");
   }
   // Validate the whole batch before accepting any of it, so a failed
-  // Submit leaves the stream exactly as it was.
-  {
-    bool have = have_schema_;
-    AttrId arity = have ? schema_.size() : 0;
-    for (const EntityInstance& e : batch) {
-      if (!have) {
-        have = true;
-        arity = e.schema().size();
-        continue;
-      }
-      if (e.schema().size() != arity) {
-        return Status::InvalidArgument(
-            "PipelineSession::Submit: entity " +
-            std::to_string(e.entity_id()) + " has schema arity " +
-            std::to_string(e.schema().size()) + ", stream started with " +
-            std::to_string(arity));
-      }
+  // Submit leaves the stream exactly as it was. Grounding reads every
+  // attribute of the service schema, so each entity must have its arity.
+  const AttrId arity = service_->spec_.ie.schema().size();
+  for (const EntityInstance& e : batch) {
+    if (e.schema().size() != arity) {
+      return Status::InvalidArgument(
+          "PipelineSession::Submit: entity " +
+          std::to_string(e.entity_id()) + " has schema arity " +
+          std::to_string(e.schema().size()) +
+          ", the service schema has " + std::to_string(arity));
     }
   }
-  const int64_t accepted = static_cast<int64_t>(batch.size());
+  stats_.submitted += static_cast<int64_t>(batch.size());
+  // Retire each full window before buffering more, so buffered input and
+  // in-flight engines stay O(window) however large the batch is.
   for (EntityInstance& e : batch) {
     if (!have_schema_) {
       schema_ = e.schema();
       have_schema_ = true;
     }
     buffer_.push_back(std::move(e));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.submitted += accepted;
-  }
-  // Hand every full window to the completion driver and return: the
-  // producer keeps streaming while the driver chases and completes. The
-  // bounded hand-off queue keeps in-flight engines (and buffered input)
-  // O(window) no matter how large a batch arrives. Under inline_windows
-  // the same windows are processed right here on the caller's thread
-  // instead — no driver, identical reports.
-  std::size_t pos = 0;
-  while (static_cast<int64_t>(buffer_.size() - pos) >= window_) {
-    const auto begin = buffer_.begin() + static_cast<std::ptrdiff_t>(pos);
-    std::vector<EntityInstance> window(
-        std::make_move_iterator(begin),
-        std::make_move_iterator(begin +
-                                static_cast<std::ptrdiff_t>(window_)));
-    if (options_.inline_windows) {
-      CommitWindow(ProcessWindow(window), window.size());
-    } else {
-      EnqueueWindow(std::move(window));
-    }
-    pos += static_cast<std::size_t>(window_);
-  }
-  if (pos > 0) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(pos));
+    if (static_cast<int64_t>(buffer_.size()) == window_) ProcessWindow();
   }
   return Status::OK();
 }
 
-void PipelineSession::EnqueueWindow(std::vector<EntityInstance> batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!driver_.joinable()) {
-    driver_ = std::thread([this] { DriverLoop(); });
-  }
-  space_cv_.wait(lock, [this] { return queued_.size() < kMaxQueuedWindows; });
-  queued_.push_back(std::move(batch));
-  work_cv_.notify_one();
-}
-
-void PipelineSession::DriverLoop() {
-  for (;;) {
-    std::vector<EntityInstance> window;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [this] { return shutdown_ || !queued_.empty(); });
-      // Shutdown drains the queue first: hand-offs are owed processing
-      // even when the session is torn down without Finish.
-      if (queued_.empty()) return;
-      window = std::move(queued_.front());
-      queued_.pop_front();
-      driver_busy_ = true;
-    }
-    space_cv_.notify_one();
-    WindowResult result = ProcessWindow(window);
-    CommitWindow(std::move(result), window.size());
-  }
-}
-
-void PipelineSession::CommitWindow(WindowResult result,
-                                   std::size_t entity_count) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (EntityReport& r : result.reports) {
-      reports_.push_back(std::move(r));
-    }
-    stats_.processed += static_cast<int64_t>(entity_count);
-    ++stats_.windows;
-    stats_.peak_in_flight_engines = std::max(stats_.peak_in_flight_engines,
-                                             result.in_flight_engines);
-    driver_busy_ = false;
-  }
-  idle_cv_.notify_all();
-}
-
-PipelineSession::WindowResult PipelineSession::ProcessWindow(
-    const std::vector<EntityInstance>& entities) {
+void PipelineSession::ProcessWindow() {
   const Specification& spec = service_->spec_;
+  const std::vector<EntityInstance>& entities = buffer_;
   const int64_t count = static_cast<int64_t>(entities.size());
-  WindowResult result;
-  result.reports.resize(entities.size());
+  std::vector<EntityReport> reports(entities.size());
   std::vector<std::unique_ptr<PendingCompletion>> pending(entities.size());
   Dictionary* const dict =
       service_->options_.columnar_storage ? service_->dict_.get() : nullptr;
   service_->ChasePool().ParallelFor(count, [&](int64_t k) {
-    result.reports[static_cast<std::size_t>(k)] = ChaseEntityPhase(
+    reports[static_cast<std::size_t>(k)] = ChaseEntityPhase(
         entities[static_cast<std::size_t>(k)], spec.masters, spec.rules,
         spec.config, completion_, dict,
         &pending[static_cast<std::size_t>(k)]);
@@ -800,62 +709,65 @@ PipelineSession::WindowResult PipelineSession::ProcessWindow(
   for (int64_t k = 0; k < count; ++k) {
     if (pending[static_cast<std::size_t>(k)] != nullptr) todo.push_back(k);
   }
-  result.in_flight_engines = static_cast<int64_t>(todo.size());
-  if (todo.empty()) return result;
+  if (!todo.empty()) {
+    // The two-dimensional completion split, resolved against what this
+    // window actually carries into phase 2: entity-level workers up to
+    // the pending count, the rest of the budget as per-worker check
+    // width. A window with a single incomplete entity therefore hands
+    // that entity's checker the whole budget — exactly the pre-plan
+    // one-wide-checker schedule — while a full window goes maximally
+    // entity-parallel. A forced worker count (the serial baseline and the
+    // determinism matrix) keeps the product invariant by shrinking the
+    // width instead.
+    const int workers =
+        options_.completion_workers > 0
+            ? std::min(options_.completion_workers, service_->budget_)
+            : ComputePipelineThreadPlan(service_->budget_,
+                                        static_cast<int64_t>(todo.size()))
+                  .completion_workers;
+    const int check_width = std::max(1, service_->budget_ / workers);
 
-  // The two-dimensional completion split, resolved against what this
-  // window actually carries into phase 2: entity-level workers up to
-  // the pending count, the rest of the budget as per-worker check
-  // width. A window with a single incomplete entity therefore hands
-  // that entity's checker the whole budget — exactly the pre-plan
-  // one-wide-checker schedule — while a full window goes maximally
-  // entity-parallel. A forced worker count (the serial baseline and the
-  // determinism matrix) keeps the product invariant by shrinking the
-  // width instead.
-  const int workers =
-      options_.completion_workers > 0
-          ? std::min(options_.completion_workers, service_->budget_)
-          : ComputePipelineThreadPlan(service_->budget_,
-                                      static_cast<int64_t>(todo.size()))
-                .completion_workers;
-  const int check_width = std::max(1, service_->budget_ / workers);
+    // Entity-parallel across the completion-worker slots: each slot
+    // completes whole entities through its own persistent checker
+    // (Rebind-reused across entities; a slot checker may still be bound
+    // to an engine that is already gone — Rebind is documented safe for
+    // that). Every per-entity completion is a pure function of the
+    // entity and its engine, and results land at the entity's input
+    // index, so the reduction is byte-identical to the serial loop for
+    // every worker count and check width.
+    TopKOptions topk = options_.topk;
+    topk.num_threads = check_width;
+    service_->EnsureCompletionSlots(workers);
+    service_->ChasePool().ParallelForSlots(
+        static_cast<int64_t>(todo.size()), workers,
+        [&](int slot, int64_t t) {
+          const std::size_t k =
+              static_cast<std::size_t>(todo[static_cast<std::size_t>(t)]);
+          std::unique_ptr<PendingCompletion>& p = pending[k];
+          const ChaseEngine& engine = *p->engine;
+          const CandidateChecker& checker =
+              service_->AcquireCompletionChecker(slot, check_width, engine);
+          CompleteEntityPhase(entities[k], spec.masters, completion_, topk,
+                              options_.preference, engine, checker,
+                              &reports[k]);
+          p.reset();  // free the checkpoint/probe memory as we go
+        });
+  }
 
-  // Entity-parallel across the completion-worker slots: each slot
-  // completes whole entities through its own persistent checker
-  // (Rebind-reused across entities; a slot checker may still be bound to
-  // an engine that is already gone — Rebind is documented safe for
-  // that). Every per-entity completion is a pure function of the entity
-  // and its engine, and results land at the entity's input index, so the
-  // reduction is byte-identical to the serial loop for every worker
-  // count and check width.
-  TopKOptions topk = options_.topk;
-  topk.num_threads = check_width;
-  service_->EnsureCompletionSlots(workers);
-  service_->ChasePool().ParallelForSlots(
-      static_cast<int64_t>(todo.size()), workers,
-      [&](int slot, int64_t t) {
-        const std::size_t k =
-            static_cast<std::size_t>(todo[static_cast<std::size_t>(t)]);
-        std::unique_ptr<PendingCompletion>& p = pending[k];
-        const ChaseEngine& engine = *p->engine;
-        const CandidateChecker& checker =
-            service_->AcquireCompletionChecker(slot, check_width, engine);
-        CompleteEntityPhase(entities[k], spec.masters, completion_, topk,
-                            options_.preference, engine, checker,
-                            &result.reports[k]);
-        p.reset();  // free the checkpoint/probe memory as we go
-      });
-  return result;
+  for (EntityReport& r : reports) reports_.push_back(std::move(r));
+  stats_.processed += count;
+  ++stats_.windows;
+  stats_.peak_in_flight_engines = std::max(
+      stats_.peak_in_flight_engines, static_cast<int64_t>(todo.size()));
+  buffer_.clear();
 }
 
 std::optional<EntityReport> PipelineSession::Poll() {
-  std::lock_guard<std::mutex> lock(mu_);
   if (next_poll_ >= reports_.size()) return std::nullopt;
   return reports_[next_poll_++];
 }
 
 std::vector<EntityReport> PipelineSession::Drain() {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<EntityReport> out(
       reports_.begin() + static_cast<std::ptrdiff_t>(next_poll_),
       reports_.end());
@@ -863,39 +775,16 @@ std::vector<EntityReport> PipelineSession::Drain() {
   return out;
 }
 
-PipelineSession::Stats PipelineSession::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
 Result<PipelineReport> PipelineSession::Finish() {
   if (finished_) {
     return Status::FailedPrecondition(
         "PipelineSession::Finish called twice");
   }
-  if (!buffer_.empty()) {
-    std::vector<EntityInstance> tail;
-    tail.swap(buffer_);
-    if (driver_.joinable()) {
-      // Keep the strict window order: the tail goes through the same
-      // queue as every full window.
-      EnqueueWindow(std::move(tail));
-    } else {
-      // No window ever filled — the whole stream is this tail; process
-      // it inline rather than spinning up a driver to retire one chunk.
-      CommitWindow(ProcessWindow(tail), tail.size());
-    }
-  }
-  if (driver_.joinable()) {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock,
-                  [this] { return queued_.empty() && !driver_busy_; });
-  }
+  if (!buffer_.empty()) ProcessWindow();
   finished_ = true;
 
-  // Deterministic aggregation in input order — field for field what the
-  // legacy batch RunPipeline produced, including the thread plan it
-  // would have computed for this entity count.
+  // Deterministic aggregation in input order, with the thread plan of
+  // the whole stream's entity count.
   PipelineReport report;
   report.entities = reports_;
   report.plan =
@@ -941,9 +830,7 @@ Result<Suggestion> InteractionSession::Suggest() {
         "InteractionSession::Suggest after the session finished");
   }
   Suggestion s;
-  const ChaseOutcome outcome = options_.incremental
-                                   ? engine_->ResumeWith(template_)
-                                   : engine_->Run(template_);
+  const ChaseOutcome outcome = engine_->ResumeWith(template_);
   s.church_rosser = outcome.church_rosser;
   if (!outcome.church_rosser) {
     s.violation = outcome.violation;

@@ -1,16 +1,11 @@
 #ifndef RELACC_API_ACCURACY_SERVICE_H_
 #define RELACC_API_ACCURACY_SERVICE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chase/chase_engine.h"
@@ -154,26 +149,11 @@ struct PipelineSessionOptions {
   /// input index, and per-entity completion is a pure function of the
   /// entity.
   int completion_workers = 0;
-
-  /// Process full windows synchronously on the Submit caller's thread
-  /// instead of handing them to the background completion driver. Submit
-  /// then blocks for the windows it completes, and the session spawns no
-  /// thread of its own — which is exactly what an external scheduler
-  /// wants when it time-slices ONE executor thread across many sessions
-  /// (serve/scheduler.h: each window becomes one batch quantum, and the
-  /// service's internal thread budget is the only parallelism). Reports
-  /// are byte-identical to the driver path.
-  bool inline_windows = false;
 };
 
 /// Options of an interactive session (the Fig. 3 loop).
 struct InteractionOptions {
   int k = 15;  ///< candidates per Suggest() (paper default)
-
-  /// Re-chase after a revision via the engine's persistent trail session
-  /// (ChaseEngine::ResumeWith) instead of replaying the full chase.
-  /// Identical outcomes; see framework/framework.h.
-  bool incremental = true;
 
   /// Top-k knobs for Suggest(). As with PipelineSessionOptions::topk,
   /// `num_threads`/`checker` are managed by the service and rejected when
@@ -231,8 +211,7 @@ enum class TopKAlgorithm {
 ///     complete, Finish() for the aggregate PipelineReport. At most
 ///     `window` completion engines are in flight, so memory is bounded by
 ///     the window, not by the number of entities; the report is
-///     byte-identical to the legacy batch RunPipeline for every window
-///     and budget.
+///     byte-identical for every window and budget.
 ///   * StartInteraction() — the Fig. 3 user loop as a stateful object:
 ///     Suggest()/Revise()/Accept() over a persistent chase session
 ///     (ChaseEngine::ResumeWith), so each accumulating revision costs
@@ -402,11 +381,11 @@ class AccuracyService {
   /// address.
   const CandidateChecker& AcquireChecker(const ChaseEngine& engine,
                                          uint64_t token);
-  uint64_t NewBindingToken() { return next_token_.fetch_add(1); }
+  uint64_t NewBindingToken() { return next_token_++; }
 
   /// Grows the completion-checker slot pool to at least `workers` slots.
-  /// Called single-threaded (by a session's completion driver) before a
-  /// parallel completion fan-out.
+  /// Called single-threaded (by a pipeline session) before a parallel
+  /// completion fan-out.
   void EnsureCompletionSlots(int workers);
 
   /// Hands out slot `slot`'s persistent completion checker, rebound to
@@ -468,10 +447,7 @@ class AccuracyService {
 
   std::unique_ptr<CandidateChecker> checker_;
   uint64_t bound_token_ = 0;   ///< token of the engine checker_ is bound to
-  /// 0 is never handed out. Atomic: parallel completion workers mint
-  /// interaction-style tokens never, but sessions and one-shot calls may
-  /// interleave with a driver thread that is between windows.
-  std::atomic<uint64_t> next_token_{1};
+  uint64_t next_token_ = 1;  ///< 0 is never handed out
 
   /// Phase-2 completion slot pool: one persistent CandidateChecker (and
   /// thread pool) per completion worker, rebound across entities,
@@ -479,28 +455,29 @@ class AccuracyService {
   std::vector<std::unique_ptr<CandidateChecker>> completion_checkers_;
 };
 
-/// A streaming whole-database run (the incremental form of the legacy
-/// RunPipeline): submit entity batches as they arrive, poll per-entity
-/// reports as they complete, finish for the aggregate. Entities are
-/// processed in windows — phase-1 entity-parallel chase, then phase-2
-/// completion across the plan's completion-worker slots with an
-/// input-order reduction — so at most `window` completion engines are
-/// ever alive (stats().peak_in_flight_engines proves it).
+/// A streaming whole-database run: submit entity batches as they
+/// arrive, poll per-entity reports as they complete, finish for the
+/// aggregate. Entities are processed in windows — phase-1
+/// entity-parallel chase, then phase-2 completion across the plan's
+/// completion-worker slots with an input-order reduction — so at most
+/// `window` completion engines are ever alive
+/// (stats().peak_in_flight_engines proves it).
 ///
-/// Full windows are handed to a background *completion driver* thread,
-/// so Submit returns promptly while the window chases and completes
-/// concurrently with the producer; Poll/Drain surface reports as the
-/// driver finishes them, still strictly in input order. The hand-off
-/// queue is bounded (a producer far ahead of the driver blocks in
-/// Submit), so buffered input stays O(window) no matter how fast
-/// entities arrive. While submitted work is still in flight the driver
-/// owns the service's pipeline state — interleave other service calls
-/// only after Finish() (or between sessions), exactly as the
-/// one-session-at-a-time contract has always required.
+/// Windows run on the caller's thread: Submit processes every window its
+/// entities fill before it returns, and Finish processes the partial
+/// tail. Submit retires each full window before it buffers more, so
+/// buffered input stays O(window) however large a batch arrives. An
+/// external scheduler that time-slices one executor thread across many
+/// sessions (serve/scheduler.h) therefore gets one window per Submit of
+/// `window` entities; the service's thread budget is the only
+/// parallelism.
 ///
-/// Reports come back in input order and are byte-identical to the legacy
-/// batch path for every window size, thread budget and completion-worker
-/// count (enforced by
+/// Like InteractionSession, a session is not internally synchronized:
+/// use it from one thread at a time, and do not interleave other calls
+/// on its service while a Submit or Finish is running.
+///
+/// Reports come back in input order and are byte-identical for every
+/// window size, thread budget and completion-worker count (enforced by
 /// tests/test_accuracy_service.cc and bench/pipeline_scaling.cc).
 class PipelineSession {
  public:
@@ -516,17 +493,11 @@ class PipelineSession {
   PipelineSession(const PipelineSession&) = delete;
   PipelineSession& operator=(const PipelineSession&) = delete;
 
-  /// Stops the completion driver. Windows already handed off are still
-  /// processed (their reports are simply never observed); buffered
-  /// entities that never filled a window are dropped — call Finish() to
-  /// flush them.
-  ~PipelineSession();
-
-  /// Appends entities to the stream; any full windows they complete are
-  /// handed to the completion driver (their reports become Poll()able as
-  /// the driver finishes them). kFailedPrecondition after Finish();
-  /// kInvalidArgument on a schema arity mismatch with the first
-  /// submitted entity (nothing from the batch is accepted then).
+  /// Appends entities to the stream, processing every full window they
+  /// complete before returning (those reports are Poll()able afterwards).
+  /// kFailedPrecondition after Finish(); kInvalidArgument, naming the
+  /// entity, when an entity's schema arity differs from the service
+  /// schema's (nothing from the batch is accepted then).
   Status Submit(std::vector<EntityInstance> batch);
   Status Submit(EntityInstance entity);
 
@@ -536,76 +507,46 @@ class PipelineSession {
   /// Every completed-but-unpolled report, in input order.
   std::vector<EntityReport> Drain();
 
-  /// Flushes the final partial window, waits for the driver to drain,
-  /// and returns the aggregate report (identical to RunPipeline over the
-  /// same entities). The session refuses further Submit/Finish calls
-  /// afterwards; Poll/Drain keep working on what completed.
+  /// Processes the final partial window and returns the aggregate report.
+  /// The session refuses further Submit/Finish calls afterwards;
+  /// Poll/Drain keep working on what completed. A session destroyed
+  /// without Finish() drops the entities of its partial window.
   Result<PipelineReport> Finish();
 
   bool finished() const { return finished_; }
   int64_t window() const { return window_; }
 
-  /// Synchronized snapshot (the driver updates counters concurrently).
-  Stats stats() const;
+  Stats stats() const { return stats_; }
 
  private:
   friend class AccuracyService;
 
-  /// How many full windows may sit in the hand-off queue before Submit
-  /// blocks: enough to keep the driver fed across a batch boundary,
-  /// small enough that buffered input stays O(window).
-  static constexpr std::size_t kMaxQueuedWindows = 2;
-
   PipelineSession(AccuracyService* service, PipelineSessionOptions options,
                   CompletionPolicy completion, int64_t window);
 
-  /// One window, start to finish: entity-parallel chase, then
-  /// completion of the incomplete entities across the completion-worker
-  /// slots. Reports are reduced by input index, so the result is
-  /// byte-identical to the serial loop for every worker count.
-  struct WindowResult {
-    std::vector<EntityReport> reports;
-    int64_t in_flight_engines = 0;
-  };
-  WindowResult ProcessWindow(const std::vector<EntityInstance>& entities);
-
-  /// Publishes a finished window's reports and counters (under mu_).
-  void CommitWindow(WindowResult result, std::size_t entity_count);
-
-  /// Hands a full window to the driver, starting it on first use;
-  /// blocks while kMaxQueuedWindows are already pending.
-  void EnqueueWindow(std::vector<EntityInstance> batch);
-
-  void DriverLoop();
+  /// Processes the buffered entities as one window, start to finish:
+  /// entity-parallel chase, then completion of the incomplete entities
+  /// across the completion-worker slots. Reports are reduced by input
+  /// index, so they are byte-identical to the serial loop for every
+  /// worker count. Appends them to reports_, updates stats_ and empties
+  /// the buffer.
+  void ProcessWindow();
 
   AccuracyService* service_;
   PipelineSessionOptions options_;
   CompletionPolicy completion_;
   int64_t window_;
 
-  // Caller-thread state (Submit/Finish only).
-  Schema schema_;
+  Schema schema_;  ///< of the first accepted entity
   bool have_schema_ = false;
   std::vector<EntityInstance> buffer_;  ///< submitted, not yet windowed
   bool finished_ = false;
-
-  // Cross-thread state: the caller thread produces windows and polls
-  // reports; the driver thread consumes windows and appends reports.
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   ///< driver: a window arrived / shutdown
-  std::condition_variable space_cv_;  ///< producer: queue has room again
-  std::condition_variable idle_cv_;   ///< Finish: driver drained everything
-  std::deque<std::vector<EntityInstance>> queued_;
-  bool driver_busy_ = false;
-  bool shutdown_ = false;
-  std::thread driver_;
   std::vector<EntityReport> reports_;  ///< processed, input order
   std::size_t next_poll_ = 0;
   Stats stats_;
 };
 
-/// The Fig. 3 interactive loop as a stateful object, replacing the inline
-/// UserOracle wiring of the legacy RunFramework: Suggest() chases the
+/// The Fig. 3 interactive loop as a stateful object: Suggest() chases the
 /// current target template (via the engine's persistent trail session, so
 /// accumulating revisions cost O(their own changes)) and ranks candidate
 /// targets when the deduced target is incomplete; Revise() folds a

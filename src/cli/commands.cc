@@ -20,6 +20,7 @@
 #include "cli/console_user.h"
 #include "datagen/profile_generator.h"
 #include "discovery/ar_miner.h"
+#include "er/resolver.h"
 #include "framework/framework.h"
 #include "io/spec_io.h"
 #include "pipeline/pipeline.h"

@@ -1,6 +1,5 @@
 #include "framework/framework.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "api/accuracy_service.h"
@@ -44,6 +43,7 @@ FrameworkResult DriveInteraction(InteractionSession& session,
       // Step (4) "No" branch: a real deployment asks the user to revise Σ;
       // the driver has no rule editing, so report failure.
       result.church_rosser = false;
+      result.interaction_rounds = round;
       return result;
     }
     result.church_rosser = true;
@@ -86,35 +86,6 @@ FrameworkResult DriveInteraction(InteractionSession& session,
   }
   result.interaction_rounds = max_rounds;
   return result;
-}
-
-FrameworkResult RunFramework(const Specification& spec,
-                             const PreferenceModel& pref, UserOracle* user,
-                             const FrameworkOptions& opts) {
-  // One service per call: its budget is the historical checker width
-  // (opts.topk.num_threads), and its engine/checkpoint/checker persist
-  // across every round of the loop exactly as the old inline
-  // implementation kept them.
-  ServiceOptions service_options;
-  service_options.num_threads = std::max(1, opts.topk.num_threads);
-  Result<std::unique_ptr<AccuracyService>> service =
-      AccuracyService::Create(spec, std::move(service_options));
-  if (!service.ok()) return {};
-
-  InteractionOptions session_options;
-  session_options.k = std::max(1, opts.k);
-  session_options.incremental = opts.incremental;
-  session_options.preference = &pref;
-  session_options.topk = opts.topk;
-  // Managed by the service plan; the legacy contract overrode any
-  // caller-set checker silently (it would be bound to the wrong engine),
-  // and the width moved into ServiceOptions::num_threads above.
-  session_options.topk.num_threads = 1;
-  session_options.topk.checker = nullptr;
-  Result<std::unique_ptr<InteractionSession>> session =
-      service.value()->StartInteraction(std::move(session_options));
-  if (!session.ok()) return {};
-  return DriveInteraction(*session.value(), user, opts.max_rounds);
 }
 
 }  // namespace relacc

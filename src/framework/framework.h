@@ -58,46 +58,20 @@ struct FrameworkResult {
   TopKResult last_topk;             ///< candidates of the final round
 };
 
-/// Options of the framework loop.
-struct FrameworkOptions {
-  int k = 15;                       ///< candidates per round (paper default)
-  int max_rounds = 32;              ///< hard stop on interaction
-  /// Re-chase after a user revision by resuming from the all-null terminal
-  /// checkpoint (ChaseEngine::ResumeWith) instead of replaying the full
-  /// chase; the engine keeps a persistent session (separate from the
-  /// candidate-check probe state), so each accumulating revision costs
-  /// O(its own changes).
-  /// Identical outcomes (tested); see bench/ablation_incremental and
-  /// bench/iscr_timing.
-  bool incremental = true;
-  TopKOptions topk;
-};
-
 class InteractionSession;  // api/accuracy_service.h
 
-/// Drives an AccuracyService interaction session with a UserOracle,
-/// reproducing the legacy RunFramework loop exactly: Suggest; on an
-/// incomplete target consult the user; Accept an approved candidate or
-/// fold the revealed value back via Revise; stop after `max_rounds`
-/// revisions. The adapter between callback-style oracles (SimulatedUser,
-/// the CLI console) and the session API.
+/// The deducing framework of Fig. 3, driving an AccuracyService
+/// interaction session with a UserOracle: Suggest (check Church-Rosser,
+/// chase to the deduced target, rank top-k candidates when it is
+/// incomplete); on an incomplete target consult the user; Accept an
+/// approved candidate or fold the revealed value back via Revise; stop
+/// after `max_rounds` revisions. The adapter between callback-style
+/// oracles (SimulatedUser, the CLI console) and the session API.
+/// `interaction_rounds` counts the revisions made before the loop
+/// stopped, including when a revision turns the session
+/// non-Church-Rosser.
 FrameworkResult DriveInteraction(InteractionSession& session,
                                  UserOracle* user, int max_rounds = 32);
-
-/// The deducing framework of Fig. 3: check Church-Rosser; chase to the
-/// deduced target; if incomplete, compute top-k candidates (TopKCT) and
-/// consult the user; fold the user's revision back into the initial target
-/// template and repeat until a complete target is found.
-///
-/// Deprecated: now a shim over AccuracyService::StartInteraction +
-/// DriveInteraction (api/accuracy_service.h). New code should hold the
-/// service and session objects — they keep the chase session, checkpoint
-/// and checker warm across calls instead of rebuilding them per entity.
-[[deprecated(
-    "use AccuracyService::StartInteraction (api/accuracy_service.h)")]]
-FrameworkResult RunFramework(const Specification& spec,
-                             const PreferenceModel& pref, UserOracle* user,
-                             const FrameworkOptions& opts = {});
 
 }  // namespace relacc
 

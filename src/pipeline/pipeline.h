@@ -5,13 +5,14 @@
 #include <string>
 #include <vector>
 
-#include "chase/specification.h"
 #include "core/relation.h"
-#include "er/resolver.h"
-#include "topk/preference.h"
-#include "topk/topk_ct.h"
 
 namespace relacc {
+
+// Policy, thread-plan and report types of the whole-database accuracy
+// pipeline — the paper's future-work scenario ("improving the accuracy of
+// data in a database", Sec. 8). The pipeline itself runs as a streaming
+// AccuracyService session (StartPipeline, api/accuracy_service.h).
 
 /// How the pipeline fills target attributes the chase leaves null.
 enum class CompletionPolicy {
@@ -55,23 +56,6 @@ struct PipelineThreadPlan {
 PipelineThreadPlan ComputePipelineThreadPlan(int budget,
                                              int64_t num_entities);
 
-/// Options of the whole-database accuracy pipeline.
-struct PipelineOptions {
-  /// Total worker-thread budget for the whole run; <= 0 selects hardware
-  /// concurrency. ComputePipelineThreadPlan turns it into the two-phase
-  /// plan above; this is the only threading knob the pipeline honours.
-  int num_threads = 0;
-  CompletionPolicy completion = CompletionPolicy::kBestCandidate;
-  /// Per-entity top-k knobs. `topk.num_threads` and `topk.checker` are
-  /// overridden by the thread plan — the budget above is the only
-  /// threading knob the pipeline honours.
-  TopKOptions topk;
-  ChaseConfig chase;
-  /// Occurrence-count preference weights are built per entity instance
-  /// (plus masters) unless the caller supplies a model via `preference`.
-  const PreferenceModel* preference = nullptr;
-};
-
 /// Per-entity outcome of the pipeline.
 struct EntityReport {
   int64_t entity_id = -1;
@@ -106,55 +90,6 @@ struct PipelineReport {
   /// the pipeline-level analogue of Fig. 6(e).
   double deduced_attr_fraction = 0.0;
 };
-
-/// The whole-database accuracy pipeline — the paper's future-work scenario
-/// ("improving the accuracy of data in a database", Sec. 8) built from the
-/// library's parts, in two phases under one thread budget
-/// (options.num_threads; see PipelineThreadPlan):
-///
-///  1. chase — per entity, ground Σ and run IsCR, entity-parallel. The
-///     engine (grounding, indexes, warm all-null checkpoint) of every
-///     entity whose target stays incomplete is kept alive for phase 2
-///     instead of being torn down and rebuilt.
-///  2. completion — incomplete entities complete concurrently across the
-///     plan's `completion_workers` slots (reports reduced in input
-///     order); each slot's candidate `check` chases run through a
-///     slot-pooled CandidateChecker of `check_threads` width, rebound
-///     per entity.
-///
-/// The phases alternate over bounded windows of entities, so the peak
-/// number of kept-alive engines is independent of how many targets stay
-/// incomplete.
-///
-/// Reports are ordered deterministically by input position and identical
-/// for every budget and completion-phase width.
-///
-/// Deprecated: this is now a thin shim — one AccuracyService pipeline
-/// session submitted in a single batch (api/accuracy_service.h). New code
-/// should create the service once and stream entities through
-/// StartPipeline(), which bounds memory by the window instead of the
-/// input size and reports errors as Status rather than silently
-/// overriding caller-set TopKOptions threading knobs the way this entry
-/// point historically did.
-[[deprecated(
-    "use AccuracyService::StartPipeline (api/accuracy_service.h)")]]
-PipelineReport RunPipeline(const std::vector<EntityInstance>& entities,
-                           const std::vector<Relation>& masters,
-                           const std::vector<AccuracyRule>& rules,
-                           const PipelineOptions& options = {});
-
-/// Convenience entry point from a flat relation: resolve entities first
-/// (src/er), then run the pipeline over the clusters. Deprecated like
-/// RunPipeline; resolve with ResolveEntities and stream the clusters
-/// through AccuracyService::StartPipeline instead.
-[[deprecated(
-    "use ResolveEntities + AccuracyService::StartPipeline "
-    "(api/accuracy_service.h)")]]
-PipelineReport RunPipelineOnFlat(const Relation& flat,
-                                 const ResolverConfig& resolver_config,
-                                 const std::vector<Relation>& masters,
-                                 const std::vector<AccuracyRule>& rules,
-                                 const PipelineOptions& options = {});
 
 }  // namespace relacc
 

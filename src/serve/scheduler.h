@@ -34,11 +34,10 @@ namespace serve {
 ///     interleave window for window.
 ///
 /// An interactive request thus waits for at most the quantum in flight —
-/// one window — no matter how large a competing batch job is. This
-/// generalizes the PR 5 completion-driver hand-off queue: instead of one
-/// driver thread per PipelineSession, the daemon has one executor
-/// arbitrating all sessions (sessions run with inline windows; see
-/// PipelineSessionOptions::inline_windows).
+/// one window — no matter how large a competing batch job is. Pipeline
+/// sessions process their windows on the calling thread, so the one
+/// executor arbitrates all sessions and no session runs a thread of its
+/// own (see PipelineSession).
 enum class JobClass { kInteractive, kBatch };
 
 /// Per-tenant bounded queues + single executor thread + a deadline

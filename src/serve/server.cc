@@ -529,9 +529,9 @@ void Server::RunSubmitQuantum(const std::shared_ptr<Connection>& conn,
               -1, responded);
     return;
   }
-  // One window per quantum: the session has inline_windows set, so this
-  // Submit chases and completes the window right here before returning —
-  // and then yields the executor to whoever is next.
+  // One window per quantum: a Submit of `window` entities chases and
+  // completes that window right here before returning — and then yields
+  // the executor to whoever is next.
   const std::size_t take =
       std::min(static_cast<std::size_t>(session->window()),
                state->entities.size() - state->pos);
@@ -580,7 +580,6 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn, int64_t id,
       return SendError(conn, id, completion.status(), -1, responded);
     }
     PipelineSessionOptions options;
-    options.inline_windows = true;
     options.window = window.value();
     if (!completion.value().empty()) {
       Result<CompletionPolicy> policy = ParseCompletion(completion.value());

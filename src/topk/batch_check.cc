@@ -1,6 +1,5 @@
 #include "topk/batch_check.h"
 
-#include "api/accuracy_service.h"
 #include "topk/preference.h"
 
 namespace relacc {
@@ -65,20 +64,6 @@ std::vector<char> CandidateChecker::CheckAll(
             CheckCandidateTarget(*engines_[slot], candidates[i]) ? 1 : 0;
       });
   return verdicts;
-}
-
-std::vector<char> CheckCandidates(const Specification& spec,
-                                  const std::vector<Tuple>& candidates,
-                                  int num_threads) {
-  ServiceOptions options;
-  options.num_threads = std::max(1, num_threads);
-  Result<std::unique_ptr<AccuracyService>> service =
-      AccuracyService::Create(spec, std::move(options));
-  if (!service.ok()) return std::vector<char>(candidates.size(), 0);
-  Result<std::vector<char>> verdicts =
-      service.value()->CheckCandidates(candidates);
-  if (!verdicts.ok()) return std::vector<char>(candidates.size(), 0);
-  return std::move(verdicts).value();
 }
 
 std::vector<Tuple> EnumerateCandidateProduct(

@@ -124,19 +124,6 @@ class CheckerHandle {
   const CandidateChecker* checker_ = nullptr;
 };
 
-/// The batch form of Sec. 6's `check` over a whole specification: grounds
-/// `spec` once, fans the candidates out over `num_threads` workers (one
-/// ChaseEngine each) and returns the verdicts in input order.
-///
-/// Deprecated: now a shim that builds a one-call AccuracyService. New
-/// code should hold the service so the grounding, checkpoint and worker
-/// pool persist across calls (api/accuracy_service.h).
-[[deprecated(
-    "use AccuracyService::CheckCandidates (api/accuracy_service.h)")]]
-std::vector<char> CheckCandidates(const Specification& spec,
-                                  const std::vector<Tuple>& candidates,
-                                  int num_threads);
-
 /// Completions of `te` in odometer order over the active domains of its
 /// null attributes, capped at `limit`; empty if some domain is empty (no
 /// complete candidate can exist). This is the materialized form of the

@@ -1,9 +1,9 @@
 // Tests for the public service API (api/accuracy_service.h): streaming
-// pipeline sessions (window edge cases, report identity with the legacy
-// batch path, the O(window) engine bound), interactive sessions
-// (Suggest/Revise/Accept), one-shot conveniences, and the option audit
-// that rejects managed TopKOptions knobs instead of silently overriding
-// them.
+// pipeline sessions (window edge cases, report identity with the
+// one-window serial schedule, the O(window) engine bound), interactive
+// sessions (Suggest/Revise/Accept), one-shot conveniences, and the
+// option audit that rejects managed TopKOptions knobs instead of silently
+// overriding them.
 
 #include <algorithm>
 #include <memory>
@@ -18,20 +18,16 @@
 #include "framework/framework.h"
 #include "mj_fixture.h"
 #include "pipeline/pipeline.h"
+#include "service_fixture.h"
 #include "topk/batch_check.h"
 #include "topk/rank_join_ct.h"
-
-// The identity tests call the deprecated batch entry points on purpose:
-// the sessions must reproduce them byte for byte.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace {
 
 using testing_fixture::MjExpectedTarget;
 using testing_fixture::MjSpecification;
+using testing_fixture::OneWindowPipeline;
 using testing_fixture::Phi12;
 
 /// Every observable field of a PipelineReport, serialized — "byte
@@ -109,16 +105,27 @@ PipelineReport StreamAll(AccuracyService& service,
   return std::move(report).value();
 }
 
-// --- streaming pipeline: identity with the legacy batch path ---------------
+/// The report every streamed run must reproduce: the same entities in
+/// one window on a budget-1 service — the serial schedule. Only the
+/// reported thread plan depends on the budget, so it is set to the plan
+/// of the budget under test.
+PipelineReport Reference(
+    const EntityDataset& ds, int budget,
+    CompletionPolicy completion = CompletionPolicy::kBestCandidate) {
+  PipelineReport report =
+      OneWindowPipeline(ds.entities, ds.masters, ds.rules, /*budget=*/1,
+                        completion, nullptr, ds.chase_config);
+  report.plan = ComputePipelineThreadPlan(
+      budget, static_cast<int64_t>(ds.entities.size()));
+  return report;
+}
+
+// --- streaming pipeline: identity with the serial schedule -----------------
 
 TEST(PipelineSessionTest, IdenticalToLegacyAcrossBudgetsAndStrategies) {
   const EntityDataset ds = MedDataset();
   for (const int budget : {1, 4, 8}) {
-    PipelineOptions legacy_options;
-    legacy_options.num_threads = budget;
-    legacy_options.chase = ds.chase_config;
-    const PipelineReport legacy =
-        RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
+    const PipelineReport legacy = Reference(ds, budget);
     for (const int64_t window : {int64_t{1}, int64_t{3}, int64_t{64}}) {
       ServiceOptions service_options;
       service_options.num_threads = budget;
@@ -136,12 +143,7 @@ TEST(PipelineSessionTest, BothCompletionPoliciesMatchLegacy) {
   const EntityDataset ds = MedDataset(/*seed=*/7, /*entities=*/24);
   for (const CompletionPolicy policy :
        {CompletionPolicy::kLeaveNull, CompletionPolicy::kHeuristic}) {
-    PipelineOptions legacy_options;
-    legacy_options.num_threads = 2;
-    legacy_options.completion = policy;
-    legacy_options.chase = ds.chase_config;
-    const PipelineReport legacy =
-        RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
+    const PipelineReport legacy = Reference(ds, /*budget=*/2, policy);
     ServiceOptions service_options;
     service_options.num_threads = 2;
     service_options.window = 5;
@@ -171,13 +173,7 @@ TEST(PipelineSessionTest, WindowOneBoundsInFlightEnginesToOne) {
   EXPECT_EQ(stats.processed, 12);
   EXPECT_EQ(stats.peak_in_flight_engines, 1);
   EXPECT_GT(streamed.num_completed_by_candidates, 0);
-
-  PipelineOptions legacy_options;
-  legacy_options.num_threads = 4;
-  legacy_options.chase = ds.chase_config;
-  const PipelineReport legacy =
-      RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
-  EXPECT_EQ(Serialize(streamed), Serialize(legacy));
+  EXPECT_EQ(Serialize(streamed), Serialize(Reference(ds, /*budget=*/4)));
 }
 
 TEST(PipelineSessionTest, PeakInFlightNeverExceedsWindow) {
@@ -209,12 +205,8 @@ TEST(PipelineSessionTest, WindowLargerThanStreamProcessesAtFinish) {
   Result<PipelineReport> report = session.value()->Finish();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().entities.size(), ds.entities.size());
-
-  PipelineOptions legacy_options;
-  legacy_options.chase = ds.chase_config;
-  const PipelineReport legacy =
-      RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
-  EXPECT_EQ(Serialize(report.value()), Serialize(legacy));
+  EXPECT_EQ(Serialize(report.value()),
+            Serialize(Reference(ds, service->thread_budget())));
 }
 
 TEST(PipelineSessionTest, SubmitAfterFinishIsFailedPrecondition) {
@@ -242,8 +234,9 @@ TEST(PipelineSessionTest, EmptyStreamYieldsEmptyReport) {
   ASSERT_TRUE(session.ok());
   Result<PipelineReport> report = session.value()->Finish();
   ASSERT_TRUE(report.ok());
-  const PipelineReport legacy = RunPipeline({}, ds.masters, ds.rules, {});
-  EXPECT_EQ(Serialize(report.value()), Serialize(legacy));
+  const PipelineReport empty =
+      OneWindowPipeline({}, ds.masters, ds.rules, service->thread_budget());
+  EXPECT_EQ(Serialize(report.value()), Serialize(empty));
   EXPECT_TRUE(report.value().entities.empty());
 }
 
@@ -255,19 +248,17 @@ TEST(PipelineSessionTest, PollAndDrainYieldReportsInInputOrder) {
   Result<std::unique_ptr<PipelineSession>> session =
       service->StartPipeline();
   ASSERT_TRUE(session.ok());
-  // 10 submitted over a window of 4: two full windows (8 entities) go to
-  // the background completion driver during Submit — Poll surfaces
-  // whatever the driver has finished by the time it is called (anywhere
-  // from 0 to 8 here), always in input order; the rest arrive by
-  // Finish(), which drains the driver and flushes the 2-entity tail.
+  // 10 submitted over a window of 4: Submit processes the two full
+  // windows (8 entities) before it returns, so Poll surfaces exactly
+  // those, in input order; Finish() processes the 2-entity tail.
   ASSERT_TRUE(session.value()->Submit(ds.entities).ok());
   std::vector<EntityReport> seen;
   while (auto r = session.value()->Poll()) seen.push_back(*r);
-  EXPECT_LE(seen.size(), 8u);
+  EXPECT_EQ(seen.size(), 8u);
   Result<PipelineReport> report = session.value()->Finish();
   ASSERT_TRUE(report.ok());
   std::vector<EntityReport> rest = session.value()->Drain();
-  EXPECT_GE(rest.size(), 2u);
+  EXPECT_EQ(rest.size(), 2u);
   for (auto& r : rest) seen.push_back(r);
   ASSERT_EQ(seen.size(), report.value().entities.size());
   for (std::size_t i = 0; i < seen.size(); ++i) {
@@ -276,11 +267,10 @@ TEST(PipelineSessionTest, PollAndDrainYieldReportsInInputOrder) {
   }
 }
 
-TEST(PipelineSessionTest, SubmitReturnsWhileTheDriverCompletesWindows) {
-  // The producer-blocking fix: with full corruption every entity reaches
-  // phase 2, yet Submit must come back without having processed the
-  // whole stream inline — the driver retires windows concurrently and
-  // Finish() observes them all.
+TEST(PipelineSessionTest, SubmitProcessesEveryWindowItFills) {
+  // With full corruption every entity reaches phase 2. Each Submit that
+  // fills a window processes it before returning, so after 12 entities
+  // at window 3 everything is processed and pollable before Finish().
   const EntityDataset ds = MedDataset(/*seed=*/11, /*entities=*/12,
                                       /*corruption=*/1.0);
   ServiceOptions service_options;
@@ -293,36 +283,34 @@ TEST(PipelineSessionTest, SubmitReturnsWhileTheDriverCompletesWindows) {
   for (const EntityInstance& e : ds.entities) {
     ASSERT_TRUE(session.value()->Submit(e).ok());
   }
-  // All 12 were accepted even though the driver may still be working.
-  EXPECT_EQ(session.value()->stats().submitted, 12);
-  Result<PipelineReport> report = session.value()->Finish();
-  ASSERT_TRUE(report.ok());
   const PipelineSession::Stats stats = session.value()->stats();
+  EXPECT_EQ(stats.submitted, 12);
   EXPECT_EQ(stats.processed, 12);
   EXPECT_EQ(stats.windows, 4);
   EXPECT_LE(stats.peak_in_flight_engines, 3);
+  std::vector<EntityReport> polled;
+  while (auto r = session.value()->Poll()) polled.push_back(*r);
+  ASSERT_EQ(polled.size(), 12u);
 
-  PipelineOptions legacy_options;
-  legacy_options.num_threads = 2;
-  legacy_options.chase = ds.chase_config;
-  const PipelineReport legacy =
-      RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
-  EXPECT_EQ(Serialize(report.value()), Serialize(legacy));
+  Result<PipelineReport> report = session.value()->Finish();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(session.value()->stats().windows, 4);  // no tail left
+  for (std::size_t i = 0; i < polled.size(); ++i) {
+    EXPECT_EQ(polled[i].entity_id, report.value().entities[i].entity_id) << i;
+    EXPECT_EQ(polled[i].target, report.value().entities[i].target) << i;
+  }
+  EXPECT_EQ(Serialize(report.value()), Serialize(Reference(ds, 2)));
 }
 
 TEST(PipelineSessionTest,
      ReportsIdenticalAcrossCompletionWorkersWindowsAndStrategies) {
   // The parallel-completion determinism matrix: completion workers
   // {1, 2, 8} × window {1, 5, 64} at a fixed budget of 8 must reproduce
-  // the legacy batch report byte for byte — the input-order reduction
-  // makes worker count and per-worker check width unobservable.
+  // the serial one-window report byte for byte — the input-order
+  // reduction makes worker count and per-worker check width unobservable.
   const EntityDataset ds = MedDataset(/*seed=*/13, /*entities=*/18,
                                       /*corruption=*/0.8);
-  PipelineOptions legacy_options;
-  legacy_options.num_threads = 8;
-  legacy_options.chase = ds.chase_config;
-  const PipelineReport legacy =
-      RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
+  const PipelineReport legacy = Reference(ds, /*budget=*/8);
   for (const int workers : {1, 2, 8}) {
     for (const int64_t window : {int64_t{1}, int64_t{5}, int64_t{64}}) {
       ServiceOptions service_options;
@@ -370,6 +358,23 @@ TEST(PipelineSessionTest, SchemaMismatchIsRejectedAtomically) {
   Result<PipelineReport> report = session.value()->Finish();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().entities.size(), 2u);
+
+  // The alien entity as the very first submission: it is checked against
+  // the service schema, not against an earlier entity of the stream.
+  Result<std::unique_ptr<PipelineSession>> fresh = service->StartPipeline();
+  ASSERT_TRUE(fresh.ok());
+  const Status first =
+      fresh.value()->Submit(std::vector<EntityInstance>{alien, ds.entities[2]});
+  EXPECT_EQ(first.code(), StatusCode::kInvalidArgument) << first.ToString();
+  EXPECT_NE(first.message().find("entity 99"), std::string::npos)
+      << first.ToString();
+  EXPECT_EQ(fresh.value()->stats().submitted, 0);
+  ASSERT_TRUE(fresh.value()->Submit({ds.entities[2]}).ok());
+  Result<PipelineReport> fresh_report = fresh.value()->Finish();
+  ASSERT_TRUE(fresh_report.ok());
+  ASSERT_EQ(fresh_report.value().entities.size(), 1u);
+  EXPECT_EQ(fresh_report.value().entities[0].entity_id,
+            ds.entities[2].entity_id());
 }
 
 // --- service creation / option audit ---------------------------------------
@@ -554,6 +559,8 @@ TEST(AccuracyServiceTest, TopKOnNonChurchRosserIsFailedPrecondition) {
 }
 
 TEST(AccuracyServiceTest, CheckCandidatesMatchesFreeFunction) {
+  // The batch verdicts equal the per-candidate check on an engine of
+  // the caller's own.
   Specification spec = ArenaOpenMjSpec();
   const GroundProgram program =
       Instantiate(spec.ie, spec.masters, spec.rules);
@@ -564,9 +571,14 @@ TEST(AccuracyServiceTest, CheckCandidatesMatchesFreeFunction) {
       spec.ie, spec.masters, outcome.target,
       /*include_default_values=*/false, /*limit=*/64);
   ASSERT_FALSE(pool.empty());
-  const std::vector<char> legacy = CheckCandidates(spec, pool, 2);
+  std::vector<char> legacy;
+  for (const Tuple& t : pool) {
+    legacy.push_back(CheckCandidateTarget(engine, t) ? 1 : 0);
+  }
 
-  auto service = MakeService(ArenaOpenMjSpec());
+  ServiceOptions options;
+  options.num_threads = 2;
+  auto service = MakeService(ArenaOpenMjSpec(), options);
   Result<std::vector<char>> verdicts = service->CheckCandidates(pool);
   ASSERT_TRUE(verdicts.ok());
   EXPECT_EQ(verdicts.value(), legacy);
@@ -673,8 +685,8 @@ TEST(InteractionSessionTest, NonChurchRosserIsAnOutcomeNotAnError) {
 
 TEST(InteractionSessionTest, CustomEntitySessionsMatchLegacyFramework) {
   // One service over shared (masters, rules); per-entity sessions driven
-  // by the simulated steward must reproduce the legacy per-entity
-  // RunFramework outcomes exactly.
+  // by the simulated steward must reproduce, exactly, the outcomes of a
+  // fresh service per entity whose own instance is that entity.
   ProfileConfig config = MedConfig(55);
   config.num_entities = 6;
   config.master_size = 12;
@@ -688,10 +700,8 @@ TEST(InteractionSessionTest, CustomEntitySessionsMatchLegacyFramework) {
     const PreferenceModel pref =
         PreferenceModel::FromOccurrences(spec.ie, spec.masters);
     SimulatedUser legacy_user(ds.truths[i]);
-    FrameworkOptions legacy_options;
-    legacy_options.k = 5;
     const FrameworkResult legacy =
-        RunFramework(spec, pref, &legacy_user, legacy_options);
+        testing_fixture::RunInteraction(spec, pref, &legacy_user, /*k=*/5);
 
     SimulatedUser session_user(ds.truths[i]);
     Result<std::unique_ptr<InteractionSession>> session =
@@ -735,5 +745,3 @@ TEST(InteractionSessionTest, SessionsShareTheServiceCheckpoint) {
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

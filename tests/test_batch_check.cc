@@ -19,17 +19,11 @@
 #include "io/spec_io.h"
 #include "mj_fixture.h"
 #include "rules/cfd.h"
+#include "service_fixture.h"
 #include "topk/batch_check.h"
 #include "topk/rank_join_ct.h"
 #include "topk/topk_ct.h"
 #include "util/thread_pool.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace {
@@ -85,13 +79,14 @@ TEST(CheckCandidates, VerdictsMatchSequentialAcrossThreadCounts) {
       /*include_default_values=*/false, /*limit=*/100000);
   ASSERT_GT(candidates.size(), 4u);
 
-  const std::vector<char> seq = CheckCandidates(spec, candidates, 1);
+  const std::vector<char> seq =
+      testing_fixture::CheckOnService(spec, candidates, 1);
   ASSERT_EQ(seq.size(), candidates.size());
   // Sanity: the oracle set is mixed — some candidates pass, some fail.
   EXPECT_NE(std::count(seq.begin(), seq.end(), 1), 0);
   EXPECT_NE(std::count(seq.begin(), seq.end(), 0), 0);
   for (int threads : {2, 3, 8}) {
-    EXPECT_EQ(CheckCandidates(spec, candidates, threads), seq)
+    EXPECT_EQ(testing_fixture::CheckOnService(spec, candidates, threads), seq)
         << "threads=" << threads;
   }
   // Verdicts agree with the per-candidate check one by one.
@@ -256,5 +251,3 @@ TEST(TopKDeterminism, CliTopKOutputIsByteIdenticalAcrossThreadCounts) {
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

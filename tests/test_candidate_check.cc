@@ -19,16 +19,10 @@
 #include "datagen/syn_generator.h"
 #include "mj_fixture.h"
 #include "rules/grounding.h"
+#include "service_fixture.h"
 #include "topk/batch_check.h"
 #include "topk/rank_join_ct.h"
 #include "topk/topk_ct.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace {
@@ -212,7 +206,7 @@ TEST(CandidateCheck, BatchVerdictsMatchFromScratchRunAcrossThreads) {
     reference.push_back(engine.Run(t).church_rosser ? 1 : 0);
   }
   for (int threads : {1, 4}) {
-    EXPECT_EQ(CheckCandidates(spec, pool, threads), reference)
+    EXPECT_EQ(testing_fixture::CheckOnService(spec, pool, threads), reference)
         << "threads=" << threads;
   }
 }
@@ -324,5 +318,3 @@ TEST(CandidateCheck, RunFromCheckpointReportsViolationOfBrokenSpec) {
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

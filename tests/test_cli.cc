@@ -258,7 +258,7 @@ TEST_F(CliTest, PipelineOverFlatRelation) {
 
 TEST_F(CliTest, PipelineHonoursSpecChaseConfig) {
   // Regression: `relacc pipeline` used to default-construct its
-  // PipelineOptions and drop the spec document's ChaseConfig entirely. A
+  // pipeline options and drop the spec document's ChaseConfig entirely. A
   // config with a one-action budget makes every per-entity chase abort,
   // which is only observable when the config actually reaches the
   // engine; under the old bug every entity came back Church-Rosser.
@@ -276,6 +276,36 @@ TEST_F(CliTest, PipelineHonoursSpecChaseConfig) {
   EXPECT_GT(json.value().GetInt("entities").value(), 0);
   EXPECT_EQ(json.value().GetInt("church_rosser").value(), 0);
   std::remove(limited.c_str());
+}
+
+TEST_F(CliTest, PipelineMatchesCheckedInGoldenReports) {
+  // tests/golden/pipeline_{med,cfp}.json are the `relacc pipeline --json
+  // --window 2` reports of `relacc gen --profile P --entities 12 --flat`
+  // (gen is deterministic). Six windows or one, one thread or four: the
+  // report must not change by a byte.
+  for (const std::string profile : {"med", "cfp"}) {
+    const std::string spec =
+        ::testing::TempDir() + "/relacc_cli_golden_" + profile + ".json";
+    ASSERT_EQ(Run({"gen", "--profile", profile, "--entities", "12", "--flat",
+                   "--out", spec}),
+              0)
+        << err_.str();
+    Result<std::string> golden =
+        ReadFile(std::string(RELACC_SOURCE_DIR) + "/tests/golden/pipeline_" +
+                 profile + ".json");
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    const std::vector<std::vector<std::string>> variants = {
+        {"--window", "2", "--threads", "4"}, {}};
+    for (const std::vector<std::string>& flags : variants) {
+      std::vector<std::string> argv = {"pipeline", spec, "--key", "key",
+                                       "--json"};
+      argv.insert(argv.end(), flags.begin(), flags.end());
+      ASSERT_EQ(Run(argv), 0) << err_.str();
+      EXPECT_EQ(out_.str(), golden.value())
+          << profile << " with " << flags.size() << " extra flag words";
+    }
+    std::remove(spec.c_str());
+  }
 }
 
 TEST_F(CliTest, PipelineRequiresKey) {

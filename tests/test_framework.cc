@@ -6,30 +6,27 @@
 
 #include <gtest/gtest.h>
 
+#include "api/accuracy_service.h"
 #include "datagen/profile_generator.h"
 #include "framework/framework.h"
 #include "mj_fixture.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
+#include "service_fixture.h"
 
 namespace relacc {
 namespace {
 
 using testing_fixture::MjExpectedTarget;
 using testing_fixture::MjSpecification;
+using testing_fixture::OracleCheckedUser;
 using testing_fixture::Phi12;
+using testing_fixture::RunInteraction;
 
 TEST(Framework, CompleteTargetNeedsNoInteraction) {
   Specification spec = MjSpecification();
   const PreferenceModel pref =
       PreferenceModel::FromOccurrences(spec.ie, spec.masters);
   SimulatedUser user(MjExpectedTarget());
-  const FrameworkResult r = RunFramework(spec, pref, &user);
+  const FrameworkResult r = RunInteraction(spec, pref, &user);
   EXPECT_TRUE(r.church_rosser);
   EXPECT_TRUE(r.found_complete_target);
   EXPECT_EQ(r.interaction_rounds, 0);
@@ -46,7 +43,7 @@ TEST(Framework, IncompleteTargetResolvedViaCandidates) {
   const PreferenceModel pref =
       PreferenceModel::FromOccurrences(spec.ie, spec.masters);
   SimulatedUser user(MjExpectedTarget());
-  const FrameworkResult r = RunFramework(spec, pref, &user);
+  const FrameworkResult r = RunInteraction(spec, pref, &user);
   EXPECT_TRUE(r.found_complete_target);
   EXPECT_EQ(r.target, MjExpectedTarget());
   EXPECT_LE(r.interaction_rounds, 1);
@@ -58,7 +55,7 @@ TEST(Framework, NonChurchRosserSpecIsReported) {
   const PreferenceModel pref =
       PreferenceModel::FromOccurrences(spec.ie, spec.masters);
   SimulatedUser user(MjExpectedTarget());
-  const FrameworkResult r = RunFramework(spec, pref, &user);
+  const FrameworkResult r = RunInteraction(spec, pref, &user);
   EXPECT_FALSE(r.church_rosser);
   EXPECT_FALSE(r.found_complete_target);
 }
@@ -76,9 +73,7 @@ TEST(Framework, RevisionsConvergeOnGeneratedEntities) {
     const PreferenceModel pref =
         PreferenceModel::FromOccurrences(spec.ie, spec.masters);
     SimulatedUser user(ds.truths[i]);
-    FrameworkOptions opts;
-    opts.k = 15;
-    const FrameworkResult r = RunFramework(spec, pref, &user, opts);
+    const FrameworkResult r = RunInteraction(spec, pref, &user, /*k=*/15);
     ASSERT_TRUE(r.church_rosser) << "entity " << i;
     EXPECT_TRUE(r.found_complete_target) << "entity " << i;
     max_rounds = std::max(max_rounds, r.interaction_rounds);
@@ -113,8 +108,8 @@ class TranscriptUser : public UserOracle {
 TEST(Framework, TranscriptsIdenticalAcrossStrategiesAndThreadBudgets) {
   // More corrupted free attributes than Med proper, so sessions run
   // several rounds and the resume session's prefix reuse is exercised.
-  // The re-chase strategies compared are the incremental resume
-  // (ChaseEngine::ResumeWith) and the from-scratch chase per round.
+  // Every round's incremental re-chase (ChaseEngine::ResumeWith) is
+  // checked against the from-scratch chase of the same template.
   ProfileConfig c = MedConfig(55);
   c.num_entities = 8;
   c.master_size = 12;
@@ -122,39 +117,74 @@ TEST(Framework, TranscriptsIdenticalAcrossStrategiesAndThreadBudgets) {
   c.free_corruption_prob = 0.6;
   const EntityDataset ds = GenerateProfile(c);
 
+  int rounds_checked = 0;
   for (std::size_t i = 0; i < ds.entities.size(); ++i) {
     std::string reference;
     std::string reference_config;
     Tuple reference_target;
-    for (bool incremental : {true, false}) {
-      for (int threads : {1, 4, 8}) {
-        const Specification spec = ds.SpecFor(static_cast<int>(i));
-        const PreferenceModel pref =
-            PreferenceModel::FromOccurrences(spec.ie, spec.masters);
-        TranscriptUser user(ds.truths[i]);
-        FrameworkOptions opts;
-        opts.k = 5;
-        opts.incremental = incremental;
-        opts.topk.num_threads = threads;
-        const FrameworkResult r = RunFramework(spec, pref, &user, opts);
-        ASSERT_TRUE(r.church_rosser) << "entity " << i;
-        const std::string config_name =
-            std::string(incremental ? "incremental" : "full") + "/" +
-            std::to_string(threads);
-        if (reference_config.empty()) {
-          reference = user.transcript();
-          reference_config = config_name;
-          reference_target = r.target;
-        } else {
-          EXPECT_EQ(user.transcript(), reference)
-              << "entity " << i << ": " << config_name
-              << " diverged from " << reference_config;
-          EXPECT_EQ(r.target, reference_target)
-              << "entity " << i << ": " << config_name;
-        }
+    for (int threads : {1, 4}) {
+      const Specification spec = ds.SpecFor(static_cast<int>(i));
+      const PreferenceModel pref =
+          PreferenceModel::FromOccurrences(spec.ie, spec.masters);
+      TranscriptUser transcript(ds.truths[i]);
+      OracleCheckedUser user(spec, &transcript);
+      ServiceOptions options;
+      options.num_threads = threads;
+      auto service = testing_fixture::CreateService(spec, options);
+      auto session = testing_fixture::StartSession(*service, pref, /*k=*/5);
+      user.Watch(session.get());
+      const FrameworkResult r = DriveInteraction(*session, &user);
+      ASSERT_TRUE(r.church_rosser) << "entity " << i;
+      user.CheckFinal(r);
+      rounds_checked += user.rounds_checked();
+      const std::string config_name = "threads " + std::to_string(threads);
+      if (reference_config.empty()) {
+        reference = transcript.transcript();
+        reference_config = config_name;
+        reference_target = r.target;
+      } else {
+        EXPECT_EQ(transcript.transcript(), reference)
+            << "entity " << i << ": " << config_name
+            << " diverged from " << reference_config;
+        EXPECT_EQ(r.target, reference_target)
+            << "entity " << i << ": " << config_name;
       }
     }
   }
+  EXPECT_GT(rounds_checked, 0);
+}
+
+/// Revises `league` to a value that contradicts what the rules derive
+/// for it, which turns the session non-Church-Rosser on the next round.
+class ContradictingUser : public UserOracle {
+ public:
+  explicit ContradictingUser(AttrId league) : league_(league) {}
+
+  Response Inspect(const Tuple&, const std::vector<Tuple>&) override {
+    Response r;
+    r.revision = {league_, Value::Str("SL")};
+    return r;
+  }
+
+ private:
+  AttrId league_;
+};
+
+TEST(Framework, LateNonChurchRosserVerdictKeepsRoundCount) {
+  // Drop ϕ11 so arena stays open and round 0 consults the user; the
+  // user's revision then makes round 1 non-Church-Rosser. The loop must
+  // report the one revision it made, and no target.
+  Specification spec = MjSpecification();
+  std::erase_if(spec.rules,
+                [](const AccuracyRule& r) { return r.name == "phi11"; });
+  const PreferenceModel pref =
+      PreferenceModel::FromOccurrences(spec.ie, spec.masters);
+  ContradictingUser user(spec.ie.schema().MustIndexOf("league"));
+  const FrameworkResult r = RunInteraction(spec, pref, &user);
+  EXPECT_FALSE(r.church_rosser);
+  EXPECT_FALSE(r.found_complete_target);
+  EXPECT_EQ(r.interaction_rounds, 1);
+  EXPECT_EQ(r.target, Tuple());
 }
 
 TEST(SimulatedUserTest, AcceptsExactCandidateOnly) {
@@ -174,5 +204,3 @@ TEST(SimulatedUserTest, AcceptsExactCandidateOnly) {
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

@@ -9,14 +9,8 @@
 #include "datagen/profile_generator.h"
 #include "framework/framework.h"
 #include "mj_fixture.h"
+#include "service_fixture.h"
 #include "topk/batch_check.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace {
@@ -213,7 +207,7 @@ TEST(ResumeWith, SessionExtensionMatchesFromScratchEveryRound) {
       Instantiate(fx->spec.ie, fx->spec.masters, fx->spec.rules);
   ChaseEngine engine(fx->spec.ie, &program, fx->spec.config);
 
-  // Cumulative reveals, as RunFramework issues them: every round must
+  // Cumulative reveals, as DriveInteraction issues them: every round must
   // match the from-scratch chase of the same designated values.
   const int num_attrs = fx->spec.ie.schema().size();
   Tuple cumulative(std::vector<Value>(num_attrs, Value::Null()));
@@ -345,30 +339,40 @@ TEST(Framework, IncrementalAndFullPathsAgree) {
   config.master_size = 12;
   EntityDataset dataset = GenerateProfile(config);
 
+  // The session re-chases each revision incrementally (ResumeWith); every
+  // round it shows must equal the from-scratch chase of its template on a
+  // separate engine, and whole runs must agree across thread budgets.
+  int rounds_checked = 0;
   for (size_t i = 0; i < dataset.entities.size(); ++i) {
     Specification spec = dataset.SpecFor(static_cast<int>(i));
     PreferenceModel pref =
         PreferenceModel::FromOccurrences(spec.ie, spec.masters);
-    FrameworkOptions incremental;
-    incremental.incremental = true;
-    FrameworkOptions full;
-    full.incremental = false;
-
-    SimulatedUser user_a(dataset.truths[i]);
-    SimulatedUser user_b(dataset.truths[i]);
-    FrameworkResult a = RunFramework(spec, pref, &user_a, incremental);
-    FrameworkResult b = RunFramework(spec, pref, &user_b, full);
-    EXPECT_EQ(a.church_rosser, b.church_rosser) << "entity " << i;
-    EXPECT_EQ(a.found_complete_target, b.found_complete_target)
-        << "entity " << i;
-    EXPECT_EQ(a.interaction_rounds, b.interaction_rounds) << "entity " << i;
-    if (a.found_complete_target && b.found_complete_target) {
-      EXPECT_EQ(a.target, b.target) << "entity " << i;
+    std::optional<FrameworkResult> first;
+    for (const int threads : {1, 4}) {
+      SimulatedUser simulated(dataset.truths[i]);
+      testing_fixture::OracleCheckedUser user(spec, &simulated);
+      ServiceOptions options;
+      options.num_threads = threads;
+      auto service = testing_fixture::CreateService(spec, options);
+      auto session = testing_fixture::StartSession(*service, pref, /*k=*/15);
+      user.Watch(session.get());
+      const FrameworkResult r = DriveInteraction(*session, &user);
+      user.CheckFinal(r);
+      rounds_checked += user.rounds_checked();
+      if (!first.has_value()) {
+        first = r;
+        continue;
+      }
+      EXPECT_EQ(r.church_rosser, first->church_rosser) << "entity " << i;
+      EXPECT_EQ(r.found_complete_target, first->found_complete_target)
+          << "entity " << i;
+      EXPECT_EQ(r.interaction_rounds, first->interaction_rounds)
+          << "entity " << i;
+      EXPECT_EQ(r.target, first->target) << "entity " << i;
     }
   }
+  EXPECT_GT(rounds_checked, 0);
 }
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

@@ -9,19 +9,13 @@
 #include "datagen/syn_generator.h"
 #include "er/resolver.h"
 #include "framework/framework.h"
+#include "service_fixture.h"
 #include "topk/rank_join_ct.h"
 #include "topk/topk_ct.h"
 #include "truth/copy_cef.h"
 #include "truth/deduce_order.h"
 #include "truth/metrics.h"
 #include "truth/voting.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace {
@@ -47,7 +41,8 @@ TEST(Integration, MedSliceEndToEnd) {
     const PreferenceModel pref =
         PreferenceModel::FromOccurrences(spec.ie, spec.masters);
     SimulatedUser user(ds.truths[i]);
-    const FrameworkResult r = RunFramework(spec, pref, &user);
+    const FrameworkResult r =
+        testing_fixture::RunInteraction(spec, pref, &user);
     found_by_framework +=
         (r.found_complete_target && r.target == ds.truths[i]) ? 1 : 0;
   }
@@ -173,5 +168,3 @@ TEST(Integration, RestPipelineOrdersTheMethodsAsInTable4) {
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

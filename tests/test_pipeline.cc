@@ -7,22 +7,18 @@
 #include <gtest/gtest.h>
 
 #include "datagen/profile_generator.h"
+#include "er/resolver.h"
 #include "mj_fixture.h"
 #include "pipeline/pipeline.h"
+#include "service_fixture.h"
 #include "util/thread_pool.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace {
 
 using testing_fixture::MjExpectedTarget;
 using testing_fixture::MjSpecification;
+using testing_fixture::OneWindowPipeline;
 
 // --- thread pool -------------------------------------------------------------
 
@@ -101,7 +97,7 @@ TEST(Pipeline, SingleEntityMatchesIsCR) {
   for (const Tuple& t : spec.ie.tuples()) entity.Add(t);
 
   PipelineReport report =
-      RunPipeline({entity}, spec.masters, spec.rules, PipelineOptions{});
+      OneWindowPipeline({entity}, spec.masters, spec.rules, /*budget=*/0);
   ASSERT_EQ(report.entities.size(), 1u);
   const EntityReport& e = report.entities[0];
   EXPECT_EQ(e.entity_id, 7);
@@ -122,11 +118,8 @@ PipelineReport MedPipelineReport(int num_threads,
   config.num_entities = num_entities;
   config.master_size = 45;
   EntityDataset dataset = GenerateProfile(config);
-  PipelineOptions options;
-  options.num_threads = num_threads;
-  options.completion = policy;
-  return RunPipeline(dataset.entities, dataset.masters, dataset.rules,
-                     options);
+  return OneWindowPipeline(dataset.entities, dataset.masters, dataset.rules,
+                           num_threads, policy);
 }
 
 TEST(Pipeline, ParallelAndSerialRunsAgreeExactly) {
@@ -221,8 +214,9 @@ TEST(Pipeline, FlatInputGoesThroughEntityResolution) {
 
   ResolverConfig er;
   er.key_attrs = {schema.MustIndexOf("name")};
-  PipelineReport report = RunPipelineOnFlat(flat, er, /*masters=*/{},
-                                            /*rules=*/{}, PipelineOptions{});
+  PipelineReport report =
+      OneWindowPipeline(ResolveEntities(flat, er).entities, /*masters=*/{},
+                        /*rules=*/{}, /*budget=*/0);
   EXPECT_EQ(report.entities.size(), 2u);
   EXPECT_EQ(report.total_tuples, 6);
   for (const EntityReport& e : report.entities) {
@@ -232,7 +226,7 @@ TEST(Pipeline, FlatInputGoesThroughEntityResolution) {
 
 TEST(Pipeline, EmptyInputYieldsEmptyReport) {
   PipelineReport report =
-      RunPipeline({}, /*masters=*/{}, /*rules=*/{}, PipelineOptions{});
+      OneWindowPipeline({}, /*masters=*/{}, /*rules=*/{}, /*budget=*/0);
   EXPECT_TRUE(report.entities.empty());
   EXPECT_EQ(report.targets.size(), 0);
   EXPECT_EQ(report.num_church_rosser, 0);
@@ -313,15 +307,12 @@ TEST(Pipeline, SharedPreferenceModelIsHonoured) {
   // A degenerate preference model (all zero weights) is still usable; the
   // pipeline must not crash and must produce valid candidates.
   PreferenceModel flat_pref(dataset.schema.size());
-  PipelineOptions options;
-  options.num_threads = 2;
-  options.preference = &flat_pref;
-  PipelineReport report = RunPipeline(dataset.entities, dataset.masters,
-                                      dataset.rules, options);
+  PipelineReport report =
+      OneWindowPipeline(dataset.entities, dataset.masters, dataset.rules,
+                        /*budget=*/2, CompletionPolicy::kBestCandidate,
+                        &flat_pref);
   EXPECT_EQ(report.entities.size(), dataset.entities.size());
 }
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

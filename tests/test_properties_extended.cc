@@ -17,13 +17,7 @@
 #include "dsl/parser.h"
 #include "io/spec_io.h"
 #include "pipeline/pipeline.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
+#include "service_fixture.h"
 
 namespace relacc {
 namespace {
@@ -142,14 +136,10 @@ TEST_P(ExtensionProperties, GeneratedSpecsSurviveTheJsonRoundTrip) {
 
 TEST_P(ExtensionProperties, PipelineIsThreadCountInvariantOnCfp) {
   EntityDataset dataset = MakeDataset(/*cfp=*/true);
-  PipelineOptions one;
-  one.num_threads = 1;
-  PipelineOptions many;
-  many.num_threads = 5;
-  PipelineReport a =
-      RunPipeline(dataset.entities, dataset.masters, dataset.rules, one);
-  PipelineReport b =
-      RunPipeline(dataset.entities, dataset.masters, dataset.rules, many);
+  PipelineReport a = testing_fixture::OneWindowPipeline(
+      dataset.entities, dataset.masters, dataset.rules, /*budget=*/1);
+  PipelineReport b = testing_fixture::OneWindowPipeline(
+      dataset.entities, dataset.masters, dataset.rules, /*budget=*/5);
   ASSERT_EQ(a.entities.size(), b.entities.size());
   for (size_t i = 0; i < a.entities.size(); ++i) {
     EXPECT_EQ(a.entities[i].target, b.entities[i].target) << i;
@@ -162,5 +152,3 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExtensionProperties, ::testing::Range(1, 13));
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

@@ -434,8 +434,8 @@ class ServeServerTest : public ::testing::Test {
 
   /// Drives one whole pipeline over the wire and returns the finish
   /// report's compact dump.
-  std::string RunPipelineOverWire(ServeClient* client, int entities,
-                                  int64_t window) {
+  std::string PipelineOverWire(ServeClient* client, int entities,
+                               int64_t window) {
     Json start = Json::Object();
     start.Set("window", Json::Int(window));
     Result<Json> started = client->Call("pipeline.start", std::move(start));
@@ -462,7 +462,7 @@ class ServeServerTest : public ::testing::Test {
 
   /// The same pipeline, directly against an identically-configured
   /// service — the byte-identity reference.
-  std::string RunPipelineDirect(int entities, int64_t window) {
+  std::string PipelineDirect(int entities, int64_t window) {
     Result<std::unique_ptr<AccuracyService>> service =
         AccuracyService::Create(MjSpecification(), ServiceOptions{});
     EXPECT_TRUE(service.ok());
@@ -502,7 +502,7 @@ TEST_F(ServeServerTest, StatsExposePerClassLatencyPercentiles) {
   ASSERT_NE(client, nullptr);
   // Run real work through both job classes so the histograms have
   // samples, then check the four percentile fields are present and sane.
-  ASSERT_FALSE(RunPipelineOverWire(client.get(), 4, 2).empty());
+  ASSERT_FALSE(PipelineOverWire(client.get(), 4, 2).empty());
   Result<Json> stats = client->Call("stats", Json::Object());
   ASSERT_TRUE(stats.ok());
   for (const char* field :
@@ -591,8 +591,8 @@ TEST_F(ServeServerTest, PipelineMatchesDirectServiceByteForByte) {
   ASSERT_NE(client, nullptr);
   // 11 entities over window 3: three full windows through the batch
   // quanta plus a tail flushed by finish.
-  const std::string wire = RunPipelineOverWire(client.get(), 11, 3);
-  const std::string direct = RunPipelineDirect(11, 3);
+  const std::string wire = PipelineOverWire(client.get(), 11, 3);
+  const std::string direct = PipelineDirect(11, 3);
   ASSERT_FALSE(wire.empty());
   EXPECT_EQ(wire, direct);
 }
@@ -710,11 +710,11 @@ TEST_F(ServeServerTest, ConcurrentClientsGetIdenticalReports) {
       std::unique_ptr<ServeClient> client = Connect();
       ASSERT_NE(client, nullptr);
       dumps[static_cast<std::size_t>(i)] =
-          RunPipelineOverWire(client.get(), 9, 2);
+          PipelineOverWire(client.get(), 9, 2);
     });
   }
   for (std::thread& t : threads) t.join();
-  const std::string reference = RunPipelineDirect(9, 2);
+  const std::string reference = PipelineDirect(9, 2);
   for (const std::string& dump : dumps) {
     ASSERT_FALSE(dump.empty());
     EXPECT_EQ(dump, reference);
@@ -734,7 +734,7 @@ TEST_F(ServeServerTest, InteractiveCompletesWhileBatchStreams) {
     std::unique_ptr<ServeClient> client = Connect();
     ASSERT_NE(client, nullptr);
     const std::string dump =
-        RunPipelineOverWire(client.get(), kEntities, kWindow);
+        PipelineOverWire(client.get(), kEntities, kWindow);
     batch_ok.store(!dump.empty());
   });
   std::unique_ptr<ServeClient> client = Connect();
@@ -1405,29 +1405,6 @@ TEST(ServeDegraded, CorruptSnapshotFallsBackToColdService) {
       ServeClient::Connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(client.ok());
   EXPECT_TRUE(client.value()->Call("deduce", Json::Object()).ok());
-}
-
-TEST(ServeInlineWindows, ReportsMatchDriverPath) {
-  // The inline_windows option the server relies on: same entities, same
-  // window, driver path vs inline path — byte-identical reports.
-  auto run = [](bool inline_windows) {
-    Result<std::unique_ptr<AccuracyService>> service =
-        AccuracyService::Create(MjSpecification(), ServiceOptions{});
-    EXPECT_TRUE(service.ok());
-    PipelineSessionOptions options;
-    options.window = 3;
-    options.inline_windows = inline_windows;
-    Result<std::unique_ptr<PipelineSession>> session =
-        service.value()->StartPipeline(std::move(options));
-    EXPECT_TRUE(session.ok());
-    EXPECT_TRUE(session.value()->Submit(MakeEntities(10)).ok());
-    Result<PipelineReport> report = session.value()->Finish();
-    EXPECT_TRUE(report.ok());
-    return serve::PipelineReportToJson(
-               report.value(), service.value()->specification().ie.schema())
-        .Dump();
-  };
-  EXPECT_EQ(run(true), run(false));
 }
 
 }  // namespace
