@@ -1,4 +1,4 @@
-// Ablation: the chase index H (DESIGN.md §3). Algorithm IsCR's cost bound
+// Ablation: the chase index H (Sec. 5, Fig. 4). Algorithm IsCR's cost bound
 // O((|Ie|² + |Im|)·|Σ|) rests on the watch-list index over ground steps:
 // each event (order pair derived / te attribute set) touches only the
 // steps that mention it, and NextStep is O(1). This bench compares the

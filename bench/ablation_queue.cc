@@ -1,5 +1,5 @@
 // Ablation: the priority-queue substrate of TopKCT. The paper prescribes a
-// Brodal queue [6]; DESIGN.md §5 substitutes a pairing heap. This bench
+// Brodal queue [6]; topk/pairing_heap.h substitutes a pairing heap. This bench
 // compares the pairing heap against std::priority_queue (binary heap) on
 // the TopKCT access pattern — bursts of m pushes per pop, scores drifting
 // downward — to show the substitution is not the bottleneck either way.

@@ -2,8 +2,8 @@
 #define RELACC_BENCH_COMMON_H_
 
 // Shared harness for the per-figure benchmark binaries. Each binary prints
-// the rows/series of one table or figure of the paper (see DESIGN.md §4);
-// EXPERIMENTS.md records paper-vs-measured.
+// the rows/series of one table or figure of the paper (Sec. 7), named in
+// the binary's own header comment.
 
 #include <chrono>
 #include <cstdio>

@@ -188,12 +188,12 @@ bool RunGroundScaling(JsonReport* json) {
       if (!(program == reference)) identical = false;
       const double speedup = ms_per > 0.0 ? serial_ms / ms_per : 0.0;
       std::printf("%6d %8d %6d %12zu %12.3f %9.2fx\n", n, shards, reps,
-                  program.steps.size(), ms_per, speedup);
+                  program.size(), ms_per, speedup);
       JsonReport::Row row;
       row.Set("scenario", "ground_scaling")
           .Set("n", n)
           .Set("shards", shards)
-          .Set("steps", static_cast<int64_t>(program.steps.size()))
+          .Set("steps", static_cast<int64_t>(program.size()))
           .Set("ms_per_ground", ms_per)
           .Set("speedup_vs_serial", speedup);
       json->Add(std::move(row));

@@ -31,32 +31,33 @@ struct PendingCompletion {
 /// Phase 1 for one entity: ground and run the checkpoint chase. When the
 /// target stays incomplete (and completion is enabled), the engine is
 /// handed back via `pending` for phase 2. Pure function of its inputs
-/// (`dict` only accretes interned terms, thread-safely); called
-/// concurrently. A non-null `dict` selects dictionary-encoded storage:
-/// the entity is interned into it and grounded/chased on integer
+/// (the block's dictionary only accretes interned terms, thread-safely);
+/// called concurrently. The entity's pair rules are grounded here; the
+/// master steps come from the service's shared `block`, and every engine
+/// interns into its dictionary. `columnar` selects dictionary-encoded
+/// storage: the entity is interned and grounded/chased on integer
 /// columns — the report is byte-identical either way.
 EntityReport ChaseEntityPhase(const EntityInstance& entity,
-                              const std::vector<Relation>& masters,
+                              const MasterBlock& block,
                               const std::vector<AccuracyRule>& rules,
                               const ChaseConfig& chase,
-                              CompletionPolicy completion, Dictionary* dict,
+                              CompletionPolicy completion, bool columnar,
                               std::unique_ptr<PendingCompletion>* pending) {
   EntityReport report;
   report.entity_id = entity.entity_id();
   report.num_tuples = entity.size();
 
-  std::unique_ptr<ColumnarRelation> columnar;
+  std::unique_ptr<ColumnarRelation> cie;
   std::unique_ptr<GroundProgram> program;
   std::unique_ptr<ChaseEngine> engine;
-  if (dict != nullptr) {
-    columnar = std::make_unique<ColumnarRelation>(
-        ColumnarRelation::FromRelation(entity, dict));
-    program = std::make_unique<GroundProgram>(
-        Instantiate(*columnar, masters, rules));
-    engine = std::make_unique<ChaseEngine>(*columnar, program.get(), chase);
+  if (columnar) {
+    cie = std::make_unique<ColumnarRelation>(
+        ColumnarRelation::FromRelation(entity, block.dict()));
+    program = std::make_unique<GroundProgram>(Instantiate(*cie, block, rules));
+    engine = std::make_unique<ChaseEngine>(*cie, program.get(), chase);
   } else {
     program =
-        std::make_unique<GroundProgram>(Instantiate(entity, masters, rules));
+        std::make_unique<GroundProgram>(Instantiate(entity, block, rules));
     engine = std::make_unique<ChaseEngine>(entity, program.get(), chase);
   }
   // Serve the all-null chase from the engine's checkpoint: the candidate
@@ -73,7 +74,7 @@ EntityReport ChaseEntityPhase(const EntityInstance& entity,
   report.complete = outcome.target.IsComplete();
   if (!report.complete && completion != CompletionPolicy::kLeaveNull) {
     auto p = std::make_unique<PendingCompletion>();
-    p->columnar = std::move(columnar);
+    p->columnar = std::move(cie);
     p->program = std::move(program);
     p->engine = std::move(engine);
     *pending = std::move(p);
@@ -300,10 +301,11 @@ Status AccuracyService::WriteSnapshot(const std::string& path) {
         "WriteSnapshot: the artifact stores dictionary-encoded columns; "
         "create the service with ServiceOptions::columnar_storage = true");
   }
-  // Interning order matters: the engine build (step payloads, residual
-  // constants) and the master encodings below all intern into dict_
-  // BEFORE the dictionary section is written, so the ids embedded in
-  // the checkpoint and the columns are ids of the serialized dict.
+  // Interning order matters: the master block and engine builds (step
+  // payloads, residual constants) and the master encodings below all
+  // intern into dict_ BEFORE the dictionary section is written, so the
+  // ids embedded in the checkpoint and the columns are ids of the
+  // serialized dict.
   RELACC_RETURN_NOT_OK(EnsureDefaultEngine());
   ChaseCheckpoint checkpoint;
   engine_->ExportCheckpoint(&checkpoint);  // !ok is a serializable state
@@ -375,21 +377,32 @@ Status AccuracyService::EnsureDefaultEngine() {
     engine_token_ = NewBindingToken();
     return Status::OK();
   }
+  const MasterBlock& block = EnsureMasterBlock();
   if (options_.columnar_storage) {
     cie_ = std::make_unique<ColumnarRelation>(
         ColumnarRelation::FromRelation(spec_.ie, dict_.get()));
     program_ = std::make_unique<GroundProgram>(
-        Instantiate(*cie_, spec_.masters, spec_.rules, shards, pool));
+        Instantiate(*cie_, block, spec_.rules, shards, pool));
     engine_ = std::make_unique<ChaseEngine>(*cie_, program_.get(),
                                             spec_.config, pool);
   } else {
     program_ = std::make_unique<GroundProgram>(
-        Instantiate(spec_.ie, spec_.masters, spec_.rules, shards, pool));
+        Instantiate(spec_.ie, block, spec_.rules, shards, pool));
     engine_ = std::make_unique<ChaseEngine>(spec_.ie, program_.get(),
                                             spec_.config, pool, dict_.get());
   }
   engine_token_ = NewBindingToken();
   return Status::OK();
+}
+
+const MasterBlock& AccuracyService::EnsureMasterBlock() {
+  if (master_block_ == nullptr) {
+    const int shards = GroundShardCount();
+    master_block_ =
+        MasterBlock::Build(spec_.masters, spec_.rules, dict_, shards,
+                           shards > 1 ? &ChasePool() : nullptr);
+  }
+  return *master_block_;
 }
 
 ThreadPool& AccuracyService::ChasePool() {
@@ -455,23 +468,21 @@ Result<ChaseOutcome> AccuracyService::DeduceEntity(const Relation& entity) {
                             0);
     if (auto hit = memo_->Lookup(key)) return hit->outcome;
   }
+  const MasterBlock& block = EnsureMasterBlock();
   const int shards = GroundShardCount();
   ThreadPool* pool = shards > 1 ? &ChasePool() : nullptr;
   ChaseOutcome outcome;
   if (options_.columnar_storage) {
-    // One-shot: a call-local dictionary, so no state (or memory) is
-    // retained by the service for ad-hoc entities.
-    Dictionary local_dict;
     const ColumnarRelation cie =
-        ColumnarRelation::FromRelation(entity, &local_dict);
+        ColumnarRelation::FromRelation(entity, dict_.get());
     const GroundProgram program =
-        Instantiate(cie, spec_.masters, spec_.rules, shards, pool);
+        Instantiate(cie, block, spec_.rules, shards, pool);
     ChaseEngine engine(cie, &program, spec_.config, pool);
     outcome = engine.RunFromInitial();
   } else {
     const GroundProgram program =
-        Instantiate(entity, spec_.masters, spec_.rules, shards, pool);
-    ChaseEngine engine(entity, &program, spec_.config, pool);
+        Instantiate(entity, block, spec_.rules, shards, pool);
+    ChaseEngine engine(entity, &program, spec_.config, pool, dict_.get());
     outcome = engine.RunFromInitial();
   }
   if (memoize) {
@@ -592,6 +603,7 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
     program = program_.get();
   } else {
     session->own_ie_ = std::move(own_ie);
+    const MasterBlock& block = EnsureMasterBlock();
     const int shards = GroundShardCount();
     ThreadPool* pool = shards > 1 ? &ChasePool() : nullptr;
     ie = session->own_ie_.get();
@@ -600,10 +612,10 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
           ColumnarRelation::FromRelation(*ie, dict_.get()));
       cie = session->own_cie_.get();
       session->own_program_ = std::make_unique<GroundProgram>(
-          Instantiate(*cie, spec_.masters, spec_.rules, shards, pool));
+          Instantiate(*cie, block, spec_.rules, shards, pool));
     } else {
-      session->own_program_ = std::make_unique<GroundProgram>(Instantiate(
-          *session->own_ie_, spec_.masters, spec_.rules, shards, pool));
+      session->own_program_ = std::make_unique<GroundProgram>(
+          Instantiate(*session->own_ie_, block, spec_.rules, shards, pool));
     }
     program = session->own_program_.get();
   }
@@ -696,12 +708,12 @@ void PipelineSession::ProcessWindow() {
   const int64_t count = static_cast<int64_t>(entities.size());
   std::vector<EntityReport> reports(entities.size());
   std::vector<std::unique_ptr<PendingCompletion>> pending(entities.size());
-  Dictionary* const dict =
-      service_->options_.columnar_storage ? service_->dict_.get() : nullptr;
+  const MasterBlock& block = service_->EnsureMasterBlock();
+  const bool columnar = service_->options_.columnar_storage;
   service_->ChasePool().ParallelFor(count, [&](int64_t k) {
     reports[static_cast<std::size_t>(k)] = ChaseEntityPhase(
-        entities[static_cast<std::size_t>(k)], spec.masters, spec.rules,
-        spec.config, completion_, dict,
+        entities[static_cast<std::size_t>(k)], block, spec.rules,
+        spec.config, completion_, columnar,
         &pending[static_cast<std::size_t>(k)]);
   });
 

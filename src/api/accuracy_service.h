@@ -54,12 +54,12 @@ struct ServiceOptions {
   /// O(entities). Must be >= 1.
   int64_t window = 64;
 
-  /// Shard count for grounding the service's own specification —
-  /// Instantiate over rule×Ie row partitions plus the sharded engine
-  /// index build that consumes Γ (see rules/grounding.h). 0 derives the
-  /// count from the thread budget; 1 forces the serial path. The
-  /// GroundProgram (and therefore every chase) is identical for every
-  /// value; only AccuracyService::Create/first-use latency changes.
+  /// Shard count for grounding — the service's master block over
+  /// rule×Im rows, Instantiate over rule×Ie row partitions, plus the
+  /// sharded engine index build that consumes Γ (see rules/grounding.h).
+  /// 0 derives the count from the thread budget; 1 forces the serial
+  /// path. The GroundProgram (and therefore every chase) is identical for
+  /// every value; only first-use and per-entity latency change.
   int ground_shards = 0;
 
   /// Run the static analyzer (analysis/analyzer.h) over the
@@ -188,6 +188,10 @@ enum class TopKAlgorithm {
 /// master relations, accuracy rules, chase config) plus a ServiceOptions,
 /// owning for its whole lifetime
 ///
+///   * the master block: the form-(2) part of Γ, which depends only on
+///     the rules and the masters, grounded and indexed once on first
+///     per-entity use and shared by every entity's program and engine
+///     (each entity grounds only its own pair rules);
 ///   * the grounded program and chase engine of the spec's own entity
 ///     instance — and with them the shared all-null *checkpoint* every
 ///     deduction, candidate check and interactive resume starts from
@@ -304,8 +308,8 @@ class AccuracyService {
       InteractionOptions options = {});
 
   /// Opens an interactive session over a caller-supplied entity instance
-  /// (grounded against the service's masters and rules; the relation is
-  /// copied into the session).
+  /// (its pair rules grounded here, its master steps shared from the
+  /// service's master block; the relation is copied into the session).
   Result<std::unique_ptr<InteractionSession>> StartInteraction(
       Relation entity, InteractionOptions options = {});
 
@@ -315,8 +319,11 @@ class AccuracyService {
   /// failures only.
   Result<ChaseOutcome> DeduceEntity();
 
-  /// IsCR over a caller-supplied entity instance (grounded fresh against
-  /// the service's masters and rules; no state is retained).
+  /// IsCR over a caller-supplied entity instance: its pair rules are
+  /// grounded fresh, the master steps come from the service's shared
+  /// master block. No engine or program is retained, but the entity's
+  /// terms are interned into the service dictionary (the block's keyed
+  /// watchers are ids of it), as pipeline and interaction sessions do.
   Result<ChaseOutcome> DeduceEntity(const Relation& entity);
 
   /// Top-k candidate targets for the spec's own deduced target, through
@@ -349,6 +356,13 @@ class AccuracyService {
   /// or a session-owned relation grounded here.
   Result<std::unique_ptr<InteractionSession>> StartInteractionImpl(
       InteractionOptions options, std::unique_ptr<Relation> own_ie);
+
+  /// The service's shared master block: the form-(2) steps of the
+  /// rules over the masters, grounded and indexed once (into dict_) on
+  /// the first per-entity use — never by Create or a snapshot load, whose
+  /// warm deduce needs no grounding at all. Requires row masters
+  /// (EnsureMasters on a snapshot service).
+  const MasterBlock& EnsureMasterBlock();
 
   /// Grounds the spec's own entity instance and builds its engine, once.
   /// On a snapshot-loaded service this deserializes the stored program
@@ -417,6 +431,9 @@ class AccuracyService {
   std::shared_ptr<Dictionary> dict_;
 
   std::unique_ptr<ThreadPool> pool_;
+
+  // The shared master block (EnsureMasterBlock); null until first use.
+  std::shared_ptr<const MasterBlock> master_block_;
 
   // Lazily-grounded state of the spec's own entity instance; engine_
   // owns the shared all-null checkpoint. Under columnar storage, cie_

@@ -1,7 +1,10 @@
 #include "chase/chase_engine.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -58,10 +61,13 @@ ChaseEngine::ChaseEngine(const Relation& ie, const GroundProgram* program,
       config_(config),
       n_(ie.size()),
       num_attrs_(ie.schema().size()) {
+  const MasterBlock* block = program->master.get();
+  if (dict_ == nullptr && block != nullptr) dict_ = block->dict();
   if (dict_ == nullptr) {
     owned_dict_ = std::make_unique<Dictionary>();
     dict_ = owned_dict_.get();
   }
+  RequireBlockDictionary();
   columns_.resize(num_attrs_);
   value_groups_.resize(num_attrs_);
   value_slot_.resize(num_attrs_);
@@ -90,6 +96,7 @@ ChaseEngine::ChaseEngine(const ColumnarRelation& ie,
       config_(config),
       n_(ie.size()),
       num_attrs_(ie.schema().size()) {
+  RequireBlockDictionary();
   columns_.resize(num_attrs_);
   value_groups_.resize(num_attrs_);
   value_slot_.resize(num_attrs_);
@@ -118,12 +125,53 @@ const Relation& ChaseEngine::ie() const {
   return *materialized_ie_;
 }
 
+void ChaseEngine::RequireBlockDictionary() const {
+  const MasterBlock* block = program_->master.get();
+  if (block != nullptr && block->dict() != dict_) {
+    std::fprintf(stderr,
+                 "ChaseEngine: the program's master block interns into "
+                 "another dictionary than the engine\n");
+    std::abort();
+  }
+}
+
 void ChaseEngine::BuildIndex(ThreadPool* build_pool) {
   te_watch_.resize(num_attrs_);
   attr_has_order_watch_.assign(num_attrs_, 0);
   const auto& steps = program_->steps;
-  remaining0_.resize(steps.size());
+  master_ = program_->master.get();
+  remaining0_.assign(program_->size(), 0);
   step_te_.assign(steps.size(), kNullTermId);
+
+  // Virtual numbering (see GroundProgram): rule r's steps start at
+  // vstart_[r] — its own steps first, then its block steps (a rule has
+  // one kind or the other). The block's counters are copied per rule;
+  // its watchers stay in the block, keyed by value.
+  if (master_ != nullptr) {
+    const int rules = master_->num_rules();
+    local_begin_.assign(static_cast<std::size_t>(rules) + 1, 0);
+    for (const GroundStep& step : steps) ++local_begin_[step.rule_id + 1];
+    vstart_.assign(static_cast<std::size_t>(rules) + 1, 0);
+    const std::vector<int32_t>& sizes = master_->residual_sizes();
+    for (int r = 0; r < rules; ++r) {
+      local_begin_[r + 1] += local_begin_[r];
+      vstart_[r] = local_begin_[r] + master_->rule_begin(r);
+      const int32_t own = local_begin_[r + 1] - local_begin_[r];
+      std::copy(sizes.begin() + master_->rule_begin(r),
+                sizes.begin() + master_->rule_begin(r + 1),
+                remaining0_.begin() + vstart_[r] + own);
+    }
+    vstart_[rules] = static_cast<int32_t>(program_->size());
+  }
+  const auto vid = [&](int32_t k) {
+    return master_ == nullptr ? k : k + master_->rule_begin(steps[k].rule_id);
+  };
+  for (int32_t k = 0; k < static_cast<int32_t>(steps.size()); ++k) {
+    remaining0_[vid(k)] = static_cast<int>(steps[k].residual.size());
+  }
+  for (int32_t s = 0; s < static_cast<int32_t>(remaining0_.size()); ++s) {
+    if (remaining0_[s] == 0) ready0_.push_back(s);
+  }
 
   // Watch lists keyed by (step, residual predicate) — the Γ-sized part
   // of the index. A shard scans a contiguous step range into private
@@ -140,11 +188,11 @@ void ChaseEngine::BuildIndex(ThreadPool* build_pool) {
   };
   const auto scan_steps = [&](int32_t begin, int32_t end, auto&& order_emit,
                               auto&& te_emit) {
-    for (int32_t s = begin; s < end; ++s) {
-      const GroundStep& step = steps[s];
-      remaining0_[s] = static_cast<int>(step.residual.size());
+    for (int32_t k = begin; k < end; ++k) {
+      const GroundStep& step = steps[k];
+      const int32_t s = vid(k);
       if (step.kind == GroundStep::Kind::kSetTe) {
-        step_te_[s] = dict_->Intern(step.te_value);
+        step_te_[k] = dict_->Intern(step.te_value);
       }
       for (int32_t p = 0; p < static_cast<int32_t>(step.residual.size());
            ++p) {
@@ -209,20 +257,60 @@ void ChaseEngine::BuildIndex(ThreadPool* build_pool) {
   }
 }
 
+ChaseEngine::StepRef ChaseEngine::StepAt(int32_t s) const {
+  if (master_ == nullptr) return {&program_->steps[s], step_te_[s]};
+  // The rule whose virtual range holds s (empty rules share their
+  // successor's start, so upper_bound skips them).
+  const int r = static_cast<int>(
+      std::upper_bound(vstart_.begin(), vstart_.end(), s) - vstart_.begin() -
+      1);
+  const int32_t off = s - vstart_[r];
+  const int32_t own = local_begin_[r + 1] - local_begin_[r];
+  if (off < own) {
+    const int32_t k = local_begin_[r] + off;
+    return {&program_->steps[k], step_te_[k]};
+  }
+  const int32_t b = master_->rule_begin(r) + (off - own);
+  return {&master_->steps()[b], master_->step_te(b)};
+}
+
+void ChaseEngine::Satisfy(RunState* st, int32_t s) const {
+  if (st->trail.enabled) st->trail.remaining_dec.push_back(s);
+  if (--st->remaining[s] == 0) st->queue.push_back(s);
+}
+
 void ChaseEngine::EmitOrderEvent(RunState* st, AttrId attr, int i,
                                  int j) const {
   auto it = order_watch_.find(OrderKey(attr, i, j));
   if (it == order_watch_.end()) return;
   for (int32_t s : it->second) {
     if (st->dead[s]) continue;
-    if (st->trail.enabled) st->trail.remaining_dec.push_back(s);
-    if (--st->remaining[s] == 0) st->queue.push_back(s);
+    Satisfy(st, s);
   }
 }
 
 void ChaseEngine::EmitTeEvent(RunState* st, AttrId attr, TermId v) const {
+  // The block's watchers of exactly (attr, v) hold; they are merged with
+  // the entity's own watchers of attr in virtual-id order, so steps
+  // become ready in the order a flat scan of Γ would queue them. Block
+  // watchers of other values are never visited and never marked dead:
+  // te[attr] is immutable once set, so their predicate can never hold and
+  // their step can never reach remaining == 0.
+  const std::span<const MasterBlock::Watch> block =
+      master_ != nullptr ? master_->Watchers(attr, v)
+                         : std::span<const MasterBlock::Watch>();
+  std::size_t next = 0;
+  const auto satisfy_block_before = [&](int32_t limit) {
+    for (; next < block.size(); ++next) {
+      const int32_t s = block[next].step + local_begin_[block[next].rule];
+      if (s >= limit) return;
+      // Only an imported image from a flat engine marks master steps dead.
+      if (!st->dead[s]) Satisfy(st, s);
+    }
+  };
   for (const TeWatch& w : te_watch_[attr]) {
     const int32_t s = w.step;
+    satisfy_block_before(s);
     if (st->dead[s]) continue;
     // Interning is canonical (Value equality == id equality), so the
     // dominant kEq/kNe compares run on ids; order comparisons — rare in
@@ -240,8 +328,7 @@ void ChaseEngine::EmitTeEvent(RunState* st, AttrId attr, TermId v) const {
         break;
     }
     if (holds) {
-      if (st->trail.enabled) st->trail.remaining_dec.push_back(s);
-      if (--st->remaining[s] == 0) st->queue.push_back(s);
+      Satisfy(st, s);
     } else {
       // te[attr] is immutable once set, so the predicate is permanently
       // false and the step can never fire.
@@ -249,6 +336,7 @@ void ChaseEngine::EmitTeEvent(RunState* st, AttrId attr, TermId v) const {
       st->dead[s] = 1;
     }
   }
+  satisfy_block_before(std::numeric_limits<int32_t>::max());
 }
 
 std::string ChaseEngine::RuleNameOf(int32_t rule_id) const {
@@ -395,7 +483,7 @@ bool ChaseEngine::InitState(RunState* st_ptr, const Tuple& initial_te) const {
   st.te.assign(num_attrs_, kNullTermId);
   st.te_rule.assign(num_attrs_, kByDesignated);
   st.remaining = remaining0_;
-  st.dead.assign(program_->steps.size(), 0);
+  st.dead.assign(program_->size(), 0);
   // Every attribute starts λ-dirty: a singleton instance has a greatest
   // element before any pair is derived (its only tuple).
   st.attr_dirty.assign(num_attrs_, 1);
@@ -404,12 +492,10 @@ bool ChaseEngine::InitState(RunState* st_ptr, const Tuple& initial_te) const {
     st.orders.emplace_back(columns_[a]);
     st.dirty_list.push_back(a);
   }
-  st.stats.ground_steps = static_cast<int64_t>(program_->steps.size());
+  st.stats.ground_steps = static_cast<int64_t>(program_->size());
 
   // Steps with empty residuals are ready immediately (initial Q).
-  for (int32_t s = 0; s < static_cast<int32_t>(program_->steps.size()); ++s) {
-    if (st.remaining[s] == 0) st.queue.push_back(s);
-  }
+  st.queue.assign(ready0_.begin(), ready0_.end());
 
   bool ok = true;
   if (config_.builtin_axioms) {
@@ -468,12 +554,13 @@ bool ChaseEngine::DrainQueue(RunState* st_ptr) const {
     const int32_t s = st.queue.front();
     st.queue.pop_front();
     if (st.dead[s]) continue;
-    const GroundStep& step = program_->steps[s];
+    const StepRef ref = StepAt(s);
+    const GroundStep& step = *ref.step;
     bool applied_ok;
     if (step.kind == GroundStep::Kind::kAddOrder) {
       applied_ok = ApplyAddPair(&st, step.attr, step.i, step.j, step.rule_id);
     } else {
-      applied_ok = ApplySetTe(&st, step.attr, step_te_[s], step.rule_id);
+      applied_ok = ApplySetTe(&st, step.attr, ref.te, step.rule_id);
     }
     if (applied_ok) applied_ok = FlushLambda(&st);
     if (!applied_ok) return false;
@@ -563,14 +650,14 @@ Status ChaseEngine::ImportCheckpoint(const ChaseCheckpoint& image) {
     checkpoint_violation_ = image.violation;
     checkpoint_failed_stats_ = ChaseStats{};
     checkpoint_failed_stats_.ground_steps =
-        static_cast<int64_t>(program_->steps.size());
+        static_cast<int64_t>(program_->size());
     checkpoint_failed_stats_.steps_applied = image.steps_applied;
     checkpoint_failed_stats_.pairs_derived = image.pairs_derived;
     probe_state_.reset();
     session_state_.reset();
     return Status::OK();
   }
-  const std::size_t steps = program_->steps.size();
+  const std::size_t steps = program_->size();
   const auto attrs = static_cast<std::size_t>(num_attrs_);
   if (image.te.size() != attrs || image.te_rule.size() != attrs ||
       image.order_succ.size() != attrs || image.remaining.size() != steps ||

@@ -55,6 +55,19 @@ struct ChaseCheckpoint {
 /// reporting not-Church-Rosser — when an applied step would (a) create
 /// ti ⪯ tj ∧ tj ⪯ ti with ti[A] ≠ tj[A], or (b) change a non-null te[A]
 /// (whether via a form-(2) assignment or via the λ greatest-element rule).
+///
+/// Shared master block. When the program carries a MasterBlock (the
+/// form-(2) steps, grounded once per service and shared by every entity's
+/// engine), the engine indexes only the program's own steps. The block's
+/// counters, payload ids and watchers are read from the block: its
+/// watchers are keyed by (attr, value), so setting te[A] := v visits only
+/// the master steps waiting on exactly that value, merged with the
+/// entity's own watchers of A in virtual-id order. Queue order, stats,
+/// violation messages and checkpoint images are therefore indexed by the
+/// same virtual step ids as the flat program (GroundProgram::Materialize)
+/// and the chase is identical to one over it. Per-run counters and dead
+/// flags stay dense over all of Γ. A program without a block is the
+/// empty-block case of the same index.
 class ChaseEngine {
  public:
   /// `ie` and `program` must outlive the engine. `build_pool` (optional)
@@ -74,13 +87,18 @@ class ChaseEngine {
   /// dictionary so sibling engines — checker worker pools, pipeline
   /// windows, serve sessions — intern each distinct term once and can
   /// share checkpoints (AdoptCheckpointFrom requires a common
-  /// dictionary); with dict == nullptr the engine owns a private one.
+  /// dictionary). With dict == nullptr the engine adopts the dictionary
+  /// of the program's master block, or owns a private one when the
+  /// program has none. A block-backed program requires the engine to
+  /// intern into the block's dictionary (the block's watchers are keyed
+  /// by its ids); a mismatch aborts.
   ChaseEngine(const Relation& ie, const GroundProgram* program,
               ChaseConfig config, ThreadPool* build_pool = nullptr,
               Dictionary* dict = nullptr);
 
   /// Columnar-native construction: chases `ie` without ever holding a
-  /// row copy (the dictionary is ie.mutable_dict()). ie() materializes a
+  /// row copy (the dictionary is ie.mutable_dict(), which must be the
+  /// program's block dictionary when it has a block). ie() materializes a
   /// row adapter lazily for the few consumers that still need tuples
   /// (the top-k search-space builders); grounding and chasing never do.
   ChaseEngine(const ColumnarRelation& ie, const GroundProgram* program,
@@ -256,12 +274,26 @@ class ChaseEngine {
   // Re-evaluates λ for attributes whose order changed.
   bool FlushLambda(RunState* st) const;
 
+  // One residual predicate of step `s` now holds: decrement its counter
+  // (journaled) and queue the step when none is left.
+  void Satisfy(RunState* st, int32_t s) const;
   void EmitOrderEvent(RunState* st, AttrId attr, int i, int j) const;
   void EmitTeEvent(RunState* st, AttrId attr, TermId v) const;
+
+  // Aborts when the program's master block interns into another
+  // dictionary than dict_ (its keyed watchers would be meaningless).
+  void RequireBlockDictionary() const;
 
   // Shared body of both constructors (columns/value groups are already
   // encoded when it runs): watch lists, residual counters, step te ids.
   void BuildIndex(ThreadPool* build_pool);
+
+  // The ground step behind virtual id `s` and its interned kSetTe payload.
+  struct StepRef {
+    const GroundStep* step;
+    TermId te;
+  };
+  StepRef StepAt(int32_t s) const;
 
   // Encodes te ids back into a boundary Tuple, coercing numeric
   // representatives to the schema column type so outcomes are
@@ -294,7 +326,16 @@ class ChaseEngine {
   int n_;
   int num_attrs_;
 
+  /// The program's master block (null for a flat program), and the
+  /// virtual numbering over it: per rule r, the first virtual id of its
+  /// steps (vstart_) and the number of the program's own steps of rules
+  /// before r (local_begin_). Block step b of rule r has virtual id
+  /// b + local_begin_[r]; own step k of rule r has k + rule_begin(r).
+  const MasterBlock* master_ = nullptr;
+  std::vector<int32_t> vstart_;
+  std::vector<int32_t> local_begin_;
   std::vector<int> remaining0_;  ///< residual sizes per ground step
+  std::vector<int32_t> ready0_;  ///< steps with empty residuals, in order
   std::unordered_map<uint64_t, std::vector<int32_t>> order_watch_;
   /// Per attribute: 1 iff some ground step watches an order pair of it.
   std::vector<char> attr_has_order_watch_;
@@ -307,9 +348,10 @@ class ChaseEngine {
     CompareOp op;
     TermId constant;
   };
-  /// Per attribute: watchers of te[attr].
+  /// Per attribute: watchers of te[attr] among the program's own steps
+  /// (the block keeps its own, keyed by value), by virtual step id.
   std::vector<std::vector<TeWatch>> te_watch_;
-  /// kSetTe payloads pre-interned per ground step (kNullTermId for
+  /// kSetTe payloads pre-interned per own step (kNullTermId for
   /// kAddOrder steps), so DrainQueue never touches a Value.
   std::vector<TermId> step_te_;
   /// Dictionary-encoded column per attribute (orders & the ϕ8 anchor).

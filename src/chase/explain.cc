@@ -125,7 +125,10 @@ void ExplainedChase::Run(const Specification& spec) {
     std::vector<AccuracyRule> axioms = ExpandAxioms(schema_);
     rules.insert(rules.end(), axioms.begin(), axioms.end());
   }
-  GroundProgram program = Instantiate(ie_, spec.masters, rules);
+  // The oracle walks the flat program, never the chase engine's index
+  // over a shared master block.
+  const GroundProgram program =
+      Instantiate(ie_, spec.masters, rules).Materialize();
 
   // λ applies to the initial empty orders already: a lone tuple (or a set
   // of value-equal tuples once ϕ9 fires) is trivially the greatest element.

@@ -16,9 +16,9 @@ enum class RuleFormFilter { kBoth, kForm1Only, kForm2Only };
 /// A generated benchmark dataset: many entity instances over one schema,
 /// parallel ground-truth tuples, shared master relations, and a shared AR
 /// set. This is the substitute for the paper's proprietary Med / crawled
-/// CFP data (DESIGN.md §5): the chase only ever sees tuples + orders +
-/// rules, so the generators control exactly the coverage structure the
-/// experiments measure.
+/// CFP data (Sec. 7; see datagen/profile_generator.h): the chase only
+/// ever sees tuples + orders + rules, so the generators control exactly
+/// the coverage structure the experiments measure.
 struct EntityDataset {
   std::string name;
   Schema schema;

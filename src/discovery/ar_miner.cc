@@ -53,8 +53,8 @@ AccuracyRule ToRule(const Schema& schema, const CandidateBody& body,
     r.lhs.push_back(g);
   }
   // Null guard on the conclusion side: a tuple with a null target value
-  // must not be ordered above non-null ones (see DESIGN.md; unguarded
-  // conclusions conflict with axiom ϕ7).
+  // must not be ordered above non-null ones (unguarded conclusions
+  // conflict with axiom ϕ7, null has the lowest accuracy; Sec. 2.2).
   TuplePairPredicate nn;
   nn.kind = TuplePairPredicate::Kind::kAttrConst;
   nn.which = 2;

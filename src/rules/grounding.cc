@@ -1,6 +1,8 @@
 #include "rules/grounding.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -127,34 +129,34 @@ void GroundMasterRule(const AccuracyRule& rule, const Tuple& tm, int rule_id,
 }
 
 /// The flattened loop space of Instantiation: one row per (rule, ti)
-/// outer-loop iteration of a form-(1) rule and per (rule, tm) iteration
-/// of a form-(2) rule. `starts[r]` is the first global row of rule r,
-/// `starts[rules.size()]` the total row count. Rules referencing an
-/// absent master relation contribute zero rows, matching the serial
-/// loop's `continue`.
-std::vector<int64_t> RowStarts(int num_ie_rows,
-                               const std::vector<Relation>& masters,
+/// outer-loop iteration of a form-(1) rule (`pair_rows` per rule) and
+/// per (rule, tm) iteration of a form-(2) rule. `starts[r]` is the first
+/// global row of rule r, `starts[rules.size()]` the total row count.
+/// Form-(2) rules contribute no rows when `masters` is null (the pair
+/// half of a block-backed program) or when they reference an absent
+/// master relation; pass `pair_rows` 0 for the master half alone.
+std::vector<int64_t> RowStarts(int pair_rows,
+                               const std::vector<Relation>* masters,
                                const std::vector<AccuracyRule>& rules) {
   std::vector<int64_t> starts(rules.size() + 1, 0);
   for (std::size_t r = 0; r < rules.size(); ++r) {
     int64_t rows = 0;
     if (rules[r].form == AccuracyRule::Form::kTuplePair) {
-      rows = num_ie_rows;
-    } else if (rules[r].master_index >= 0 &&
-               rules[r].master_index < static_cast<int>(masters.size())) {
-      rows = masters[rules[r].master_index].size();
+      rows = pair_rows;
+    } else if (masters != nullptr && rules[r].master_index >= 0 &&
+               rules[r].master_index < static_cast<int>(masters->size())) {
+      rows = (*masters)[rules[r].master_index].size();
     }
     starts[r + 1] = starts[r] + rows;
   }
   return starts;
 }
 
-/// Grounds global rows [begin, end) in row order, appending to `out`.
-/// Emission order within a row (the inner j loop / the assignment list)
-/// is the serial order, so concatenating contiguous ranges in ascending
-/// row order reproduces the serial program exactly.
-void GroundRows(const Relation& ie, const std::vector<Relation>& masters,
-                const std::vector<AccuracyRule>& rules,
+/// Grounds global pair rows [begin, end) in row order, appending to
+/// `out`. Emission order within a row (the inner j loop) is the serial
+/// order, so concatenating contiguous ranges in ascending row order
+/// reproduces the serial program exactly.
+void GroundRows(const Relation& ie, const std::vector<AccuracyRule>& rules,
                 const std::vector<int64_t>& starts, int64_t begin,
                 int64_t end, std::vector<GroundStep>* out) {
   const int n = ie.size();
@@ -164,23 +166,33 @@ void GroundRows(const Relation& ie, const std::vector<Relation>& masters,
     const int64_t hi = std::min(end, starts[r + 1]);
     if (lo >= hi) continue;
     const AccuracyRule& rule = rules[r];
-    if (rule.form == AccuracyRule::Form::kTuplePair) {
-      for (int64_t row = lo; row < hi; ++row) {
-        const int i = static_cast<int>(row - starts[r]);
-        for (int j = 0; j < n; ++j) {
-          if (i == j) continue;
-          if (GroundPairRule(rule, ie, i, j, &scratch)) {
-            scratch.rule_id = r;
-            out->push_back(scratch);
-          }
+    for (int64_t row = lo; row < hi; ++row) {
+      const int i = static_cast<int>(row - starts[r]);
+      for (int j = 0; j < n; ++j) {
+        if (i == j) continue;
+        if (GroundPairRule(rule, ie, i, j, &scratch)) {
+          scratch.rule_id = r;
+          out->push_back(scratch);
         }
       }
-    } else {
-      const Relation& im = masters[rule.master_index];
-      for (int64_t row = lo; row < hi; ++row) {
-        GroundMasterRule(rule, im.tuple(static_cast<int>(row - starts[r])),
-                         r, out);
-      }
+    }
+  }
+}
+
+/// Grounds global master rows [begin, end) — the (rule, tm) rows of
+/// RowStarts(0, &masters, rules) — in row order, appending to `out`.
+void GroundMasterRows(const std::vector<Relation>& masters,
+                      const std::vector<AccuracyRule>& rules,
+                      const std::vector<int64_t>& starts, int64_t begin,
+                      int64_t end, std::vector<GroundStep>* out) {
+  for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
+    const int64_t lo = std::max(begin, starts[r]);
+    const int64_t hi = std::min(end, starts[r + 1]);
+    if (lo >= hi) continue;
+    const Relation& im = masters[rules[r].master_index];
+    for (int64_t row = lo; row < hi; ++row) {
+      GroundMasterRule(rules[r], im.tuple(static_cast<int>(row - starts[r])),
+                       r, out);
     }
   }
 }
@@ -293,10 +305,8 @@ bool GroundPairRuleColumnar(const AccuracyRule& rule,
 }
 
 /// Columnar twin of GroundRows — identical loop structure and emission
-/// order; masters stay row relations (they are small and master steps
-/// carry Values regardless).
+/// order.
 void GroundRowsColumnar(const ColumnarRelation& ie,
-                        const std::vector<Relation>& masters,
                         const std::vector<AccuracyRule>& rules,
                         const std::vector<std::vector<TermId>>& const_ids,
                         const std::vector<int64_t>& starts, int64_t begin,
@@ -308,79 +318,36 @@ void GroundRowsColumnar(const ColumnarRelation& ie,
     const int64_t hi = std::min(end, starts[r + 1]);
     if (lo >= hi) continue;
     const AccuracyRule& rule = rules[r];
-    if (rule.form == AccuracyRule::Form::kTuplePair) {
-      for (int64_t row = lo; row < hi; ++row) {
-        const int i = static_cast<int>(row - starts[r]);
-        for (int j = 0; j < n; ++j) {
-          if (i == j) continue;
-          if (GroundPairRuleColumnar(rule, const_ids[r], ie, i, j,
-                                     &scratch)) {
-            scratch.rule_id = r;
-            out->push_back(scratch);
-          }
+    for (int64_t row = lo; row < hi; ++row) {
+      const int i = static_cast<int>(row - starts[r]);
+      for (int j = 0; j < n; ++j) {
+        if (i == j) continue;
+        if (GroundPairRuleColumnar(rule, const_ids[r], ie, i, j, &scratch)) {
+          scratch.rule_id = r;
+          out->push_back(scratch);
         }
-      }
-    } else {
-      const Relation& im = masters[rule.master_index];
-      for (int64_t row = lo; row < hi; ++row) {
-        GroundMasterRule(rule, im.tuple(static_cast<int>(row - starts[r])),
-                         r, out);
       }
     }
   }
 }
 
-}  // namespace
-
-bool operator==(const GroundPredicate& a, const GroundPredicate& b) {
-  return a.kind == b.kind && a.attr == b.attr && a.i == b.i && a.j == b.j &&
-         a.op == b.op && a.constant == b.constant;
-}
-
-bool operator==(const GroundStep& a, const GroundStep& b) {
-  return a.kind == b.kind && a.attr == b.attr && a.i == b.i && a.j == b.j &&
-         a.te_value == b.te_value && a.rule_id == b.rule_id &&
-         a.residual == b.residual;
-}
-
-bool operator==(const GroundProgram& a, const GroundProgram& b) {
-  return a.num_tuples == b.num_tuples && a.num_attrs == b.num_attrs &&
-         a.rule_names == b.rule_names && a.steps == b.steps;
-}
-
-namespace {
-
-std::vector<std::string> RuleNames(const std::vector<AccuracyRule>& rules) {
-  std::vector<std::string> names;
-  names.reserve(rules.size());
-  for (const AccuracyRule& rule : rules) names.push_back(rule.name);
-  return names;
-}
-
-}  // namespace
-
-GroundProgram Instantiate(const Relation& ie,
-                          const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules) {
-  GroundProgram prog;
-  prog.num_tuples = ie.size();
-  prog.num_attrs = ie.schema().size();
-  prog.rule_names = RuleNames(rules);
-  const std::vector<int64_t> starts = RowStarts(ie.size(), masters, rules);
-  GroundRows(ie, masters, rules, starts, 0, starts.back(), &prog.steps);
-  return prog;
-}
-
-namespace {
-
-/// Shard/merge skeleton shared by the row and columnar sharded paths:
-/// `ground(begin, end, out)` grounds a contiguous global-row range into a
-/// private list; the merge concatenates in shard order, which is the
-/// serial emission order. Returns the merged steps.
+/// Shard/merge skeleton shared by every sharded path: `ground(begin, end,
+/// out)` grounds a contiguous global-row range into a private list; the
+/// merge concatenates in shard order, which is the serial emission
+/// order. Below ~2 rows per shard (or with num_shards <= 1) the fan-out
+/// costs more than the grounding, so the range is grounded serially —
+/// the reference the sharded result must match.
 template <typename GroundRange>
-std::vector<GroundStep> GroundSharded(int64_t rows, int64_t shards,
+std::vector<GroundStep> GroundSharded(int64_t rows, int num_shards,
                                       ThreadPool* pool,
                                       const GroundRange& ground) {
+  const int64_t shards =
+      std::min<int64_t>(std::max(1, num_shards), std::max<int64_t>(1, rows));
+  if (shards <= 1) {
+    std::vector<GroundStep> steps;
+    ground(0, rows, &steps);
+    return steps;
+  }
   std::vector<std::vector<GroundStep>> parts(
       static_cast<std::size_t>(shards));
   const int64_t chunk = (rows + shards - 1) / shards;
@@ -415,28 +382,221 @@ std::vector<GroundStep> GroundSharded(int64_t rows, int64_t shards,
   return steps;
 }
 
+std::vector<std::string> RuleNames(const std::vector<AccuracyRule>& rules) {
+  std::vector<std::string> names;
+  names.reserve(rules.size());
+  for (const AccuracyRule& rule : rules) names.push_back(rule.name);
+  return names;
+}
+
+[[noreturn]] void AbortBlockMismatch(const char* what) {
+  std::fprintf(stderr, "Instantiate: %s\n", what);
+  std::abort();
+}
+
+/// The program shell every overload fills: sizes, rule names and the
+/// shared block (built from this very rule list).
+GroundProgram ProgramOver(int num_tuples, int num_attrs,
+                          const MasterBlock& block,
+                          const std::vector<AccuracyRule>& rules) {
+  if (block.num_rules() != static_cast<int>(rules.size())) {
+    AbortBlockMismatch("the master block was built from another rule list");
+  }
+  GroundProgram prog;
+  prog.num_tuples = num_tuples;
+  prog.num_attrs = num_attrs;
+  prog.rule_names = RuleNames(rules);
+  prog.master = block.shared_from_this();
+  return prog;
+}
+
+uint64_t WatchKey(AttrId attr, TermId v) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(attr)) << 32) | v;
+}
+
+/// A non-owning handle on a caller-owned dictionary (the columnar
+/// overloads' private blocks intern into the relation's dictionary).
+std::shared_ptr<Dictionary> Borrow(Dictionary* dict) {
+  return std::shared_ptr<Dictionary>(std::shared_ptr<Dictionary>(), dict);
+}
+
 }  // namespace
+
+bool operator==(const GroundPredicate& a, const GroundPredicate& b) {
+  return a.kind == b.kind && a.attr == b.attr && a.i == b.i && a.j == b.j &&
+         a.op == b.op && a.constant == b.constant;
+}
+
+bool operator==(const GroundStep& a, const GroundStep& b) {
+  return a.kind == b.kind && a.attr == b.attr && a.i == b.i && a.j == b.j &&
+         a.te_value == b.te_value && a.rule_id == b.rule_id &&
+         a.residual == b.residual;
+}
+
+bool operator==(const GroundProgram& a, const GroundProgram& b) {
+  if (a.num_tuples != b.num_tuples || a.num_attrs != b.num_attrs ||
+      a.rule_names != b.rule_names || a.size() != b.size()) {
+    return false;
+  }
+  std::vector<const GroundStep*> flat;
+  flat.reserve(a.size());
+  a.ForEachStep([&](const GroundStep& step) { flat.push_back(&step); });
+  std::size_t s = 0;
+  bool equal = true;
+  b.ForEachStep([&](const GroundStep& step) {
+    equal = equal && *flat[s++] == step;
+  });
+  return equal;
+}
+
+std::size_t GroundProgram::size() const {
+  return steps.size() + (master != nullptr ? master->steps().size() : 0);
+}
+
+GroundProgram GroundProgram::Materialize() const {
+  GroundProgram flat;
+  flat.num_tuples = num_tuples;
+  flat.num_attrs = num_attrs;
+  flat.rule_names = rule_names;
+  flat.steps.reserve(size());
+  ForEachStep([&](const GroundStep& step) { flat.steps.push_back(step); });
+  return flat;
+}
+
+// ------------------------------------------------------------ MasterBlock
+
+MasterBlock::MasterBlock(std::shared_ptr<Dictionary> dict)
+    : dict_(std::move(dict)) {}
+
+std::shared_ptr<const MasterBlock> MasterBlock::Build(
+    const std::vector<Relation>& masters,
+    const std::vector<AccuracyRule>& rules, std::shared_ptr<Dictionary> dict,
+    int num_shards, ThreadPool* pool) {
+  std::shared_ptr<MasterBlock> block(new MasterBlock(std::move(dict)));
+  const std::vector<int64_t> starts = RowStarts(0, &masters, rules);
+  block->steps_ = GroundSharded(
+      starts.back(), num_shards, pool,
+      [&](int64_t begin, int64_t end, std::vector<GroundStep>* out) {
+        GroundMasterRows(masters, rules, starts, begin, end, out);
+      });
+
+  const std::vector<GroundStep>& steps = block->steps_;
+  block->rule_begin_.assign(rules.size() + 1, 0);
+  for (const GroundStep& step : steps) ++block->rule_begin_[step.rule_id + 1];
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    block->rule_begin_[r + 1] += block->rule_begin_[r];
+  }
+  // Serial interning in step order: term ids are a function of the
+  // inputs alone, whatever the shard count.
+  Dictionary& d = *block->dict_;
+  struct Keyed {
+    uint64_t key;
+    Watch watch;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(steps.size());
+  block->step_te_.reserve(steps.size());
+  block->residual_size_.reserve(steps.size());
+  for (int32_t b = 0; b < static_cast<int32_t>(steps.size()); ++b) {
+    const GroundStep& step = steps[b];
+    block->step_te_.push_back(d.Intern(step.te_value));
+    block->residual_size_.push_back(static_cast<int32_t>(step.residual.size()));
+    for (const GroundPredicate& g : step.residual) {
+      // GroundMasterRule emits only `te[A] = c` residuals (c non-null).
+      keyed.push_back({WatchKey(g.attr, d.Intern(g.constant)),
+                       Watch{b, step.rule_id}});
+    }
+  }
+  // Group by key (a counting sort over first-seen key slots), keeping
+  // block-step order within a key.
+  std::vector<uint32_t> slot(keyed.size());
+  block->watch_slot_.reserve(keyed.size());
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    slot[i] = block->watch_slot_
+                  .try_emplace(keyed[i].key,
+                               static_cast<uint32_t>(block->watch_slot_.size()))
+                  .first->second;
+  }
+  block->watch_begin_.assign(block->watch_slot_.size() + 1, 0);
+  for (const uint32_t k : slot) ++block->watch_begin_[k + 1];
+  for (std::size_t k = 1; k < block->watch_begin_.size(); ++k) {
+    block->watch_begin_[k] += block->watch_begin_[k - 1];
+  }
+  std::vector<uint32_t> next(block->watch_begin_.begin(),
+                             block->watch_begin_.end() - 1);
+  block->watches_.resize(keyed.size());
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    block->watches_[next[slot[i]]++] = keyed[i].watch;
+  }
+  return block;
+}
+
+std::span<const MasterBlock::Watch> MasterBlock::Watchers(AttrId attr,
+                                                          TermId v) const {
+  const auto it = watch_slot_.find(WatchKey(attr, v));
+  if (it == watch_slot_.end()) return {};
+  const uint32_t k = it->second;
+  return {watches_.data() + watch_begin_[k],
+          watch_begin_[k + 1] - watch_begin_[k]};
+}
+
+// ------------------------------------------------------------ Instantiate
+
+GroundProgram Instantiate(const Relation& ie, const MasterBlock& block,
+                          const std::vector<AccuracyRule>& rules) {
+  return Instantiate(ie, block, rules, 1);
+}
+
+GroundProgram Instantiate(const Relation& ie, const MasterBlock& block,
+                          const std::vector<AccuracyRule>& rules,
+                          int num_shards, ThreadPool* pool) {
+  GroundProgram prog = ProgramOver(ie.size(), ie.schema().size(), block, rules);
+  const std::vector<int64_t> starts = RowStarts(ie.size(), nullptr, rules);
+  prog.steps = GroundSharded(
+      starts.back(), num_shards, pool,
+      [&](int64_t begin, int64_t end, std::vector<GroundStep>* out) {
+        GroundRows(ie, rules, starts, begin, end, out);
+      });
+  return prog;
+}
+
+GroundProgram Instantiate(const Relation& ie,
+                          const std::vector<Relation>& masters,
+                          const std::vector<AccuracyRule>& rules) {
+  return Instantiate(ie, masters, rules, 1);
+}
 
 GroundProgram Instantiate(const Relation& ie,
                           const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules,
                           int num_shards, ThreadPool* pool) {
-  const std::vector<int64_t> starts = RowStarts(ie.size(), masters, rules);
-  const int64_t rows = starts.back();
-  // Below ~2 rows per shard the fan-out costs more than the grounding;
-  // the serial path is also the reference the sharded one must match.
-  const int64_t shards =
-      std::min<int64_t>(std::max(1, num_shards), std::max<int64_t>(1, rows));
-  if (shards <= 1) return Instantiate(ie, masters, rules);
+  const std::shared_ptr<const MasterBlock> block = MasterBlock::Build(
+      masters, rules, std::make_shared<Dictionary>(), num_shards, pool);
+  return Instantiate(ie, *block, rules, num_shards, pool);
+}
 
-  GroundProgram prog;
-  prog.num_tuples = ie.size();
-  prog.num_attrs = ie.schema().size();
-  prog.rule_names = RuleNames(rules);
+GroundProgram Instantiate(const ColumnarRelation& ie, const MasterBlock& block,
+                          const std::vector<AccuracyRule>& rules) {
+  return Instantiate(ie, block, rules, 1);
+}
+
+GroundProgram Instantiate(const ColumnarRelation& ie, const MasterBlock& block,
+                          const std::vector<AccuracyRule>& rules,
+                          int num_shards, ThreadPool* pool) {
+  if (block.dict() != ie.mutable_dict()) {
+    AbortBlockMismatch(
+        "the master block interns into another dictionary than the entity");
+  }
+  GroundProgram prog = ProgramOver(ie.size(), ie.schema().size(), block, rules);
+  // Constants are interned before the fan-out; shard workers only read
+  // the dictionary (lock-free shelf loads) on order comparisons.
+  const std::vector<std::vector<TermId>> const_ids =
+      InternRuleConstants(rules, ie.mutable_dict());
+  const std::vector<int64_t> starts = RowStarts(ie.size(), nullptr, rules);
   prog.steps = GroundSharded(
-      rows, shards, pool,
+      starts.back(), num_shards, pool,
       [&](int64_t begin, int64_t end, std::vector<GroundStep>* out) {
-        GroundRows(ie, masters, rules, starts, begin, end, out);
+        GroundRowsColumnar(ie, rules, const_ids, starts, begin, end, out);
       });
   return prog;
 }
@@ -444,43 +604,16 @@ GroundProgram Instantiate(const Relation& ie,
 GroundProgram Instantiate(const ColumnarRelation& ie,
                           const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules) {
-  GroundProgram prog;
-  prog.num_tuples = ie.size();
-  prog.num_attrs = ie.schema().size();
-  prog.rule_names = RuleNames(rules);
-  const std::vector<std::vector<TermId>> const_ids =
-      InternRuleConstants(rules, ie.mutable_dict());
-  const std::vector<int64_t> starts = RowStarts(ie.size(), masters, rules);
-  GroundRowsColumnar(ie, masters, rules, const_ids, starts, 0, starts.back(),
-                     &prog.steps);
-  return prog;
+  return Instantiate(ie, masters, rules, 1);
 }
 
 GroundProgram Instantiate(const ColumnarRelation& ie,
                           const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules,
                           int num_shards, ThreadPool* pool) {
-  const std::vector<int64_t> starts = RowStarts(ie.size(), masters, rules);
-  const int64_t rows = starts.back();
-  const int64_t shards =
-      std::min<int64_t>(std::max(1, num_shards), std::max<int64_t>(1, rows));
-  if (shards <= 1) return Instantiate(ie, masters, rules);
-
-  GroundProgram prog;
-  prog.num_tuples = ie.size();
-  prog.num_attrs = ie.schema().size();
-  prog.rule_names = RuleNames(rules);
-  // Constants are interned before the fan-out; shard workers only read
-  // the dictionary (lock-free shelf loads) on order comparisons.
-  const std::vector<std::vector<TermId>> const_ids =
-      InternRuleConstants(rules, ie.mutable_dict());
-  prog.steps = GroundSharded(
-      rows, shards, pool,
-      [&](int64_t begin, int64_t end, std::vector<GroundStep>* out) {
-        GroundRowsColumnar(ie, masters, rules, const_ids, starts, begin, end,
-                           out);
-      });
-  return prog;
+  const std::shared_ptr<const MasterBlock> block = MasterBlock::Build(
+      masters, rules, Borrow(ie.mutable_dict()), num_shards, pool);
+  return Instantiate(ie, *block, rules, num_shards, pool);
 }
 
 }  // namespace relacc

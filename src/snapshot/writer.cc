@@ -93,11 +93,14 @@ void EncodeRules(const std::vector<AccuracyRule>& rules, ByteSink* out) {
 /// references): decoding then never depends on dictionary state, and
 /// the loaded program is GroundProgram::operator==-identical to the
 /// one Instantiate produced — the identity tests diff them directly.
+/// Steps are written in virtual-id order, master block included, so the
+/// loaded program is the flat one (no block) and the checkpoint's
+/// per-step arrays line up with it.
 void EncodeProgram(const GroundProgram& program, ByteSink* out) {
   out->U32(static_cast<uint32_t>(program.num_tuples));
   out->U32(static_cast<uint32_t>(program.num_attrs));
-  out->U64(program.steps.size());
-  for (const GroundStep& step : program.steps) {
+  out->U64(program.size());
+  program.ForEachStep([&](const GroundStep& step) {
     out->U8(static_cast<uint8_t>(step.kind));
     out->I32(step.attr);
     out->I32(step.i);
@@ -113,7 +116,7 @@ void EncodeProgram(const GroundProgram& program, ByteSink* out) {
       out->U8(static_cast<uint8_t>(p.op));
       out->Val(p.constant);
     }
-  }
+  });
   out->U32(static_cast<uint32_t>(program.rule_names.size()));
   for (const std::string& name : program.rule_names) out->Str(name);
 }
@@ -155,7 +158,7 @@ void EncodeMeta(const SnapshotContents& c, ByteSink* out) {
   out->U64(static_cast<uint64_t>(c.entity->size()));
   out->U32(static_cast<uint32_t>(c.masters.size()));
   out->U64(c.dict->size());
-  out->U64(c.program->steps.size());
+  out->U64(c.program->size());
   out->U8(c.checkpoint->ok ? 1 : 0);
 }
 

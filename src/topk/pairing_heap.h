@@ -14,7 +14,6 @@ namespace relacc {
 /// operation counts, for which a pairing heap delivers the same amortized
 /// complexity with far smaller constants; the structure is swappable (see
 /// bench/ablation_queue, which compares against std::priority_queue).
-/// Documented as a substitution in DESIGN.md §5.
 ///
 /// Compare(a, b) returns true when `a` has *lower* priority than `b`
 /// (std::less semantics → max-heap), matching std::priority_queue.

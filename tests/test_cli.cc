@@ -2,6 +2,7 @@
 #include <sstream>
 #include <string>
 #include <vector>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -69,7 +70,13 @@ class CliTest : public ::testing::Test {
     doc.spec = MjSpecification();
     doc.entity_name = "stat";
     doc.master_names = {"nba"};
-    path_ = ::testing::TempDir() + "/relacc_cli_spec.json";
+    // gtest_discover_tests runs every test as its own process, and ctest
+    // -j runs them concurrently: a shared path would let one test's
+    // TearDown delete another's input.
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "/relacc_cli_spec_" + test->name() + "_" +
+            std::to_string(getpid()) + ".json";
     ASSERT_TRUE(WriteFile(path_, SpecToJson(doc).Dump(2)).ok());
   }
 

@@ -1,6 +1,7 @@
 #include <sstream>
 #include <string>
 #include <vector>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -108,7 +109,13 @@ TEST_F(ConsoleUserTest, UnknownVerbReprompts) {
 class InteractiveCliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/relacc_interactive_spec.json";
+    // gtest_discover_tests runs every test as its own process, and ctest
+    // -j runs them concurrently: a shared path would let one test's
+    // TearDown delete another's input.
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "/relacc_interactive_spec_" +
+            test->name() + "_" + std::to_string(getpid()) + ".json";
     ASSERT_TRUE(
         WriteFile(path_, SpecToJson(IncompleteMjDocument()).Dump(2)).ok());
   }

@@ -77,7 +77,7 @@ TEST(Grounding, Example8SingleChaseSteps) {
   const AttrId jnum = stat.schema().MustIndexOf("J#");
 
   bool found_a = false, found_b = false, found_c = false;
-  for (const GroundStep& s : prog.steps) {
+  for (const GroundStep& s : prog.Materialize().steps) {
     if (s.kind == GroundStep::Kind::kAddOrder && s.attr == rnds && s.i == 0 &&
         s.j == 1 && s.residual.empty()) {
       found_a = true;
@@ -143,7 +143,7 @@ TEST(Grounding, MasterRuleSkipsNonMatchingTuples) {
   const auto rules = MjRules(stat.schema(), nba.schema());
   const GroundProgram prog = Instantiate(stat, {nba}, rules);
   int master_steps = 0;
-  for (const GroundStep& s : prog.steps) {
+  for (const GroundStep& s : prog.Materialize().steps) {
     if (s.kind == GroundStep::Kind::kSetTe) {
       ++master_steps;
       EXPECT_NE(s.te_value, Value::Str("Washington Wizards"));

@@ -20,6 +20,7 @@
 #include "api/accuracy_service.h"
 #include "core/dictionary.h"
 #include "datagen/profile_generator.h"
+#include "framework/framework.h"
 #include "snapshot/format.h"
 #include "snapshot/memo_cache.h"
 #include "snapshot/reader.h"
@@ -273,6 +274,79 @@ TEST(SnapshotServiceTest, WarmServiceReproducesColdOutcomes) {
   Result<ChaseOutcome> warm_adhoc = warm->DeduceEntity(other);
   ASSERT_TRUE(cold_adhoc.ok() && warm_adhoc.ok());
   EXPECT_EQ(Serialize(cold_adhoc.value()), Serialize(warm_adhoc.value()));
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotServiceTest, WarmAndColdAgreeOnPerEntityPaths) {
+  // Per-entity work grounds only the entity's pair rules and shares the
+  // service's master block, built on first use: a warm service builds it
+  // from the mapped masters, a cold one from the spec's rows. Ad-hoc
+  // deduction, interactive sessions and pipelines must answer
+  // byte-identically either way.
+  const EntityDataset ds = SmallMed(/*seed=*/1, /*entities=*/40);
+  const std::string path = WriteArtifact(ds, ds.SpecFor(0).ie, "per_entity");
+  std::unique_ptr<AccuracyService> cold = ColdService(ds, ds.SpecFor(0).ie);
+  std::unique_ptr<AccuracyService> warm = WarmService(path);
+
+  const auto describe = [](const FrameworkResult& r) {
+    std::ostringstream os;
+    os << r.church_rosser << '|' << r.found_complete_target << '|'
+       << r.target.ToString() << '|' << r.interaction_rounds << '|'
+       << r.automatic_attrs;
+    for (std::size_t i = 0; i < r.last_topk.targets.size(); ++i) {
+      os << '|' << r.last_topk.targets[i].ToString() << '@'
+         << r.last_topk.scores[i];
+    }
+    return os.str();
+  };
+  int interactions = 0;
+  for (std::size_t i = 0; i < ds.entities.size(); ++i) {
+    const Relation& entity = ds.entities[i];
+    Result<ChaseOutcome> c = cold->DeduceEntity(entity);
+    Result<ChaseOutcome> w = warm->DeduceEntity(entity);
+    ASSERT_TRUE(c.ok() && w.ok());
+    EXPECT_EQ(Serialize(c.value()), Serialize(w.value())) << "entity " << i;
+    if (!c.value().church_rosser || c.value().target.IsComplete() ||
+        interactions >= 6) {
+      continue;
+    }
+    ++interactions;
+    std::string results[2];
+    AccuracyService* services[2] = {cold.get(), warm.get()};
+    for (int s = 0; s < 2; ++s) {
+      InteractionOptions options;
+      options.k = 3;
+      Result<std::unique_ptr<InteractionSession>> session =
+          services[s]->StartInteraction(entity, options);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      SimulatedUser user(ds.truths[i]);
+      results[s] = describe(DriveInteraction(*session.value(), &user, 8));
+    }
+    EXPECT_EQ(results[0], results[1]) << "entity " << i;
+  }
+  EXPECT_GT(interactions, 0) << "fixture drift: every entity is complete";
+
+  std::vector<std::string> reports[2];
+  AccuracyService* services[2] = {cold.get(), warm.get()};
+  for (int s = 0; s < 2; ++s) {
+    PipelineSessionOptions options;
+    options.window = 8;
+    Result<std::unique_ptr<PipelineSession>> session =
+        services[s]->StartPipeline(options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE(session.value()->Submit(ds.entities).ok());
+    Result<PipelineReport> report = session.value()->Finish();
+    ASSERT_TRUE(report.ok());
+    for (const EntityReport& e : report.value().entities) {
+      std::ostringstream os;
+      os << e.entity_id << '|' << e.church_rosser << '|' << e.complete << '|'
+         << e.used_candidate << '|' << e.deduced_attrs << '|'
+         << e.target.ToString() << '|' << e.violation;
+      reports[s].push_back(os.str());
+    }
+  }
+  EXPECT_EQ(reports[0].size(), ds.entities.size());
+  EXPECT_EQ(reports[0], reports[1]);
   std::filesystem::remove(path);
 }
 
