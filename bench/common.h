@@ -9,14 +9,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/version.h"
 #include "chase/chase_engine.h"
+#include "core/dictionary.h"
 #include "datagen/dataset.h"
 #include "datagen/profile_generator.h"
 #include "io/spec_io.h"
+#include "rules/grounding.h"
 #include "topk/rank_join_ct.h"
 #include "topk/topk_ct.h"
 #include "truth/metrics.h"
@@ -112,14 +116,37 @@ struct EntityOutcome {
   Tuple target;
 };
 
-/// Chases entity `i` of `ds` under `filter` over `masters` (usually
-/// ds.masters; substitute a truncated copy for the ‖Im‖ sweeps).
+/// A rule list grounded once against one master set: the master block
+/// every entity's program over (`masters`, `rules`) shares, so a sweep
+/// over many entities pays the form-(2) grounding once, as a service does.
+struct SharedRules {
+  SharedRules(const std::vector<Relation>& masters,
+              std::vector<AccuracyRule> rule_list)
+      : masters(&masters),
+        rules(std::move(rule_list)),
+        block(MasterBlock::Build(masters, rules,
+                                 std::make_shared<Dictionary>())) {}
+  /// `ds`'s rules under `filter` over `masters` (usually ds.masters;
+  /// substitute a truncated copy for the ‖Im‖ sweeps).
+  SharedRules(const EntityDataset& ds, const std::vector<Relation>& masters,
+              RuleFormFilter filter)
+      : SharedRules(masters, ds.FilteredRules(filter)) {}
+
+  /// Instantiation of `ie` over the shared block.
+  GroundProgram Ground(const Relation& ie) const {
+    return Instantiate(ie, *block, rules);
+  }
+
+  const std::vector<Relation>* masters;
+  std::vector<AccuracyRule> rules;
+  std::shared_ptr<const MasterBlock> block;
+};
+
+/// Chases entity `i` of `ds` under `shared`'s rules and masters.
 inline EntityOutcome ChaseEntity(const EntityDataset& ds, int i,
-                                 const std::vector<Relation>& masters,
-                                 RuleFormFilter filter) {
+                                 const SharedRules& shared) {
   EntityOutcome out;
-  const std::vector<AccuracyRule> rules = ds.FilteredRules(filter);
-  const GroundProgram prog = Instantiate(ds.entities[i], masters, rules);
+  const GroundProgram prog = shared.Ground(ds.entities[i]);
   ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
   const ChaseOutcome res = engine.RunFromInitial();
   out.church_rosser = res.church_rosser;
@@ -165,10 +192,9 @@ inline TopKResult RunTopK(TopKAlgo algo, const ChaseEngine& engine,
 /// target counts as rank 1 when it equals the truth. Running once at max_k
 /// yields the whole Fig. 6(b)/(f) k-sweep.
 inline int TruthRank(TopKAlgo algo, const EntityDataset& ds, int i,
-                     const std::vector<Relation>& masters,
-                     RuleFormFilter filter, int max_k) {
-  const std::vector<AccuracyRule> rules = ds.FilteredRules(filter);
-  const GroundProgram prog = Instantiate(ds.entities[i], masters, rules);
+                     const SharedRules& shared, int max_k) {
+  const std::vector<Relation>& masters = *shared.masters;
+  const GroundProgram prog = shared.Ground(ds.entities[i]);
   ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
   // Checkpoint-backed: RunTopK's candidate checks resume from this run.
   const ChaseOutcome res = engine.RunFromCheckpoint();

@@ -16,6 +16,7 @@ int main() {
   const EntityDataset ds = GenerateProfile(CfpConfig());
   const int n = static_cast<int>(ds.entities.size());
 
+  const SharedRules shared(ds.masters, ds.rules);
   int vote_hits = 0, deduce_hits = 0, topk_hits = 0;
   double deduce_attrs = 0.0, iscr_attrs = 0.0;
   for (int i = 0; i < n; ++i) {
@@ -30,8 +31,7 @@ int main() {
     deduce_attrs += CompareTarget(deduced, truth).attrs_correct;
 
     // TopKCT with k=1 on the full AR set.
-    const GroundProgram prog =
-        Instantiate(ds.entities[i], ds.masters, ds.rules);
+    const GroundProgram prog = shared.Ground(ds.entities[i]);
     ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
     const ChaseOutcome out = engine.RunFromInitial();
     if (!out.church_rosser) continue;

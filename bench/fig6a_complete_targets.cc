@@ -9,10 +9,10 @@ using namespace relacc::bench;
 namespace {
 
 void RunDataset(const EntityDataset& ds) {
+  const SharedRules shared(ds, ds.masters, RuleFormFilter::kBoth);
   int cr = 0, complete = 0, complete_correct = 0;
   for (std::size_t i = 0; i < ds.entities.size(); ++i) {
-    const EntityOutcome out = ChaseEntity(ds, static_cast<int>(i), ds.masters,
-                                          RuleFormFilter::kBoth);
+    const EntityOutcome out = ChaseEntity(ds, static_cast<int>(i), shared);
     cr += out.church_rosser;
     complete += out.complete;
     complete_correct += out.complete_correct;

@@ -11,10 +11,10 @@ using namespace relacc::bench;
 namespace {
 
 double AvgDeduced(const EntityDataset& ds, RuleFormFilter filter) {
+  const SharedRules shared(ds, ds.masters, filter);
   double sum = 0.0;
   for (std::size_t i = 0; i < ds.entities.size(); ++i) {
-    sum += ChaseEntity(ds, static_cast<int>(i), ds.masters, filter)
-               .quality.attrs_deduced;
+    sum += ChaseEntity(ds, static_cast<int>(i), shared).quality.attrs_deduced;
   }
   return sum / static_cast<double>(ds.entities.size());
 }

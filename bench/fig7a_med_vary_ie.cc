@@ -27,16 +27,14 @@ int main() {
     c.max_tuples = b.hi;
     c.mean_extra_tuples = (b.hi - b.lo) / 2.0;
     const EntityDataset ds = GenerateProfile(c);
+    const SharedRules shared(ds, ds.masters, RuleFormFilter::kBoth);
     const TopKAlgo algos[3] = {TopKAlgo::kRankJoinCT, TopKAlgo::kTopKCT,
                                TopKAlgo::kTopKCTh};
     for (int a = 0; a < 3; ++a) {
       double total = 0.0;
       int counted = 0;
       for (std::size_t i = 0; i < ds.entities.size(); ++i) {
-        const std::vector<AccuracyRule> rules =
-            ds.FilteredRules(RuleFormFilter::kBoth);
-        const GroundProgram prog =
-            Instantiate(ds.entities[i], ds.masters, rules);
+        const GroundProgram prog = shared.Ground(ds.entities[i]);
         ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
         const ChaseOutcome out = engine.RunFromInitial();
         if (!out.church_rosser || out.target.IsComplete()) continue;

@@ -17,16 +17,14 @@ int main() {
   std::vector<double> times[3];
   for (int size : sizes) {
     const std::vector<Relation> masters = ds.TruncatedMasters(size);
+    const SharedRules shared(ds, masters, RuleFormFilter::kBoth);
     const TopKAlgo algos[3] = {TopKAlgo::kRankJoinCT, TopKAlgo::kTopKCT,
                                TopKAlgo::kTopKCTh};
     for (int a = 0; a < 3; ++a) {
       double total = 0.0;
       int counted = 0;
       for (int i = 0; i < sample; ++i) {
-        const std::vector<AccuracyRule> rules =
-            ds.FilteredRules(RuleFormFilter::kBoth);
-        const GroundProgram prog =
-            Instantiate(ds.entities[i], masters, rules);
+        const GroundProgram prog = shared.Ground(ds.entities[i]);
         ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
         const ChaseOutcome out = engine.RunFromInitial();
         if (!out.church_rosser || out.target.IsComplete()) continue;

@@ -16,11 +16,10 @@
 //    at-a-time schedule at the same budget, identical reports enforced;
 //    the parallel row carries speedup_vs_serial for the CI gate.
 //
-// 4. ground_scaling: sharded Instantiate at several |Ie| points and
-//    shard counts — step-for-step program identity enforced, timing
+// 4. ground_scaling: Instantiate at several |Ie| points, timing
 //    recorded.
 //
-// Exits nonzero only on a report/program mismatch or a window-bound
+// Exits nonzero only on a report mismatch or a window-bound
 // violation, so perf noise cannot break CI. Emits
 // BENCH_pipeline_scaling.json.
 //
@@ -36,7 +35,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -144,21 +142,15 @@ struct Scenario {
   bool completion_ab = false;
 };
 
-/// Sharded-grounding rows: Instantiate one med-shaped entity of exactly
-/// `n` tuples at several shard counts. The sharded program must equal
-/// the serial one step for step (determinism is the gate; the timing
-/// rows record the speedup trajectory). Returns false on a mismatch.
-bool RunGroundScaling(JsonReport* json) {
+/// Grounding rows: Instantiate one med-shaped entity of exactly `n`
+/// tuples (a private master block included, as a CLI one-shot pays it)
+/// and record the time per ground — the large-entity baseline.
+void RunGroundScaling(JsonReport* json) {
   const bool small = SmallScale();
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  bool identical = true;
   const std::vector<int> sizes = small ? std::vector<int>{16, 32}
                                        : std::vector<int>{32, 64, 96};
-  std::printf("== ground_scaling (Instantiate, shards {1,4,hw=%d}) ==\n",
-              hw);
-  std::printf("%6s %8s %6s %12s %12s %10s\n", "n", "shards", "reps",
-              "steps", "ms/ground", "speedup");
+  std::printf("== ground_scaling (Instantiate) ==\n");
+  std::printf("%6s %6s %12s %12s\n", "n", "reps", "steps", "ms/ground");
   for (const int n : sizes) {
     ProfileConfig config = MedConfig(/*seed=*/41);
     config.num_entities = 1;
@@ -168,38 +160,21 @@ bool RunGroundScaling(JsonReport* json) {
     const EntityDataset ds = GenerateProfile(config);
     const Relation& ie = ds.entities[0];
     const int reps = small ? 3 : (n >= 96 ? 5 : 10);
-    const GroundProgram reference = Instantiate(ie, ds.masters, ds.rules);
-    double serial_ms = 0.0;
-    std::vector<int> shard_counts = {1, 4, hw};
-    shard_counts.erase(std::unique(shard_counts.begin(), shard_counts.end()),
-                       shard_counts.end());
-    if (hw == 1) shard_counts = {1, 4};  // hw duplicates the serial row
-    for (const int shards : shard_counts) {
-      GroundProgram program;
-      const double ms = TimeMs([&] {
-        for (int r = 0; r < reps; ++r) {
-          program = shards <= 1
-                        ? Instantiate(ie, ds.masters, ds.rules)
-                        : Instantiate(ie, ds.masters, ds.rules, shards);
-        }
-      });
-      const double ms_per = ms / reps;
-      if (shards <= 1) serial_ms = ms_per;
-      if (!(program == reference)) identical = false;
-      const double speedup = ms_per > 0.0 ? serial_ms / ms_per : 0.0;
-      std::printf("%6d %8d %6d %12zu %12.3f %9.2fx\n", n, shards, reps,
-                  program.size(), ms_per, speedup);
-      JsonReport::Row row;
-      row.Set("scenario", "ground_scaling")
-          .Set("n", n)
-          .Set("shards", shards)
-          .Set("steps", static_cast<int64_t>(program.size()))
-          .Set("ms_per_ground", ms_per)
-          .Set("speedup_vs_serial", speedup);
-      json->Add(std::move(row));
-    }
+    GroundProgram program;
+    const double ms = TimeMs([&] {
+      for (int r = 0; r < reps; ++r) {
+        program = Instantiate(ie, ds.masters, ds.rules);
+      }
+    });
+    const double ms_per = ms / reps;
+    std::printf("%6d %6d %12zu %12.3f\n", n, reps, program.size(), ms_per);
+    JsonReport::Row row;
+    row.Set("scenario", "ground_scaling")
+        .Set("n", n)
+        .Set("steps", static_cast<int64_t>(program.size()))
+        .Set("ms_per_ground", ms_per);
+    json->Add(std::move(row));
   }
-  return identical;
 }
 
 /// The CI peak-memory lane: stream `total` entities (one `chunk`-sized
@@ -465,8 +440,7 @@ int Run() {
     }
   }
 
-  const bool ground_identical = RunGroundScaling(&json);
-  if (!ground_identical) all_identical = false;
+  RunGroundScaling(&json);
 
   json.Write();
   std::printf("reports identical across modes, budgets and windows: %s\n",

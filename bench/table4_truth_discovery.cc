@@ -49,6 +49,10 @@ int main() {
   std::vector<Value> deduce(config.num_restaurants, Value::Null());
   std::vector<Value> topk_vote(config.num_restaurants, Value::Null());
   std::vector<Value> topk_cef(config.num_restaurants, Value::Null());
+  // Rest has no master data: every restaurant's program shares one empty
+  // master block.
+  const std::vector<Relation> no_masters;
+  const SharedRules shared(no_masters, ds.rules);
   for (int o = 0; o < config.num_restaurants; ++o) {
     const EntityInstance inst = ds.InstanceFor(o);
     if (inst.empty()) continue;
@@ -58,7 +62,7 @@ int main() {
     spec.config = ds.chase_config;
     deduce[o] = RunDeduceOrder(spec).at(closed);
 
-    const GroundProgram prog = Instantiate(inst, spec.masters, spec.rules);
+    const GroundProgram prog = shared.Ground(inst);
     ChaseEngine engine(inst, &prog, spec.config);
     const ChaseOutcome out = engine.RunFromInitial();
     if (!out.church_rosser) continue;

@@ -29,10 +29,10 @@ inline void RunKSweep(const EntityDataset& ds, int sample) {
   for (int k : ks) std::printf("  k=%-4d", k);
   std::printf("\n");
   for (const Series& s : series) {
+    const SharedRules shared(ds, ds.masters, s.filter);
     std::vector<int> hits(ks.size(), 0);
     for (int i = 0; i < n; ++i) {
-      const int rank = TruthRank(s.algo, ds, i, ds.masters, s.filter,
-                                 ks.back());
+      const int rank = TruthRank(s.algo, ds, i, shared, ks.back());
       if (rank == 0) continue;
       for (std::size_t j = 0; j < ks.size(); ++j) {
         if (rank <= ks[j]) ++hits[j];
@@ -55,10 +55,10 @@ inline void RunImSweep(const EntityDataset& ds, const std::vector<int>& sizes,
     std::printf("%-10s", AlgoName(algo));
     for (int size : sizes) {
       const std::vector<Relation> masters = ds.TruncatedMasters(size);
+      const SharedRules shared(ds, masters, RuleFormFilter::kBoth);
       int hits = 0;
       for (int i = 0; i < n; ++i) {
-        const int rank =
-            TruthRank(algo, ds, i, masters, RuleFormFilter::kBoth, k);
+        const int rank = TruthRank(algo, ds, i, shared, k);
         if (rank > 0 && rank <= k) ++hits;
       }
       std::printf("  |Im|=%-5d %s", size,

@@ -160,12 +160,6 @@ Result<std::unique_ptr<AccuracyService>> AccuracyService::Create(
         "ServiceOptions::window must be >= 1, got " +
         std::to_string(options.window));
   }
-  if (options.ground_shards < 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions::ground_shards must be >= 0 (0 = thread budget), "
-        "got " +
-        std::to_string(options.ground_shards));
-  }
   if (options.validate_spec) {
     // Static analysis at the door (analysis/analyzer.h): reject on
     // error-severity findings; warnings are lint's business.
@@ -352,11 +346,6 @@ uint64_t AccuracyService::OwnEntityFingerprint() {
 
 Status AccuracyService::EnsureDefaultEngine() {
   if (engine_ != nullptr) return Status::OK();
-  // Sharded bring-up (the large-|Ie| startup path): grounding and the
-  // engine's index build both fan out over the budget pool; the chase to
-  // the checkpoint itself stays sequential (and lazy).
-  const int shards = GroundShardCount();
-  ThreadPool* pool = shards > 1 ? &ChasePool() : nullptr;
   if (reader_ != nullptr) {
     // Snapshot path: the program and the chased checkpoint come from the
     // artifact — no grounding, no chase. The engine is still only built
@@ -366,8 +355,8 @@ Status AccuracyService::EnsureDefaultEngine() {
     if (!program_res.ok()) return program_res.status();
     program_ =
         std::make_unique<GroundProgram>(std::move(program_res).value());
-    engine_ = std::make_unique<ChaseEngine>(*cie_, program_.get(),
-                                            spec_.config, pool);
+    engine_ =
+        std::make_unique<ChaseEngine>(*cie_, program_.get(), spec_.config);
     Status imported = engine_->ImportCheckpoint(*checkpoint_image_);
     if (!imported.ok()) {
       engine_.reset();
@@ -382,14 +371,14 @@ Status AccuracyService::EnsureDefaultEngine() {
     cie_ = std::make_unique<ColumnarRelation>(
         ColumnarRelation::FromRelation(spec_.ie, dict_.get()));
     program_ = std::make_unique<GroundProgram>(
-        Instantiate(*cie_, block, spec_.rules, shards, pool));
-    engine_ = std::make_unique<ChaseEngine>(*cie_, program_.get(),
-                                            spec_.config, pool);
+        Instantiate(*cie_, block, spec_.rules));
+    engine_ =
+        std::make_unique<ChaseEngine>(*cie_, program_.get(), spec_.config);
   } else {
     program_ = std::make_unique<GroundProgram>(
-        Instantiate(spec_.ie, block, spec_.rules, shards, pool));
+        Instantiate(spec_.ie, block, spec_.rules));
     engine_ = std::make_unique<ChaseEngine>(spec_.ie, program_.get(),
-                                            spec_.config, pool, dict_.get());
+                                            spec_.config, dict_.get());
   }
   engine_token_ = NewBindingToken();
   return Status::OK();
@@ -397,12 +386,18 @@ Status AccuracyService::EnsureDefaultEngine() {
 
 const MasterBlock& AccuracyService::EnsureMasterBlock() {
   if (master_block_ == nullptr) {
-    const int shards = GroundShardCount();
-    master_block_ =
-        MasterBlock::Build(spec_.masters, spec_.rules, dict_, shards,
-                           shards > 1 ? &ChasePool() : nullptr);
+    master_block_ = MasterBlock::Build(spec_.masters, spec_.rules, dict_);
   }
   return *master_block_;
+}
+
+Status AccuracyService::CheckEntityArity(const std::string& what,
+                                         const Schema& schema) const {
+  const AttrId arity = spec_.ie.schema().size();
+  if (schema.size() == arity) return Status::OK();
+  return Status::InvalidArgument(
+      what + " has schema arity " + std::to_string(schema.size()) +
+      ", the service schema has " + std::to_string(arity));
 }
 
 ThreadPool& AccuracyService::ChasePool() {
@@ -457,6 +452,8 @@ Result<ChaseOutcome> AccuracyService::DeduceEntity() {
 }
 
 Result<ChaseOutcome> AccuracyService::DeduceEntity(const Relation& entity) {
+  RELACC_RETURN_NOT_OK(CheckEntityArity("AccuracyService::DeduceEntity: entity",
+                                        entity.schema()));
   RELACC_RETURN_NOT_OK(EnsureMasters());
   const bool memoize =
       memo_ != nullptr && memo_->enabled() && !spec_.config.keep_orders;
@@ -469,20 +466,16 @@ Result<ChaseOutcome> AccuracyService::DeduceEntity(const Relation& entity) {
     if (auto hit = memo_->Lookup(key)) return hit->outcome;
   }
   const MasterBlock& block = EnsureMasterBlock();
-  const int shards = GroundShardCount();
-  ThreadPool* pool = shards > 1 ? &ChasePool() : nullptr;
   ChaseOutcome outcome;
   if (options_.columnar_storage) {
     const ColumnarRelation cie =
         ColumnarRelation::FromRelation(entity, dict_.get());
-    const GroundProgram program =
-        Instantiate(cie, block, spec_.rules, shards, pool);
-    ChaseEngine engine(cie, &program, spec_.config, pool);
+    const GroundProgram program = Instantiate(cie, block, spec_.rules);
+    ChaseEngine engine(cie, &program, spec_.config);
     outcome = engine.RunFromInitial();
   } else {
-    const GroundProgram program =
-        Instantiate(entity, block, spec_.rules, shards, pool);
-    ChaseEngine engine(entity, &program, spec_.config, pool, dict_.get());
+    const GroundProgram program = Instantiate(entity, block, spec_.rules);
+    ChaseEngine engine(entity, &program, spec_.config, dict_.get());
     outcome = engine.RunFromInitial();
   }
   if (memoize) {
@@ -604,18 +597,16 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
   } else {
     session->own_ie_ = std::move(own_ie);
     const MasterBlock& block = EnsureMasterBlock();
-    const int shards = GroundShardCount();
-    ThreadPool* pool = shards > 1 ? &ChasePool() : nullptr;
     ie = session->own_ie_.get();
     if (options_.columnar_storage) {
       session->own_cie_ = std::make_unique<ColumnarRelation>(
           ColumnarRelation::FromRelation(*ie, dict_.get()));
       cie = session->own_cie_.get();
       session->own_program_ = std::make_unique<GroundProgram>(
-          Instantiate(*cie, block, spec_.rules, shards, pool));
+          Instantiate(*cie, block, spec_.rules));
     } else {
       session->own_program_ = std::make_unique<GroundProgram>(
-          Instantiate(*session->own_ie_, block, spec_.rules, shards, pool));
+          Instantiate(*ie, block, spec_.rules));
     }
     program = session->own_program_.get();
   }
@@ -628,8 +619,8 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
     session->engine_ =
         std::make_unique<ChaseEngine>(*cie, program, spec_.config);
   } else {
-    session->engine_ = std::make_unique<ChaseEngine>(
-        *ie, program, spec_.config, nullptr, dict_.get());
+    session->engine_ =
+        std::make_unique<ChaseEngine>(*ie, program, spec_.config, dict_.get());
   }
   if (session->own_ie_ == nullptr) {
     session->engine_->AdoptCheckpointFrom(*engine_);
@@ -650,6 +641,8 @@ Result<std::unique_ptr<InteractionSession>> AccuracyService::StartInteraction(
 
 Result<std::unique_ptr<InteractionSession>> AccuracyService::StartInteraction(
     Relation entity, InteractionOptions options) {
+  RELACC_RETURN_NOT_OK(CheckEntityArity(
+      "AccuracyService::StartInteraction: entity", entity.schema()));
   return StartInteractionImpl(std::move(options),
                               std::make_unique<Relation>(std::move(entity)));
 }
@@ -676,17 +669,11 @@ Status PipelineSession::Submit(std::vector<EntityInstance> batch) {
         "PipelineSession::Submit after Finish()");
   }
   // Validate the whole batch before accepting any of it, so a failed
-  // Submit leaves the stream exactly as it was. Grounding reads every
-  // attribute of the service schema, so each entity must have its arity.
-  const AttrId arity = service_->spec_.ie.schema().size();
+  // Submit leaves the stream exactly as it was.
   for (const EntityInstance& e : batch) {
-    if (e.schema().size() != arity) {
-      return Status::InvalidArgument(
-          "PipelineSession::Submit: entity " +
-          std::to_string(e.entity_id()) + " has schema arity " +
-          std::to_string(e.schema().size()) +
-          ", the service schema has " + std::to_string(arity));
-    }
+    RELACC_RETURN_NOT_OK(service_->CheckEntityArity(
+        "PipelineSession::Submit: entity " + std::to_string(e.entity_id()),
+        e.schema()));
   }
   stats_.submitted += static_cast<int64_t>(batch.size());
   // Retire each full window before buffering more, so buffered input and

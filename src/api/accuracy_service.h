@@ -54,14 +54,6 @@ struct ServiceOptions {
   /// O(entities). Must be >= 1.
   int64_t window = 64;
 
-  /// Shard count for grounding — the service's master block over
-  /// rule×Im rows, Instantiate over rule×Ie row partitions, plus the
-  /// sharded engine index build that consumes Γ (see rules/grounding.h).
-  /// 0 derives the count from the thread budget; 1 forces the serial
-  /// path. The GroundProgram (and therefore every chase) is identical for
-  /// every value; only first-use and per-entity latency change.
-  int ground_shards = 0;
-
   /// Run the static analyzer (analysis/analyzer.h) over the
   /// specification in Create. Error-severity findings — unknown
   /// attribute ids, unresolvable master references — make Create return
@@ -310,6 +302,8 @@ class AccuracyService {
   /// Opens an interactive session over a caller-supplied entity instance
   /// (its pair rules grounded here, its master steps shared from the
   /// service's master block; the relation is copied into the session).
+  /// kInvalidArgument when the entity's arity differs from the service
+  /// schema's.
   Result<std::unique_ptr<InteractionSession>> StartInteraction(
       Relation entity, InteractionOptions options = {});
 
@@ -324,6 +318,8 @@ class AccuracyService {
   /// master block. No engine or program is retained, but the entity's
   /// terms are interned into the service dictionary (the block's keyed
   /// watchers are ids of it), as pipeline and interaction sessions do.
+  /// kInvalidArgument when the entity's arity differs from the service
+  /// schema's.
   Result<ChaseOutcome> DeduceEntity(const Relation& entity);
 
   /// Top-k candidate targets for the spec's own deduced target, through
@@ -412,11 +408,11 @@ class AccuracyService {
   const CandidateChecker& AcquireCompletionChecker(int slot, int width,
                                                    const ChaseEngine& engine);
 
-  /// The resolved grounding shard count (ServiceOptions::ground_shards;
-  /// 0 means the budget).
-  int GroundShardCount() const {
-    return options_.ground_shards > 0 ? options_.ground_shards : budget_;
-  }
+  /// kInvalidArgument, prefixed by `what`, when `schema`'s arity differs
+  /// from the service schema's. Grounding and the chase index read every
+  /// attribute of the service schema, so every per-entity entry point
+  /// checks this before grounding or memoizing anything.
+  Status CheckEntityArity(const std::string& what, const Schema& schema) const;
 
   Specification spec_;
   ServiceOptions options_;

@@ -8,8 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "util/thread_pool.h"
-
 namespace relacc {
 
 /// Mutable per-run state; one instance per Run() call so the engine itself
@@ -52,8 +50,7 @@ struct ChaseEngine::RunState {
 ChaseEngine::~ChaseEngine() = default;
 
 ChaseEngine::ChaseEngine(const Relation& ie, const GroundProgram* program,
-                         ChaseConfig config, ThreadPool* build_pool,
-                         Dictionary* dict)
+                         ChaseConfig config, Dictionary* dict)
     : ie_(&ie),
       schema_(&ie.schema()),
       dict_(dict),
@@ -83,12 +80,11 @@ ChaseEngine::ChaseEngine(const Relation& ie, const GroundProgram* program,
       value_groups_[a][it->second].push_back(i);
     }
   }
-  BuildIndex(build_pool);
+  BuildIndex();
 }
 
 ChaseEngine::ChaseEngine(const ColumnarRelation& ie,
-                         const GroundProgram* program, ChaseConfig config,
-                         ThreadPool* build_pool)
+                         const GroundProgram* program, ChaseConfig config)
     : cie_(&ie),
       schema_(&ie.schema()),
       dict_(ie.mutable_dict()),
@@ -112,7 +108,7 @@ ChaseEngine::ChaseEngine(const ColumnarRelation& ie,
       value_groups_[a][it->second].push_back(i);
     }
   }
-  BuildIndex(build_pool);
+  BuildIndex();
 }
 
 const Relation& ChaseEngine::ie() const {
@@ -135,7 +131,7 @@ void ChaseEngine::RequireBlockDictionary() const {
   }
 }
 
-void ChaseEngine::BuildIndex(ThreadPool* build_pool) {
+void ChaseEngine::BuildIndex() {
   te_watch_.resize(num_attrs_);
   attr_has_order_watch_.assign(num_attrs_, 0);
   const auto& steps = program_->steps;
@@ -174,85 +170,24 @@ void ChaseEngine::BuildIndex(ThreadPool* build_pool) {
   }
 
   // Watch lists keyed by (step, residual predicate) — the Γ-sized part
-  // of the index. A shard scans a contiguous step range into private
-  // maps/lists; the merge appends them in shard order, so every per-key
-  // watcher list comes out in ascending step order exactly as the serial
-  // scan would emit it. Below the cutoff (or with no pool) the fan-out
-  // would cost more than the scan. Residual te constants (and kSetTe
-  // payloads) are interned here once, so the chase loop compares ids;
-  // Dictionary::Intern is thread-safe, which the sharded build leans on.
-  struct WatchShard {
-    std::unordered_map<uint64_t, std::vector<int32_t>> order_watch;
-    std::vector<std::vector<TeWatch>> te_watch;
-    std::vector<char> attr_has_order_watch;
-  };
-  const auto scan_steps = [&](int32_t begin, int32_t end, auto&& order_emit,
-                              auto&& te_emit) {
-    for (int32_t k = begin; k < end; ++k) {
-      const GroundStep& step = steps[k];
-      const int32_t s = vid(k);
-      if (step.kind == GroundStep::Kind::kSetTe) {
-        step_te_[k] = dict_->Intern(step.te_value);
-      }
-      for (int32_t p = 0; p < static_cast<int32_t>(step.residual.size());
-           ++p) {
-        const GroundPredicate& g = step.residual[p];
-        if (g.kind == GroundPredicate::Kind::kOrderPair) {
-          order_emit(g, s);
-        } else {
-          te_emit(g, s, p);
-        }
-      }
+  // of the index, emitted in ascending step order. Residual te constants
+  // (and kSetTe payloads) are interned here once, so the chase loop
+  // compares ids.
+  for (int32_t k = 0; k < static_cast<int32_t>(steps.size()); ++k) {
+    const GroundStep& step = steps[k];
+    const int32_t s = vid(k);
+    if (step.kind == GroundStep::Kind::kSetTe) {
+      step_te_[k] = dict_->Intern(step.te_value);
     }
-  };
-  const auto make_watch = [&](const GroundPredicate& g, int32_t s, int32_t p) {
-    return TeWatch{s, p, g.op, dict_->Intern(g.constant)};
-  };
-  constexpr std::size_t kParallelBuildCutoff = 2048;
-  const int shards =
-      build_pool != nullptr && steps.size() >= kParallelBuildCutoff
-          ? std::min<int>(build_pool->num_threads(),
-                          static_cast<int>(steps.size()))
-          : 1;
-  if (shards <= 1) {
-    scan_steps(0, static_cast<int32_t>(steps.size()),
-               [&](const GroundPredicate& g, int32_t s) {
-                 order_watch_[OrderKey(g.attr, g.i, g.j)].push_back(s);
-                 attr_has_order_watch_[g.attr] = 1;
-               },
-               [&](const GroundPredicate& g, int32_t s, int32_t p) {
-                 te_watch_[g.attr].push_back(make_watch(g, s, p));
-               });
-    return;
-  }
-  std::vector<WatchShard> parts(static_cast<std::size_t>(shards));
-  const int64_t chunk =
-      (static_cast<int64_t>(steps.size()) + shards - 1) / shards;
-  build_pool->ParallelFor(shards, [&](int64_t w) {
-    WatchShard& part = parts[static_cast<std::size_t>(w)];
-    part.te_watch.resize(num_attrs_);
-    part.attr_has_order_watch.assign(num_attrs_, 0);
-    const int32_t begin = static_cast<int32_t>(w * chunk);
-    const int32_t end = static_cast<int32_t>(
-        std::min<int64_t>((w + 1) * chunk, steps.size()));
-    scan_steps(begin, end,
-               [&](const GroundPredicate& g, int32_t s) {
-                 part.order_watch[OrderKey(g.attr, g.i, g.j)].push_back(s);
-                 part.attr_has_order_watch[g.attr] = 1;
-               },
-               [&](const GroundPredicate& g, int32_t s, int32_t p) {
-                 part.te_watch[g.attr].push_back(make_watch(g, s, p));
-               });
-  });
-  for (WatchShard& part : parts) {
-    for (auto& [key, watchers] : part.order_watch) {
-      std::vector<int32_t>& dst = order_watch_[key];
-      dst.insert(dst.end(), watchers.begin(), watchers.end());
-    }
-    for (AttrId a = 0; a < num_attrs_; ++a) {
-      te_watch_[a].insert(te_watch_[a].end(), part.te_watch[a].begin(),
-                          part.te_watch[a].end());
-      if (part.attr_has_order_watch[a]) attr_has_order_watch_[a] = 1;
+    for (int32_t p = 0; p < static_cast<int32_t>(step.residual.size()); ++p) {
+      const GroundPredicate& g = step.residual[p];
+      if (g.kind == GroundPredicate::Kind::kOrderPair) {
+        order_watch_[OrderKey(g.attr, g.i, g.j)].push_back(s);
+        attr_has_order_watch_[g.attr] = 1;
+      } else {
+        te_watch_[g.attr].push_back(
+            TeWatch{s, p, g.op, dict_->Intern(g.constant)});
+      }
     }
   }
 }

@@ -70,14 +70,10 @@ struct ChaseCheckpoint {
 /// empty-block case of the same index.
 class ChaseEngine {
  public:
-  /// `ie` and `program` must outlive the engine. `build_pool` (optional)
-  /// parallelizes the construction of the immutable index H — the watch
-  /// lists are built over contiguous shards of Γ and merged in shard
-  /// order, so the index (and every chase over it) is identical to a
-  /// serial build. Construction is the Γ-consuming half of bringing up
-  /// the shared all-null checkpoint (the chase itself is inherently
-  /// sequential), so large-|Ie| services pass their budget pool here;
-  /// the pool is only used during the constructor and not retained.
+  /// `ie` and `program` must outlive the engine. Construction builds the
+  /// immutable index H on the calling thread in one pass over the
+  /// program's own steps; a block-backed program's master steps are
+  /// already indexed in the block, so the pass is per-entity sized.
   ///
   /// Internally the engine is dictionary-encoded end to end: the Ie
   /// columns, the te slots of every run state, the ϕ8/ϕ9 value index and
@@ -93,8 +89,7 @@ class ChaseEngine {
   /// intern into the block's dictionary (the block's watchers are keyed
   /// by its ids); a mismatch aborts.
   ChaseEngine(const Relation& ie, const GroundProgram* program,
-              ChaseConfig config, ThreadPool* build_pool = nullptr,
-              Dictionary* dict = nullptr);
+              ChaseConfig config, Dictionary* dict = nullptr);
 
   /// Columnar-native construction: chases `ie` without ever holding a
   /// row copy (the dictionary is ie.mutable_dict(), which must be the
@@ -102,7 +97,7 @@ class ChaseEngine {
   /// row adapter lazily for the few consumers that still need tuples
   /// (the top-k search-space builders); grounding and chasing never do.
   ChaseEngine(const ColumnarRelation& ie, const GroundProgram* program,
-              ChaseConfig config, ThreadPool* build_pool = nullptr);
+              ChaseConfig config);
 
   ChaseEngine(const ChaseEngine&) = delete;
   ChaseEngine& operator=(const ChaseEngine&) = delete;
@@ -286,7 +281,7 @@ class ChaseEngine {
 
   // Shared body of both constructors (columns/value groups are already
   // encoded when it runs): watch lists, residual counters, step te ids.
-  void BuildIndex(ThreadPool* build_pool);
+  void BuildIndex();
 
   // The ground step behind virtual id `s` and its interned kSetTe payload.
   struct StepRef {

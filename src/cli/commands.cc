@@ -297,7 +297,6 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
   const std::string key = args.GetString("key");
   Result<int64_t> threads = args.GetInt("threads", 0);
   Result<int64_t> window = args.GetInt("window", 0);
-  Result<int64_t> ground_shards = args.GetInt("ground-shards", 0);
   const std::string completion = args.GetString("completion", "best");
   const std::string storage = args.GetString("storage", "row");
   const std::string snapshot = args.GetString("snapshot");
@@ -306,14 +305,9 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
   if (!doc.ok()) return doc.status();
   if (!threads.ok()) return threads.status();
   if (!window.ok()) return window.status();
-  if (!ground_shards.ok()) return ground_shards.status();
   if (window.value() < 0) {
     return Status::InvalidArgument(
         "--window must be >= 0 (0 = service default)");
-  }
-  if (ground_shards.value() < 0) {
-    return Status::InvalidArgument(
-        "--ground-shards must be >= 0 (0 = thread budget)");
   }
   CompletionPolicy policy = CompletionPolicy::kBestCandidate;
   if (completion == "heuristic") {
@@ -347,7 +341,6 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
   ServiceOptions service_options;
   service_options.num_threads = static_cast<int>(threads.value());
   service_options.completion = policy;
-  service_options.ground_shards = static_cast<int>(ground_shards.value());
   if (window.value() > 0) {
     service_options.window = window.value();
   }
@@ -1033,7 +1026,7 @@ std::string CliUsage() {
       "            [--json] [--werror]\n"
       "  pipeline  flat relation -> entity resolution -> per-entity targets\n"
       "            --key <attr[,attr...]> [--threads N] [--window N]\n"
-      "            [--ground-shards N] [--completion best|heuristic|none]\n"
+      "            [--completion best|heuristic|none]\n"
       "            [--storage row|columnar] [--snapshot FILE] [--json]\n"
       "  interactive  the Fig. 3 user loop on one entity instance\n"
       "            [--k N]\n"

@@ -1,13 +1,10 @@
 #include "rules/grounding.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 #include <utility>
 
 #include "core/columnar.h"
-#include "util/thread_pool.h"
 
 namespace relacc {
 namespace {
@@ -82,38 +79,35 @@ bool GroundPairRule(const AccuracyRule& rule, const Relation& ie, int i,
 }
 
 /// Grounds one form-(2) rule on master tuple tm, emitting one kSetTe step
-/// per assignment with a non-null source value.
+/// per assignment with a non-null source value. The conjuncts are decided
+/// before the residual is built, so a master tuple the rule rejects costs
+/// no allocation.
 void GroundMasterRule(const AccuracyRule& rule, const Tuple& tm, int rule_id,
                       std::vector<GroundStep>* out) {
-  std::vector<GroundPredicate> residual;
   for (const MasterPredicate& p : rule.master_lhs) {
     switch (p.kind) {
-      case MasterPredicate::Kind::kMasterConst: {
+      case MasterPredicate::Kind::kMasterConst:
         if (!EvalCompare(p.op, tm.at(p.master_attr), p.constant)) return;
         break;
-      }
-      case MasterPredicate::Kind::kTeConst: {
+      case MasterPredicate::Kind::kTeConst:
         if (p.constant.is_null()) return;  // te never becomes null
-        GroundPredicate g;
-        g.kind = GroundPredicate::Kind::kTeCompare;
-        g.attr = p.te_attr;
-        g.op = CompareOp::kEq;
-        g.constant = p.constant;
-        residual.push_back(std::move(g));
         break;
-      }
-      case MasterPredicate::Kind::kTeMaster: {
-        const Value& c = tm.at(p.master_attr);
-        if (c.is_null()) return;
-        GroundPredicate g;
-        g.kind = GroundPredicate::Kind::kTeCompare;
-        g.attr = p.te_attr;
-        g.op = CompareOp::kEq;
-        g.constant = c;
-        residual.push_back(std::move(g));
+      case MasterPredicate::Kind::kTeMaster:
+        if (tm.at(p.master_attr).is_null()) return;
         break;
-      }
     }
+  }
+  std::vector<GroundPredicate> residual;
+  for (const MasterPredicate& p : rule.master_lhs) {
+    if (p.kind == MasterPredicate::Kind::kMasterConst) continue;
+    GroundPredicate g;
+    g.kind = GroundPredicate::Kind::kTeCompare;
+    g.attr = p.te_attr;
+    g.op = CompareOp::kEq;
+    g.constant = p.kind == MasterPredicate::Kind::kTeConst
+                     ? p.constant
+                     : tm.at(p.master_attr);
+    residual.push_back(std::move(g));
   }
   for (const auto& [te_attr, m_attr] : rule.assignments) {
     const Value& v = tm.at(m_attr);
@@ -128,46 +122,17 @@ void GroundMasterRule(const AccuracyRule& rule, const Tuple& tm, int rule_id,
   }
 }
 
-/// The flattened loop space of Instantiation: one row per (rule, ti)
-/// outer-loop iteration of a form-(1) rule (`pair_rows` per rule) and
-/// per (rule, tm) iteration of a form-(2) rule. `starts[r]` is the first
-/// global row of rule r, `starts[rules.size()]` the total row count.
-/// Form-(2) rules contribute no rows when `masters` is null (the pair
-/// half of a block-backed program) or when they reference an absent
-/// master relation; pass `pair_rows` 0 for the master half alone.
-std::vector<int64_t> RowStarts(int pair_rows,
-                               const std::vector<Relation>* masters,
-                               const std::vector<AccuracyRule>& rules) {
-  std::vector<int64_t> starts(rules.size() + 1, 0);
-  for (std::size_t r = 0; r < rules.size(); ++r) {
-    int64_t rows = 0;
-    if (rules[r].form == AccuracyRule::Form::kTuplePair) {
-      rows = pair_rows;
-    } else if (masters != nullptr && rules[r].master_index >= 0 &&
-               rules[r].master_index < static_cast<int>(masters->size())) {
-      rows = (*masters)[rules[r].master_index].size();
-    }
-    starts[r + 1] = starts[r] + rows;
-  }
-  return starts;
-}
-
-/// Grounds global pair rows [begin, end) in row order, appending to
-/// `out`. Emission order within a row (the inner j loop) is the serial
-/// order, so concatenating contiguous ranges in ascending row order
-/// reproduces the serial program exactly.
+/// Grounds every form-(1) rule of `rules` against every ordered pair
+/// (ti, tj), i != j, of `ie`, appending to `out` in serial emission order:
+/// rule, then ti, then tj.
 void GroundRows(const Relation& ie, const std::vector<AccuracyRule>& rules,
-                const std::vector<int64_t>& starts, int64_t begin,
-                int64_t end, std::vector<GroundStep>* out) {
+                std::vector<GroundStep>* out) {
   const int n = ie.size();
   GroundStep scratch;
   for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
-    const int64_t lo = std::max(begin, starts[r]);
-    const int64_t hi = std::min(end, starts[r + 1]);
-    if (lo >= hi) continue;
     const AccuracyRule& rule = rules[r];
-    for (int64_t row = lo; row < hi; ++row) {
-      const int i = static_cast<int>(row - starts[r]);
+    if (rule.form != AccuracyRule::Form::kTuplePair) continue;
+    for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
         if (i == j) continue;
         if (GroundPairRule(rule, ie, i, j, &scratch)) {
@@ -179,29 +144,30 @@ void GroundRows(const Relation& ie, const std::vector<AccuracyRule>& rules,
   }
 }
 
-/// Grounds global master rows [begin, end) — the (rule, tm) rows of
-/// RowStarts(0, &masters, rules) — in row order, appending to `out`.
+/// Grounds every form-(2) rule of `rules` against every tuple of its
+/// master relation, appending to `out` in rule, then tm order. Rules
+/// referencing an absent master contribute no steps.
 void GroundMasterRows(const std::vector<Relation>& masters,
                       const std::vector<AccuracyRule>& rules,
-                      const std::vector<int64_t>& starts, int64_t begin,
-                      int64_t end, std::vector<GroundStep>* out) {
+                      std::vector<GroundStep>* out) {
   for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
-    const int64_t lo = std::max(begin, starts[r]);
-    const int64_t hi = std::min(end, starts[r + 1]);
-    if (lo >= hi) continue;
-    const Relation& im = masters[rules[r].master_index];
-    for (int64_t row = lo; row < hi; ++row) {
-      GroundMasterRule(rules[r], im.tuple(static_cast<int>(row - starts[r])),
-                       r, out);
+    const AccuracyRule& rule = rules[r];
+    if (rule.form == AccuracyRule::Form::kTuplePair || rule.master_index < 0 ||
+        rule.master_index >= static_cast<int>(masters.size())) {
+      continue;
+    }
+    const Relation& im = masters[rule.master_index];
+    for (int t = 0; t < im.size(); ++t) {
+      GroundMasterRule(rule, im.tuple(t), r, out);
     }
   }
 }
 
 /// Pre-interns every kAttrConst constant of every rule so the columnar
-/// pair loop compares ids instead of Values. Must run serially, before
-/// any shard fan-out, and interning an absent constant is harmless — a
-/// fresh id simply matches no column id. Entry [r][k] is the constant of
-/// rule r's k-th lhs conjunct (kNullTermId where the conjunct has none).
+/// pair loop compares ids instead of Values. Interning an absent
+/// constant is harmless — a fresh id simply matches no column id. Entry
+/// [r][k] is the constant of rule r's k-th lhs conjunct (kNullTermId
+/// where the conjunct has none).
 std::vector<std::vector<TermId>> InternRuleConstants(
     const std::vector<AccuracyRule>& rules, Dictionary* dict) {
   std::vector<std::vector<TermId>> ids(rules.size());
@@ -309,17 +275,13 @@ bool GroundPairRuleColumnar(const AccuracyRule& rule,
 void GroundRowsColumnar(const ColumnarRelation& ie,
                         const std::vector<AccuracyRule>& rules,
                         const std::vector<std::vector<TermId>>& const_ids,
-                        const std::vector<int64_t>& starts, int64_t begin,
-                        int64_t end, std::vector<GroundStep>* out) {
+                        std::vector<GroundStep>* out) {
   const int n = ie.size();
   GroundStep scratch;
   for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
-    const int64_t lo = std::max(begin, starts[r]);
-    const int64_t hi = std::min(end, starts[r + 1]);
-    if (lo >= hi) continue;
     const AccuracyRule& rule = rules[r];
-    for (int64_t row = lo; row < hi; ++row) {
-      const int i = static_cast<int>(row - starts[r]);
+    if (rule.form != AccuracyRule::Form::kTuplePair) continue;
+    for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
         if (i == j) continue;
         if (GroundPairRuleColumnar(rule, const_ids[r], ie, i, j, &scratch)) {
@@ -329,57 +291,6 @@ void GroundRowsColumnar(const ColumnarRelation& ie,
       }
     }
   }
-}
-
-/// Shard/merge skeleton shared by every sharded path: `ground(begin, end,
-/// out)` grounds a contiguous global-row range into a private list; the
-/// merge concatenates in shard order, which is the serial emission
-/// order. Below ~2 rows per shard (or with num_shards <= 1) the fan-out
-/// costs more than the grounding, so the range is grounded serially —
-/// the reference the sharded result must match.
-template <typename GroundRange>
-std::vector<GroundStep> GroundSharded(int64_t rows, int num_shards,
-                                      ThreadPool* pool,
-                                      const GroundRange& ground) {
-  const int64_t shards =
-      std::min<int64_t>(std::max(1, num_shards), std::max<int64_t>(1, rows));
-  if (shards <= 1) {
-    std::vector<GroundStep> steps;
-    ground(0, rows, &steps);
-    return steps;
-  }
-  std::vector<std::vector<GroundStep>> parts(
-      static_cast<std::size_t>(shards));
-  const int64_t chunk = (rows + shards - 1) / shards;
-  const auto ground_shard = [&](int64_t s) {
-    const int64_t begin = s * chunk;
-    const int64_t end = std::min(begin + chunk, rows);
-    if (begin < end) {
-      ground(begin, end, &parts[static_cast<std::size_t>(s)]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(shards, ground_shard);
-  } else {
-    // Shards beyond the core count cannot run anyway; cap the transient
-    // pool so an aggressive shard count costs partitioning, not OS
-    // threads (ParallelFor chunks the shards over fewer workers).
-    ThreadPool local(static_cast<int>(std::min<int64_t>(
-        shards,
-        std::max(1u, std::thread::hardware_concurrency()))));
-    local.ParallelFor(shards, ground_shard);
-  }
-
-  std::vector<GroundStep> steps;
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  steps.reserve(total);
-  // Deterministic merge: shard order == ascending row order == the
-  // serial emission order.
-  for (auto& part : parts) {
-    for (GroundStep& step : part) steps.push_back(std::move(step));
-  }
-  return steps;
 }
 
 std::vector<std::string> RuleNames(const std::vector<AccuracyRule>& rules) {
@@ -470,15 +381,9 @@ MasterBlock::MasterBlock(std::shared_ptr<Dictionary> dict)
 
 std::shared_ptr<const MasterBlock> MasterBlock::Build(
     const std::vector<Relation>& masters,
-    const std::vector<AccuracyRule>& rules, std::shared_ptr<Dictionary> dict,
-    int num_shards, ThreadPool* pool) {
+    const std::vector<AccuracyRule>& rules, std::shared_ptr<Dictionary> dict) {
   std::shared_ptr<MasterBlock> block(new MasterBlock(std::move(dict)));
-  const std::vector<int64_t> starts = RowStarts(0, &masters, rules);
-  block->steps_ = GroundSharded(
-      starts.back(), num_shards, pool,
-      [&](int64_t begin, int64_t end, std::vector<GroundStep>* out) {
-        GroundMasterRows(masters, rules, starts, begin, end, out);
-      });
+  GroundMasterRows(masters, rules, &block->steps_);
 
   const std::vector<GroundStep>& steps = block->steps_;
   block->rule_begin_.assign(rules.size() + 1, 0);
@@ -486,8 +391,7 @@ std::shared_ptr<const MasterBlock> MasterBlock::Build(
   for (std::size_t r = 0; r < rules.size(); ++r) {
     block->rule_begin_[r + 1] += block->rule_begin_[r];
   }
-  // Serial interning in step order: term ids are a function of the
-  // inputs alone, whatever the shard count.
+  // Interning in step order: term ids are a function of the inputs alone.
   Dictionary& d = *block->dict_;
   struct Keyed {
     uint64_t key;
@@ -544,76 +448,38 @@ std::span<const MasterBlock::Watch> MasterBlock::Watchers(AttrId attr,
 
 GroundProgram Instantiate(const Relation& ie, const MasterBlock& block,
                           const std::vector<AccuracyRule>& rules) {
-  return Instantiate(ie, block, rules, 1);
-}
-
-GroundProgram Instantiate(const Relation& ie, const MasterBlock& block,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool) {
   GroundProgram prog = ProgramOver(ie.size(), ie.schema().size(), block, rules);
-  const std::vector<int64_t> starts = RowStarts(ie.size(), nullptr, rules);
-  prog.steps = GroundSharded(
-      starts.back(), num_shards, pool,
-      [&](int64_t begin, int64_t end, std::vector<GroundStep>* out) {
-        GroundRows(ie, rules, starts, begin, end, out);
-      });
+  GroundRows(ie, rules, &prog.steps);
   return prog;
 }
 
 GroundProgram Instantiate(const Relation& ie,
                           const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules) {
-  return Instantiate(ie, masters, rules, 1);
-}
-
-GroundProgram Instantiate(const Relation& ie,
-                          const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool) {
-  const std::shared_ptr<const MasterBlock> block = MasterBlock::Build(
-      masters, rules, std::make_shared<Dictionary>(), num_shards, pool);
-  return Instantiate(ie, *block, rules, num_shards, pool);
+  const std::shared_ptr<const MasterBlock> block =
+      MasterBlock::Build(masters, rules, std::make_shared<Dictionary>());
+  return Instantiate(ie, *block, rules);
 }
 
 GroundProgram Instantiate(const ColumnarRelation& ie, const MasterBlock& block,
                           const std::vector<AccuracyRule>& rules) {
-  return Instantiate(ie, block, rules, 1);
-}
-
-GroundProgram Instantiate(const ColumnarRelation& ie, const MasterBlock& block,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool) {
   if (block.dict() != ie.mutable_dict()) {
     AbortBlockMismatch(
         "the master block interns into another dictionary than the entity");
   }
   GroundProgram prog = ProgramOver(ie.size(), ie.schema().size(), block, rules);
-  // Constants are interned before the fan-out; shard workers only read
-  // the dictionary (lock-free shelf loads) on order comparisons.
   const std::vector<std::vector<TermId>> const_ids =
       InternRuleConstants(rules, ie.mutable_dict());
-  const std::vector<int64_t> starts = RowStarts(ie.size(), nullptr, rules);
-  prog.steps = GroundSharded(
-      starts.back(), num_shards, pool,
-      [&](int64_t begin, int64_t end, std::vector<GroundStep>* out) {
-        GroundRowsColumnar(ie, rules, const_ids, starts, begin, end, out);
-      });
+  GroundRowsColumnar(ie, rules, const_ids, &prog.steps);
   return prog;
 }
 
 GroundProgram Instantiate(const ColumnarRelation& ie,
                           const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules) {
-  return Instantiate(ie, masters, rules, 1);
-}
-
-GroundProgram Instantiate(const ColumnarRelation& ie,
-                          const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool) {
-  const std::shared_ptr<const MasterBlock> block = MasterBlock::Build(
-      masters, rules, Borrow(ie.mutable_dict()), num_shards, pool);
-  return Instantiate(ie, *block, rules, num_shards, pool);
+  const std::shared_ptr<const MasterBlock> block =
+      MasterBlock::Build(masters, rules, Borrow(ie.mutable_dict()));
+  return Instantiate(ie, *block, rules);
 }
 
 }  // namespace relacc

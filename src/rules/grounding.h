@@ -16,7 +16,6 @@
 namespace relacc {
 
 class ColumnarRelation;  // core/columnar.h
-class ThreadPool;        // util/thread_pool.h
 
 /// A residual conjunct of a ground step (procedure Instantiation, Sec. 5):
 /// every predicate that could be evaluated against constants has been
@@ -110,15 +109,14 @@ class MasterBlock : public std::enable_shared_from_this<MasterBlock> {
     int32_t rule;
   };
 
-  /// Grounds every form-(2) rule of `rules` against its master relation.
-  /// Rules referencing an absent master contribute no steps. The master
-  /// rows are sharded over `pool` as in sharded Instantiation (step order
-  /// is the serial order for every shard count); interning and the watch
-  /// index are built serially, so term ids do not depend on scheduling.
+  /// Grounds every form-(2) rule of `rules` against its master relation,
+  /// on the calling thread, in rule then master-row order. Rules
+  /// referencing an absent master contribute no steps. Payloads and
+  /// residual constants are interned in step order, so term ids are a
+  /// function of the inputs alone.
   static std::shared_ptr<const MasterBlock> Build(
       const std::vector<Relation>& masters,
-      const std::vector<AccuracyRule>& rules, std::shared_ptr<Dictionary> dict,
-      int num_shards = 1, ThreadPool* pool = nullptr);
+      const std::vector<AccuracyRule>& rules, std::shared_ptr<Dictionary> dict);
 
   const std::vector<GroundStep>& steps() const { return steps_; }
   /// Size of the rule list the block was built from.
@@ -167,12 +165,12 @@ void GroundProgram::ForEachStep(Fn&& fn) const {
   }
 }
 
-/// Structural equality, field for field in step order — the determinism
-/// contract of sharded grounding (tests assert step-by-step identity
-/// across shard counts). Programs compare as materialized: a block-backed
-/// program equals its Materialize() twin and the snapshot reader's flat
-/// copy. Value equality treats null == null as true, so residual
-/// constants compare as stored.
+/// Structural equality, field for field in step order (tests assert
+/// step-by-step identity between the row and columnar paths and between
+/// block-backed and flat programs). Programs compare as materialized: a
+/// block-backed program equals its Materialize() twin and the snapshot
+/// reader's flat copy. Value equality treats null == null as true, so
+/// residual constants compare as stored.
 bool operator==(const GroundPredicate& a, const GroundPredicate& b);
 inline bool operator!=(const GroundPredicate& a, const GroundPredicate& b) {
   return !(a == b);
@@ -189,6 +187,9 @@ inline bool operator!=(const GroundProgram& a, const GroundProgram& b) {
 /// Procedure Instantiation (Sec. 5, Fig. 4 line 1): partially evaluates
 /// every rule against every ordered tuple pair of `ie` (form 1) / every
 /// master tuple (form 2). Steps whose LHS is already false are dropped.
+/// Grounding is serial and runs on the calling thread; parallelism is
+/// across entities (the pipeline window grounds its entities
+/// concurrently).
 ///
 /// Cost. The form-(2) half is O(|Σ₂|·|Im|) and does not depend on the
 /// entity: a service builds its MasterBlock once and pays it once, not
@@ -213,29 +214,6 @@ GroundProgram Instantiate(const Relation& ie,
                           const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules);
 
-/// Sharded Instantiation: the same Γ, built in parallel. The rule×Ie
-/// loop space of the pair rules is flattened into "rows" — one (rule,
-/// ti) outer-loop iteration of a form-(1) rule — and split into
-/// `num_shards` contiguous row ranges (MasterBlock::Build splits the
-/// (rule, tm) rows of the form-(2) rules the same way). Each shard
-/// grounds its rows into a private step list; the merge concatenates the
-/// lists in shard order, which reproduces the serial emission order
-/// exactly, so the returned GroundProgram is step-for-step identical to
-/// the serial overload for every shard count (operator== above; enforced
-/// by tests and by bench/pipeline_scaling's ground_scaling rows).
-///
-/// `num_shards <= 1` (or a trivially small row space) runs the serial
-/// path. Shards run on `pool` when given — only idle-at-call-site pools
-/// may be passed, e.g. the service's chase pool between phases — or on a
-/// transient pool of min(num_shards, rows) threads when null.
-GroundProgram Instantiate(const Relation& ie, const MasterBlock& block,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool = nullptr);
-GroundProgram Instantiate(const Relation& ie,
-                          const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool = nullptr);
-
 /// Columnar Instantiation: the same Γ, built from dictionary-encoded
 /// columns. Every constant conjunct whose operator is an equality is
 /// decided by TermId comparison (id equality == value equality by the
@@ -245,26 +223,15 @@ GroundProgram Instantiate(const Relation& ie,
 /// (kAttrTe) are materialized with the schema column type, so the
 /// emitted program is step-for-step identical (operator== above) to
 /// Instantiate(ie.ToRelation(), masters, rules) — enforced by tests.
-/// Rule constants are pre-interned into ie's dictionary, serially,
-/// before any fan-out. `block` must intern into ie's dictionary; the
-/// `masters` overloads build their private block there (so that
-/// dictionary must outlive the program, as it must outlive `ie`).
+/// Rule constants are pre-interned into ie's dictionary before the pair
+/// loop. `block` must intern into ie's dictionary; the `masters`
+/// overloads build their private block there (so that dictionary must
+/// outlive the program, as it must outlive `ie`).
 GroundProgram Instantiate(const ColumnarRelation& ie, const MasterBlock& block,
                           const std::vector<AccuracyRule>& rules);
 GroundProgram Instantiate(const ColumnarRelation& ie,
                           const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules);
-
-/// Sharded columnar Instantiation; shard/merge discipline (and the
-/// resulting step-order determinism across shard counts) is exactly the
-/// row overload's.
-GroundProgram Instantiate(const ColumnarRelation& ie, const MasterBlock& block,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool = nullptr);
-GroundProgram Instantiate(const ColumnarRelation& ie,
-                          const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool = nullptr);
 
 }  // namespace relacc
 

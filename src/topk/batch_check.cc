@@ -32,7 +32,7 @@ void CandidateChecker::EnsureWorkers() const {
     // meaningful within one dictionary.
     auto engine = std::make_unique<ChaseEngine>(
         prototype_->ie(), &prototype_->program(), prototype_->config(),
-        nullptr, prototype_->mutable_dict());
+        prototype_->mutable_dict());
     // The checkpoint is the dominant per-engine setup cost; adopting the
     // prototype's shares it by pointer (it is immutable once built)
     // instead of re-running the all-null chase per worker. Each worker

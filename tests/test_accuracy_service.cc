@@ -390,40 +390,6 @@ TEST(AccuracyServiceTest, CreateValidatesWindow) {
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(AccuracyServiceTest, GroundShardsDoNotChangeAnyOutcome) {
-  // ground_shards only changes how Γ is built, never what it contains:
-  // deduction and ranking must be identical for every shard count (and
-  // a negative count is rejected at Create).
-  Result<std::unique_ptr<AccuracyService>> bad =
-      AccuracyService::Create(MjSpecification(), [] {
-        ServiceOptions options;
-        options.ground_shards = -2;
-        return options;
-      }());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-
-  std::optional<Tuple> reference_target;
-  std::optional<std::vector<Tuple>> reference_candidates;
-  for (const int shards : {1, 4, 0}) {
-    ServiceOptions options;
-    options.num_threads = 4;
-    options.ground_shards = shards;
-    auto service = MakeService(ArenaOpenMjSpec(), std::move(options));
-    Result<ChaseOutcome> outcome = service->DeduceEntity();
-    ASSERT_TRUE(outcome.ok()) << shards;
-    ASSERT_TRUE(outcome.value().church_rosser) << shards;
-    Result<TopKResult> ranked = service->TopK(3);
-    ASSERT_TRUE(ranked.ok()) << shards;
-    if (!reference_target.has_value()) {
-      reference_target = outcome.value().target;
-      reference_candidates = ranked.value().targets;
-      continue;
-    }
-    EXPECT_EQ(outcome.value().target, *reference_target) << shards;
-    EXPECT_EQ(ranked.value().targets, *reference_candidates) << shards;
-  }
-}
-
 TEST(AccuracyServiceTest, ChaseOverrideReplacesSpecConfig) {
   Specification spec = MjSpecification();
   ASSERT_EQ(spec.config.max_actions, -1);
@@ -499,6 +465,71 @@ TEST(AccuracyServiceTest, DeduceEntityMatchesIsCR) {
   Result<ChaseOutcome> custom = service->DeduceEntity(spec.ie);
   ASSERT_TRUE(custom.ok());
   EXPECT_EQ(custom.value().target, MjExpectedTarget());
+}
+
+/// `ie` with its first `arity` columns, padded with null string columns
+/// when `arity` exceeds the schema's.
+Relation WithArity(const Relation& ie, int arity) {
+  std::vector<Attribute> attrs;
+  for (AttrId a = 0; a < arity; ++a) {
+    attrs.push_back(a < ie.schema().size()
+                        ? ie.schema().attr(a)
+                        : Attribute{"extra" + std::to_string(a),
+                                    ValueType::kString});
+  }
+  Relation out{Schema(std::move(attrs))};
+  for (const Tuple& t : ie.tuples()) {
+    std::vector<Value> values;
+    for (AttrId a = 0; a < arity; ++a) {
+      values.push_back(a < ie.schema().size() ? t.at(a) : Value::Null());
+    }
+    out.Add(Tuple(std::move(values)));
+  }
+  return out;
+}
+
+TEST(AccuracyServiceTest, PerEntityCallsRejectAnotherArity) {
+  // Grounding and the chase index read every attribute of the service
+  // schema, so a narrower or wider entity is rejected up front, naming
+  // both arities, before anything is grounded or memoized.
+  ServiceOptions options;
+  options.memo_cache_entries = 8;
+  auto service = MakeService(MjSpecification(), std::move(options));
+  const Relation ie = MjSpecification().ie;
+  const int arity = ie.schema().size();
+  for (const int other : {arity - 1, arity + 1}) {
+    const Relation entity = WithArity(ie, other);
+    const std::string expected = "has schema arity " + std::to_string(other) +
+                                 ", the service schema has " +
+                                 std::to_string(arity);
+
+    Result<ChaseOutcome> deduced = service->DeduceEntity(entity);
+    EXPECT_EQ(deduced.status().code(), StatusCode::kInvalidArgument) << other;
+    EXPECT_NE(deduced.status().message().find("DeduceEntity"),
+              std::string::npos)
+        << deduced.status().ToString();
+    EXPECT_NE(deduced.status().message().find(expected), std::string::npos)
+        << deduced.status().ToString();
+
+    Result<std::unique_ptr<InteractionSession>> session =
+        service->StartInteraction(entity);
+    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument) << other;
+    EXPECT_NE(session.status().message().find("StartInteraction"),
+              std::string::npos)
+        << session.status().ToString();
+    EXPECT_NE(session.status().message().find(expected), std::string::npos)
+        << session.status().ToString();
+  }
+  EXPECT_EQ(service->memo_stats().hits + service->memo_stats().misses, 0);
+  EXPECT_EQ(service->memo_stats().entries, 0);
+
+  // The service is untouched: an entity of the right arity still works.
+  Result<ChaseOutcome> custom = service->DeduceEntity(ie);
+  ASSERT_TRUE(custom.ok()) << custom.status().ToString();
+  EXPECT_EQ(custom.value().target, MjExpectedTarget());
+  Result<std::unique_ptr<InteractionSession>> session =
+      service->StartInteraction(ie);
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
 }
 
 InteractionOptions KOpts(int k) {

@@ -187,6 +187,16 @@ TEST_F(CliTest, TopKCheckStrategyFlagIsUnknown) {
       << err_.str();
 }
 
+TEST_F(CliTest, PipelineGroundShardsFlagIsUnknown) {
+  // Grounding is serial per entity, so the flag that used to shard it is
+  // gone and reported like any other unknown flag.
+  int rc = Run({"pipeline", path_, "--key", "league", "--ground-shards", "4"});
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err_.str().find("unknown flag(s): --ground-shards"),
+            std::string::npos)
+      << err_.str();
+}
+
 TEST_F(CliTest, TopKIgnoresLegacyCheckStrategyConfigKey) {
   // The shipped example no longer carries config.check_strategy; a copy
   // that still does (as documents written by older releases) must rank

@@ -204,17 +204,14 @@ TEST(ColumnarRoundTrip, ForeignRepresentativeCoercesBackToSchemaType) {
 
 // --- columnar grounding ----------------------------------------------------
 
-TEST(ColumnarGrounding, ProgramIdenticalToRowSerialAndSharded) {
+TEST(ColumnarGrounding, ProgramIdenticalToRow) {
   const EntityDataset ds = SmallMed(/*seed=*/11, /*entities=*/8);
   Dictionary dict;
   for (const EntityInstance& e : ds.entities) {
     const GroundProgram reference = Instantiate(e, ds.masters, ds.rules);
     const ColumnarRelation col = ColumnarRelation::FromRelation(e, &dict);
-    const GroundProgram serial = Instantiate(col, ds.masters, ds.rules);
-    EXPECT_TRUE(serial == reference);
-    const GroundProgram sharded =
-        Instantiate(col, ds.masters, ds.rules, /*num_shards=*/4);
-    EXPECT_TRUE(sharded == reference);
+    const GroundProgram columnar = Instantiate(col, ds.masters, ds.rules);
+    EXPECT_TRUE(columnar == reference);
   }
 }
 

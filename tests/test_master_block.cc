@@ -26,7 +26,6 @@
 #include "mj_fixture.h"
 #include "rules/grounding.h"
 #include "rules/rule_builder.h"
-#include "util/thread_pool.h"
 
 namespace relacc {
 namespace {
@@ -187,7 +186,7 @@ TEST(MasterBlock, HoldsExactlyTheFormTwoSteps) {
   }
 }
 
-TEST(MasterBlock, MaterializeEqualsSerialGroundingForEveryShardCount) {
+TEST(MasterBlock, MaterializeEqualsFlatGrounding) {
   ProfileConfig config = MedConfig(/*seed=*/21);
   config.num_entities = 1;
   config.min_tuples = 12;
@@ -200,35 +199,24 @@ TEST(MasterBlock, MaterializeEqualsSerialGroundingForEveryShardCount) {
   ASSERT_EQ(reference.master, nullptr);
   ASSERT_FALSE(reference.steps.empty());
 
-  ThreadPool pool(2);
-  for (const int shards : {1, 2, 7}) {
-    // Row storage, private and shared blocks.
-    const GroundProgram row = Instantiate(ie, ds.masters, ds.rules, shards,
-                                          shards > 1 ? &pool : nullptr);
-    EXPECT_TRUE(row.Materialize() == reference) << shards << " shards, row";
-    const auto row_block =
-        MasterBlock::Build(ds.masters, ds.rules,
-                           std::make_shared<Dictionary>(), shards);
-    const GroundProgram row_shared =
-        Instantiate(ie, *row_block, ds.rules, shards);
-    EXPECT_TRUE(row_shared.Materialize() == reference)
-        << shards << " shards, row, shared block";
+  // Row storage, private and shared blocks.
+  const GroundProgram row = Instantiate(ie, ds.masters, ds.rules);
+  EXPECT_TRUE(row.Materialize() == reference) << "row";
+  const auto row_block = MasterBlock::Build(ds.masters, ds.rules,
+                                            std::make_shared<Dictionary>());
+  const GroundProgram row_shared = Instantiate(ie, *row_block, ds.rules);
+  EXPECT_TRUE(row_shared.Materialize() == reference) << "row, shared block";
 
-    // Columnar storage, private and shared blocks.
-    auto dict = std::make_shared<Dictionary>();
-    const ColumnarRelation cie =
-        ColumnarRelation::FromRelation(ie, dict.get());
-    const GroundProgram col = Instantiate(cie, ds.masters, ds.rules, shards);
-    EXPECT_TRUE(col.Materialize() == reference)
-        << shards << " shards, columnar";
-    const auto col_block =
-        MasterBlock::Build(ds.masters, ds.rules, dict, shards, &pool);
-    const GroundProgram col_shared =
-        Instantiate(cie, *col_block, ds.rules, shards, &pool);
-    EXPECT_TRUE(col_shared.Materialize() == reference)
-        << shards << " shards, columnar, shared block";
-    EXPECT_EQ(col_shared.size(), reference.steps.size());
-  }
+  // Columnar storage, private and shared blocks.
+  auto dict = std::make_shared<Dictionary>();
+  const ColumnarRelation cie = ColumnarRelation::FromRelation(ie, dict.get());
+  const GroundProgram col = Instantiate(cie, ds.masters, ds.rules);
+  EXPECT_TRUE(col.Materialize() == reference) << "columnar";
+  const auto col_block = MasterBlock::Build(ds.masters, ds.rules, dict);
+  const GroundProgram col_shared = Instantiate(cie, *col_block, ds.rules);
+  EXPECT_TRUE(col_shared.Materialize() == reference)
+      << "columnar, shared block";
+  EXPECT_EQ(col_shared.size(), reference.steps.size());
 }
 
 TEST(MasterBlockDeathTest, EngineRejectsAForeignDictionary) {
@@ -237,7 +225,7 @@ TEST(MasterBlockDeathTest, EngineRejectsAForeignDictionary) {
       Instantiate(spec.ie, spec.masters, spec.rules);
   Dictionary other;
   EXPECT_DEATH(
-      { ChaseEngine engine(spec.ie, &program, spec.config, nullptr, &other); },
+      { ChaseEngine engine(spec.ie, &program, spec.config, &other); },
       "another dictionary");
 }
 

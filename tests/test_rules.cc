@@ -1,9 +1,6 @@
 // Tests for rule construction, the axioms, constant-CFD compilation and
 // the grounding procedure (Instantiation, Sec. 5).
 
-#include <algorithm>
-#include <thread>
-
 #include <gtest/gtest.h>
 
 #include "chase/chase_engine.h"
@@ -13,7 +10,6 @@
 #include "rules/cfd.h"
 #include "rules/grounding.h"
 #include "rules/rule_builder.h"
-#include "util/thread_pool.h"
 
 namespace relacc {
 namespace {
@@ -195,65 +191,6 @@ TEST(Cfd, ViolatingCandidateFailsCheck) {
   EXPECT_FALSE(CheckCandidateTarget(engine, bad));
   EXPECT_TRUE(
       CheckCandidateTarget(engine, testing_fixture::MjExpectedTarget()));
-}
-
-TEST(Grounding, ShardedInstantiateIsStepForStepIdentical) {
-  // The sharded-grounding determinism contract: shard counts {1, 4, hw}
-  // (and a couple of adversarial ones) must produce the very same
-  // GroundProgram, step by step, with and without a caller-supplied
-  // pool. A med-profile entity plus masters covers both rule forms and
-  // pruned steps.
-  ProfileConfig config = MedConfig(/*seed=*/21);
-  config.num_entities = 1;
-  config.min_tuples = 24;
-  config.max_tuples = 24;
-  config.master_size = 40;
-  const EntityDataset ds = GenerateProfile(config);
-  const Relation& ie = ds.entities[0];
-
-  const GroundProgram serial = Instantiate(ie, ds.masters, ds.rules);
-  ASSERT_FALSE(serial.steps.empty());
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  ThreadPool pool(4);
-  for (const int shards : {1, 2, 3, 4, 7, hw, 1000}) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const GroundProgram sharded =
-          Instantiate(ie, ds.masters, ds.rules, shards, p);
-      ASSERT_EQ(sharded.steps.size(), serial.steps.size())
-          << shards << " shards";
-      for (std::size_t s = 0; s < serial.steps.size(); ++s) {
-        ASSERT_TRUE(sharded.steps[s] == serial.steps[s])
-            << shards << " shards, step " << s;
-      }
-      EXPECT_TRUE(sharded == serial) << shards << " shards";
-    }
-  }
-}
-
-TEST(Grounding, PoolBuiltEngineMatchesSerialBuild) {
-  // The sharded index build (ChaseEngine ctor with a build pool) must
-  // not change any chase outcome; exercised over a program large enough
-  // to clear the parallel-build cutoff.
-  ProfileConfig config = MedConfig(/*seed=*/23);
-  config.num_entities = 1;
-  config.min_tuples = 48;
-  config.max_tuples = 48;
-  config.master_size = 60;
-  const EntityDataset ds = GenerateProfile(config);
-  const Relation& ie = ds.entities[0];
-  const GroundProgram prog = Instantiate(ie, ds.masters, ds.rules);
-  ASSERT_GT(prog.steps.size(), 2048u);  // the ctor's kParallelBuildCutoff
-
-  ChaseEngine serial(ie, &prog, ds.chase_config);
-  ThreadPool pool(4);
-  ChaseEngine parallel(ie, &prog, ds.chase_config, &pool);
-  const ChaseOutcome a = serial.RunFromInitial();
-  const ChaseOutcome b = parallel.RunFromInitial();
-  EXPECT_EQ(a.church_rosser, b.church_rosser);
-  EXPECT_EQ(a.target, b.target);
-  EXPECT_EQ(a.stats.steps_applied, b.stats.steps_applied);
-  EXPECT_EQ(a.stats.pairs_derived, b.stats.pairs_derived);
 }
 
 TEST(Grounding, TePredicateAgainstNullTupleValueIsDropped) {
