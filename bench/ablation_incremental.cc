@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "chase/chase_engine.h"
+#include "common.h"
 #include "datagen/profile_generator.h"
 
 namespace {
@@ -37,18 +38,16 @@ void BM_Rechase(benchmark::State& state) {
   EntityDataset dataset = MakeDataset(static_cast<int>(state.range(0)));
   struct Prepared {
     Specification spec;
-    GroundProgram program;
-    std::unique_ptr<ChaseEngine> engine;
+    std::unique_ptr<bench::EntityEngine> entity;
     std::vector<Tuple> revisions;  ///< one per null attribute of the target
   };
   std::vector<std::unique_ptr<Prepared>> prepared;
   for (size_t i = 0; i < dataset.entities.size(); ++i) {
     auto p = std::make_unique<Prepared>();
     p->spec = dataset.SpecFor(static_cast<int>(i));
-    p->program = Instantiate(p->spec.ie, p->spec.masters, p->spec.rules);
-    p->engine = std::make_unique<ChaseEngine>(p->spec.ie, &p->program,
-                                              p->spec.config);
-    ChaseOutcome base = p->engine->RunFromInitial();
+    p->entity = std::make_unique<bench::EntityEngine>(p->spec);
+    const ChaseEngine& engine = p->entity->engine;
+    ChaseOutcome base = engine.RunFromInitial();
     if (!base.church_rosser) continue;
     const Tuple& truth = dataset.truths[i];
     const int num_attrs = p->spec.ie.schema().size();
@@ -62,7 +61,7 @@ void BM_Rechase(benchmark::State& state) {
       // Warm the checkpoint outside the timed region, as TopKCT's check
       // calls do in a real framework session.
       Tuple all_null(std::vector<Value>(num_attrs, Value::Null()));
-      benchmark::DoNotOptimize(p->engine->ResumeWith(all_null).church_rosser);
+      benchmark::DoNotOptimize(engine.ResumeWith(all_null).church_rosser);
     }
     // At least two distinct revisions per entity: ResumeWith keeps a
     // persistent session, so repeating one identical revision would
@@ -75,9 +74,10 @@ void BM_Rechase(benchmark::State& state) {
   int64_t rounds = 0;
   for (auto _ : state) {
     for (const std::unique_ptr<Prepared>& p : prepared) {
+      const ChaseEngine& engine = p->entity->engine;
       for (const Tuple& revision : p->revisions) {
-        ChaseOutcome out = kIncremental ? p->engine->ResumeWith(revision)
-                                        : p->engine->Run(revision);
+        ChaseOutcome out = kIncremental ? engine.ResumeWith(revision)
+                                        : engine.Run(revision);
         benchmark::DoNotOptimize(out.church_rosser);
         ++rounds;
       }

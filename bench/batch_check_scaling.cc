@@ -52,9 +52,8 @@ int Run() {
               config.num_tuples);
   const SynDataset syn = GenerateSyn(config);
   const Specification& spec = syn.spec;
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  const EntityEngine entity(spec);
+  const ChaseEngine& engine = entity.engine;
   const ChaseOutcome outcome = engine.RunFromCheckpoint();
   if (!outcome.church_rosser) {
     std::printf("unexpected: Syn spec not Church-Rosser\n");

@@ -16,6 +16,7 @@
 
 #include "api/version.h"
 #include "chase/chase_engine.h"
+#include "core/columnar.h"
 #include "core/dictionary.h"
 #include "datagen/dataset.h"
 #include "datagen/profile_generator.h"
@@ -132,23 +133,40 @@ struct SharedRules {
               RuleFormFilter filter)
       : SharedRules(masters, ds.FilteredRules(filter)) {}
 
-  /// Instantiation of `ie` over the shared block.
-  GroundProgram Ground(const Relation& ie) const {
-    return Instantiate(ie, *block, rules);
-  }
-
   const std::vector<Relation>* masters;
   std::vector<AccuracyRule> rules;
   std::shared_ptr<const MasterBlock> block;
+};
+
+/// One entity encoded, grounded and indexed: the relation, its program
+/// and the engine over both. Not movable — the engine points into the
+/// relation and the program.
+struct EntityEngine {
+  /// On `shared`'s rules: encoded into the block's dictionary and
+  /// grounded over the block.
+  EntityEngine(const SharedRules& shared, const Relation& ie,
+               const ChaseConfig& config)
+      : cie(ColumnarRelation::FromRelation(ie, shared.block->dict())),
+        program(Instantiate(cie, *shared.block, shared.rules)),
+        engine(cie, &program, config) {}
+  /// On `spec` alone: a private dictionary and master block.
+  explicit EntityEngine(const Specification& spec)
+      : cie(ColumnarRelation::FromRelation(spec.ie, &own_dict)),
+        program(Instantiate(cie, spec.masters, spec.rules)),
+        engine(cie, &program, spec.config) {}
+
+  Dictionary own_dict;  ///< unused over a shared block
+  ColumnarRelation cie;
+  GroundProgram program;
+  ChaseEngine engine;
 };
 
 /// Chases entity `i` of `ds` under `shared`'s rules and masters.
 inline EntityOutcome ChaseEntity(const EntityDataset& ds, int i,
                                  const SharedRules& shared) {
   EntityOutcome out;
-  const GroundProgram prog = shared.Ground(ds.entities[i]);
-  ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
-  const ChaseOutcome res = engine.RunFromInitial();
+  const EntityEngine entity(shared, ds.entities[i], ds.chase_config);
+  const ChaseOutcome res = entity.engine.RunFromInitial();
   out.church_rosser = res.church_rosser;
   if (!res.church_rosser) return out;
   out.target = res.target;
@@ -194,8 +212,8 @@ inline TopKResult RunTopK(TopKAlgo algo, const ChaseEngine& engine,
 inline int TruthRank(TopKAlgo algo, const EntityDataset& ds, int i,
                      const SharedRules& shared, int max_k) {
   const std::vector<Relation>& masters = *shared.masters;
-  const GroundProgram prog = shared.Ground(ds.entities[i]);
-  ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
+  const EntityEngine entity(shared, ds.entities[i], ds.chase_config);
+  const ChaseEngine& engine = entity.engine;
   // Checkpoint-backed: RunTopK's candidate checks resume from this run.
   const ChaseOutcome res = engine.RunFromCheckpoint();
   if (!res.church_rosser) return 0;

@@ -31,8 +31,8 @@ int main() {
     deduce_attrs += CompareTarget(deduced, truth).attrs_correct;
 
     // TopKCT with k=1 on the full AR set.
-    const GroundProgram prog = shared.Ground(ds.entities[i]);
-    ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
+    const EntityEngine entity(shared, ds.entities[i], ds.chase_config);
+    const ChaseEngine& engine = entity.engine;
     const ChaseOutcome out = engine.RunFromInitial();
     if (!out.church_rosser) continue;
     iscr_attrs += CompareTarget(out.target, truth).attrs_correct;

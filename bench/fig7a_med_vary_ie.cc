@@ -34,8 +34,8 @@ int main() {
       double total = 0.0;
       int counted = 0;
       for (std::size_t i = 0; i < ds.entities.size(); ++i) {
-        const GroundProgram prog = shared.Ground(ds.entities[i]);
-        ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
+        const EntityEngine entity(shared, ds.entities[i], ds.chase_config);
+        const ChaseEngine& engine = entity.engine;
         const ChaseOutcome out = engine.RunFromInitial();
         if (!out.church_rosser || out.target.IsComplete()) continue;
         const PreferenceModel pref =

@@ -24,8 +24,8 @@ int main() {
       double total = 0.0;
       int counted = 0;
       for (int i = 0; i < sample; ++i) {
-        const GroundProgram prog = shared.Ground(ds.entities[i]);
-        ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
+        const EntityEngine entity(shared, ds.entities[i], ds.chase_config);
+        const ChaseEngine& engine = entity.engine;
         const ChaseOutcome out = engine.RunFromInitial();
         if (!out.church_rosser || out.target.IsComplete()) continue;
         const PreferenceModel pref =

@@ -101,11 +101,10 @@ struct ResumeRun {
 };
 
 /// `rounds` passes over `revisions`, through ResumeWith (`resume`) or the
-/// from-scratch Run.
-ResumeRun RunRevisions(const Specification& spec, const GroundProgram& prog,
-                       bool resume, const std::vector<Tuple>& revisions,
-                       int rounds) {
-  ChaseEngine engine(spec.ie, &prog, spec.config);
+/// from-scratch Run, on a fresh engine over `probe`'s entity and program.
+ResumeRun RunRevisions(const EntityEngine& probe, bool resume,
+                       const std::vector<Tuple>& revisions, int rounds) {
+  ChaseEngine engine(probe.cie, &probe.program, probe.engine.config());
   ResumeRun run;
   if (!engine.RunFromCheckpoint().church_rosser) return run;
   // Warm-up: builds the session state (a one-time copy a framework
@@ -174,10 +173,8 @@ int Run() {
     bool found = false;
     for (int i = 0; i < static_cast<int>(ds.entities.size()) && !found; ++i) {
       const Specification spec = ds.SpecFor(i);
-      const GroundProgram prog =
-          Instantiate(spec.ie, spec.masters, spec.rules);
-      ChaseEngine probe(spec.ie, &prog, spec.config);
-      const ChaseOutcome outcome = probe.RunFromCheckpoint();
+      const EntityEngine probe(spec);
+      const ChaseOutcome outcome = probe.engine.RunFromCheckpoint();
       if (!outcome.church_rosser || outcome.target.IsComplete()) continue;
       const std::vector<Tuple> session =
           SessionRounds(spec, outcome.target, ds.truths[i]);
@@ -196,9 +193,9 @@ int Run() {
         const int64_t resumes =
             static_cast<int64_t>(revisions.size()) * rounds;
         const ResumeRun full =
-            RunRevisions(spec, prog, /*resume=*/false, revisions, rounds);
+            RunRevisions(probe, /*resume=*/false, revisions, rounds);
         const ResumeRun resumed =
-            RunRevisions(spec, prog, /*resume=*/true, revisions, rounds);
+            RunRevisions(probe, /*resume=*/true, revisions, rounds);
         if (full.outcomes != resumed.outcomes) all_identical = false;
 
         const double run_us = full.ms * 1e3 / static_cast<double>(resumes);

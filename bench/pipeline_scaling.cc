@@ -158,7 +158,9 @@ void RunGroundScaling(JsonReport* json) {
     config.max_tuples = n;
     config.master_size = 60;
     const EntityDataset ds = GenerateProfile(config);
-    const Relation& ie = ds.entities[0];
+    Dictionary dict;
+    const ColumnarRelation ie =
+        ColumnarRelation::FromRelation(ds.entities[0], &dict);
     const int reps = small ? 3 : (n >= 96 ? 5 : 10);
     GroundProgram program;
     const double ms = TimeMs([&] {

@@ -81,7 +81,6 @@ int Run() {
   Status failure = Status::OK();
   const double cold_ms = TimeMs([&] {
     ServiceOptions options;
-    options.columnar_storage = true;
     Result<std::unique_ptr<AccuracyService>> created =
         AccuracyService::Create(spec, options);
     if (!created.ok()) {

@@ -27,9 +27,8 @@ inline void RunSynSweep(const char* x_label,
   std::vector<double> times[3];
   for (const SynPoint& p : points) {
     const SynDataset syn = GenerateSyn(p.config);
-    const GroundProgram prog =
-        Instantiate(syn.spec.ie, syn.spec.masters, syn.spec.rules);
-    ChaseEngine engine(syn.spec.ie, &prog, syn.spec.config);
+    const EntityEngine entity(syn.spec);
+    const ChaseEngine& engine = entity.engine;
     const ChaseOutcome out = engine.RunFromInitial();
     if (!out.church_rosser) {
       std::fprintf(stderr, "syn spec not CR at x=%d: %s\n", p.x,

@@ -62,8 +62,9 @@ int main() {
     spec.config = ds.chase_config;
     deduce[o] = RunDeduceOrder(spec).at(closed);
 
-    const GroundProgram prog = shared.Ground(inst);
-    ChaseEngine engine(inst, &prog, spec.config);
+    const EntityEngine entity(shared, inst, spec.config);
+
+    const ChaseEngine& engine = entity.engine;
     const ChaseOutcome out = engine.RunFromInitial();
     if (!out.church_rosser) continue;
     if (!out.target.at(closed).is_null()) {

@@ -11,6 +11,8 @@
 #include <cstdio>
 
 #include "chase/chase_engine.h"
+#include "core/columnar.h"
+#include "core/dictionary.h"
 #include "datagen/profile_generator.h"
 #include "er/resolver.h"
 #include "truth/metrics.h"
@@ -63,11 +65,14 @@ int main() {
   }
   std::printf("pure clusters: %d / %zu\n", pure, res.entities.size());
 
-  // Chase each recovered entity instance.
+  // Chase each recovered entity instance, encoded once into one shared
+  // dictionary (the engine chases dictionary-encoded columns).
+  Dictionary dict;
   int church_rosser = 0, complete = 0;
   for (const EntityInstance& inst : res.entities) {
-    const GroundProgram prog = Instantiate(inst, ds.masters, ds.rules);
-    ChaseEngine engine(inst, &prog, ds.chase_config);
+    const ColumnarRelation cie = ColumnarRelation::FromRelation(inst, &dict);
+    const GroundProgram prog = Instantiate(cie, ds.masters, ds.rules);
+    const ChaseEngine engine(cie, &prog, ds.chase_config);
     const ChaseOutcome out = engine.RunFromInitial();
     if (!out.church_rosser) continue;
     ++church_rosser;

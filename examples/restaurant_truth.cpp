@@ -10,6 +10,8 @@
 #include <cstdio>
 
 #include "chase/chase_engine.h"
+#include "core/columnar.h"
+#include "core/dictionary.h"
 #include "datagen/rest_generator.h"
 #include "topk/topk_ct.h"
 #include "truth/copy_cef.h"
@@ -67,8 +69,12 @@ int main() {
     spec.config = ds.chase_config;
     deduce[o] = RunDeduceOrder(spec).at(closed);
 
-    const GroundProgram prog = Instantiate(inst, spec.masters, spec.rules);
-    ChaseEngine engine(inst, &prog, spec.config);
+    // The engine chases dictionary-encoded columns; the row instance is
+    // encoded once, at the boundary.
+    Dictionary dict;
+    const ColumnarRelation cie = ColumnarRelation::FromRelation(inst, &dict);
+    const GroundProgram prog = Instantiate(cie, spec.masters, spec.rules);
+    const ChaseEngine engine(cie, &prog, spec.config);
     const ChaseOutcome out = engine.RunFromInitial();
     if (!out.church_rosser) continue;
     if (!out.target.at(closed).is_null()) {

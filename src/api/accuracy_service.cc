@@ -17,13 +17,12 @@ namespace relacc {
 
 namespace {
 
-/// Phase-2 carry-over for one incomplete entity: the grounded program
-/// and the engine with its warm all-null checkpoint, kept alive across
-/// the phase boundary so completion never re-grounds or re-chases.
-/// Under columnar storage the encoded relation rides along too — the
-/// engine reads its columns until phase 2 retires it.
+/// Phase-2 carry-over for one incomplete entity: the encoded relation,
+/// the grounded program and the engine with its warm all-null
+/// checkpoint, kept alive across the phase boundary so completion never
+/// re-encodes, re-grounds or re-chases.
 struct PendingCompletion {
-  std::unique_ptr<ColumnarRelation> columnar;
+  std::unique_ptr<ColumnarRelation> cie;
   std::unique_ptr<GroundProgram> program;
   std::unique_ptr<ChaseEngine> engine;  ///< references *program
 };
@@ -32,34 +31,24 @@ struct PendingCompletion {
 /// target stays incomplete (and completion is enabled), the engine is
 /// handed back via `pending` for phase 2. Pure function of its inputs
 /// (the block's dictionary only accretes interned terms, thread-safely);
-/// called concurrently. The entity's pair rules are grounded here; the
-/// master steps come from the service's shared `block`, and every engine
-/// interns into its dictionary. `columnar` selects dictionary-encoded
-/// storage: the entity is interned and grounded/chased on integer
-/// columns — the report is byte-identical either way.
+/// called concurrently. The entity is encoded into the block's dictionary
+/// and its pair rules are grounded here; the master steps come from the
+/// service's shared `block`.
 EntityReport ChaseEntityPhase(const EntityInstance& entity,
                               const MasterBlock& block,
                               const std::vector<AccuracyRule>& rules,
                               const ChaseConfig& chase,
-                              CompletionPolicy completion, bool columnar,
+                              CompletionPolicy completion,
                               std::unique_ptr<PendingCompletion>* pending) {
   EntityReport report;
   report.entity_id = entity.entity_id();
   report.num_tuples = entity.size();
 
-  std::unique_ptr<ColumnarRelation> cie;
-  std::unique_ptr<GroundProgram> program;
-  std::unique_ptr<ChaseEngine> engine;
-  if (columnar) {
-    cie = std::make_unique<ColumnarRelation>(
-        ColumnarRelation::FromRelation(entity, block.dict()));
-    program = std::make_unique<GroundProgram>(Instantiate(*cie, block, rules));
-    engine = std::make_unique<ChaseEngine>(*cie, program.get(), chase);
-  } else {
-    program =
-        std::make_unique<GroundProgram>(Instantiate(entity, block, rules));
-    engine = std::make_unique<ChaseEngine>(entity, program.get(), chase);
-  }
+  auto cie = std::make_unique<ColumnarRelation>(
+      ColumnarRelation::FromRelation(entity, block.dict()));
+  auto program =
+      std::make_unique<GroundProgram>(Instantiate(*cie, block, rules));
+  auto engine = std::make_unique<ChaseEngine>(*cie, program.get(), chase);
   // Serve the all-null chase from the engine's checkpoint: the candidate
   // completion of phase 2 checks against the same checkpoint, so each
   // entity is chased once, not twice.
@@ -74,7 +63,7 @@ EntityReport ChaseEntityPhase(const EntityInstance& entity,
   report.complete = outcome.target.IsComplete();
   if (!report.complete && completion != CompletionPolicy::kLeaveNull) {
     auto p = std::make_unique<PendingCompletion>();
-    p->columnar = std::move(cie);
+    p->cie = std::move(cie);
     p->program = std::move(program);
     p->engine = std::move(engine);
     *pending = std::move(p);
@@ -155,6 +144,11 @@ AccuracyService::~AccuracyService() = default;
 
 Result<std::unique_ptr<AccuracyService>> AccuracyService::Create(
     Specification spec, ServiceOptions options) {
+  if (!options.columnar_storage) {
+    return Status::InvalidArgument(
+        "ServiceOptions::columnar_storage = false: row storage was removed; "
+        "every service stores its entities dictionary-encoded");
+  }
   if (options.window < 1) {
     return Status::InvalidArgument(
         "ServiceOptions::window must be >= 1, got " +
@@ -194,7 +188,6 @@ Result<std::unique_ptr<AccuracyService>> AccuracyService::Create(
           "ServiceOptions::snapshot_path and ::validate_spec are mutually "
           "exclusive: the artifact was validated when it was built");
     }
-    options.columnar_storage = true;  // the artifact is dictionary-encoded
     const int budget = ResolveBudget(options.num_threads);
     ServiceOptions snap_options = options;  // the attempt; `options` is
                                             // retained for the fallback
@@ -205,8 +198,9 @@ Result<std::unique_ptr<AccuracyService>> AccuracyService::Create(
     if (!options.snapshot_fallback) return loaded;
     // Graceful degradation: a corrupt/mismatched artifact must not keep
     // the daemon down when the spec can rebuild the same state cold.
-    // columnar_storage stays true, so results are bit-for-bit what the
-    // snapshot would have served — only the O(1) start is lost.
+    // The cold build stores the same dictionary-encoded state, so results
+    // are bit-for-bit what the snapshot would have served — only the
+    // O(1) start is lost.
     service.reset();  // drop the half-open reader before rebuilding
     options.snapshot_path.clear();
     auto cold = std::unique_ptr<AccuracyService>(
@@ -290,11 +284,6 @@ Status AccuracyService::EnsureMasters() {
 }
 
 Status AccuracyService::WriteSnapshot(const std::string& path) {
-  if (!options_.columnar_storage) {
-    return Status::FailedPrecondition(
-        "WriteSnapshot: the artifact stores dictionary-encoded columns; "
-        "create the service with ServiceOptions::columnar_storage = true");
-  }
   // Interning order matters: the master block and engine builds (step
   // payloads, residual constants) and the master encodings below all
   // intern into dict_ BEFORE the dictionary section is written, so the
@@ -367,19 +356,11 @@ Status AccuracyService::EnsureDefaultEngine() {
     return Status::OK();
   }
   const MasterBlock& block = EnsureMasterBlock();
-  if (options_.columnar_storage) {
-    cie_ = std::make_unique<ColumnarRelation>(
-        ColumnarRelation::FromRelation(spec_.ie, dict_.get()));
-    program_ = std::make_unique<GroundProgram>(
-        Instantiate(*cie_, block, spec_.rules));
-    engine_ =
-        std::make_unique<ChaseEngine>(*cie_, program_.get(), spec_.config);
-  } else {
-    program_ = std::make_unique<GroundProgram>(
-        Instantiate(spec_.ie, block, spec_.rules));
-    engine_ = std::make_unique<ChaseEngine>(spec_.ie, program_.get(),
-                                            spec_.config, dict_.get());
-  }
+  cie_ = std::make_unique<ColumnarRelation>(
+      ColumnarRelation::FromRelation(spec_.ie, dict_.get()));
+  program_ =
+      std::make_unique<GroundProgram>(Instantiate(*cie_, block, spec_.rules));
+  engine_ = std::make_unique<ChaseEngine>(*cie_, program_.get(), spec_.config);
   engine_token_ = NewBindingToken();
   return Status::OK();
 }
@@ -466,18 +447,11 @@ Result<ChaseOutcome> AccuracyService::DeduceEntity(const Relation& entity) {
     if (auto hit = memo_->Lookup(key)) return hit->outcome;
   }
   const MasterBlock& block = EnsureMasterBlock();
-  ChaseOutcome outcome;
-  if (options_.columnar_storage) {
-    const ColumnarRelation cie =
-        ColumnarRelation::FromRelation(entity, dict_.get());
-    const GroundProgram program = Instantiate(cie, block, spec_.rules);
-    ChaseEngine engine(cie, &program, spec_.config);
-    outcome = engine.RunFromInitial();
-  } else {
-    const GroundProgram program = Instantiate(entity, block, spec_.rules);
-    ChaseEngine engine(entity, &program, spec_.config, dict_.get());
-    outcome = engine.RunFromInitial();
-  }
+  const ColumnarRelation cie =
+      ColumnarRelation::FromRelation(entity, dict_.get());
+  const GroundProgram program = Instantiate(cie, block, spec_.rules);
+  const ChaseEngine engine(cie, &program, spec_.config);
+  const ChaseOutcome outcome = engine.RunFromInitial();
   if (memoize) {
     auto entry = std::make_shared<snapshot::MemoEntry>();
     entry->outcome = outcome;
@@ -587,7 +561,7 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
   auto session = std::unique_ptr<InteractionSession>(
       new InteractionSession(this, std::move(options)));
   const Relation* ie;
-  const ColumnarRelation* cie = nullptr;
+  const ColumnarRelation* cie;
   const GroundProgram* program;
   if (own_ie == nullptr) {
     RELACC_RETURN_NOT_OK(EnsureDefaultEngine());
@@ -598,30 +572,19 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
     session->own_ie_ = std::move(own_ie);
     const MasterBlock& block = EnsureMasterBlock();
     ie = session->own_ie_.get();
-    if (options_.columnar_storage) {
-      session->own_cie_ = std::make_unique<ColumnarRelation>(
-          ColumnarRelation::FromRelation(*ie, dict_.get()));
-      cie = session->own_cie_.get();
-      session->own_program_ = std::make_unique<GroundProgram>(
-          Instantiate(*cie, block, spec_.rules));
-    } else {
-      session->own_program_ = std::make_unique<GroundProgram>(
-          Instantiate(*ie, block, spec_.rules));
-    }
+    session->own_cie_ = std::make_unique<ColumnarRelation>(
+        ColumnarRelation::FromRelation(*ie, dict_.get()));
+    cie = session->own_cie_.get();
+    session->own_program_ = std::make_unique<GroundProgram>(
+        Instantiate(*cie, block, spec_.rules));
     program = session->own_program_.get();
   }
   // Session-owned engine either way: the ResumeWith trail session is
   // engine state, so concurrent interactions must not share one engine.
   // Default-entity sessions still share the service checkpoint by
-  // pointer (no second all-null chase) — which requires the session
-  // engine to intern into the same dictionary as the service engine.
-  if (cie != nullptr) {
-    session->engine_ =
-        std::make_unique<ChaseEngine>(*cie, program, spec_.config);
-  } else {
-    session->engine_ =
-        std::make_unique<ChaseEngine>(*ie, program, spec_.config, dict_.get());
-  }
+  // pointer (no second all-null chase): the session engine reads the
+  // service's encoded entity, so both intern into one dictionary.
+  session->engine_ = std::make_unique<ChaseEngine>(*cie, program, spec_.config);
   if (session->own_ie_ == nullptr) {
     session->engine_->AdoptCheckpointFrom(*engine_);
   }
@@ -696,12 +659,10 @@ void PipelineSession::ProcessWindow() {
   std::vector<EntityReport> reports(entities.size());
   std::vector<std::unique_ptr<PendingCompletion>> pending(entities.size());
   const MasterBlock& block = service_->EnsureMasterBlock();
-  const bool columnar = service_->options_.columnar_storage;
   service_->ChasePool().ParallelFor(count, [&](int64_t k) {
     reports[static_cast<std::size_t>(k)] = ChaseEntityPhase(
         entities[static_cast<std::size_t>(k)], block, spec.rules,
-        spec.config, completion_, columnar,
-        &pending[static_cast<std::size_t>(k)]);
+        spec.config, completion_, &pending[static_cast<std::size_t>(k)]);
   });
 
   std::vector<int64_t> todo;

@@ -63,21 +63,19 @@ struct ServiceOptions {
   /// correct by construction and should not pay the analysis.
   bool validate_spec = false;
 
-  /// Store and chase the spec's entity instances dictionary-encoded
-  /// (core/columnar.h): terms are interned once into the service
-  /// dictionary, and grounding/chasing run on integer columns. Reports
-  /// and outcomes are byte-identical to the row path for every setting
-  /// (enforced by tests); what changes is the memory and cache profile —
-  /// O(distinct terms) Values plus 4-byte ids instead of a Value per
-  /// cell. The row Relation stays the public-API boundary either way.
-  bool columnar_storage = false;
+  /// Exists only because the benchmark harness (perfbench/harness)
+  /// still assigns it; it is to be deleted with that harness's three
+  /// assignments. Every service stores its entities dictionary-encoded
+  /// (core/columnar.h), so `true` is the only accepted value: Create
+  /// rejects `false` with kInvalidArgument.
+  bool columnar_storage = true;
 
   /// The term dictionary the service interns into. Null (the default)
   /// makes the service create its own; pass one to share terms across
   /// services or to reuse a dictionary built at parse time
-  /// (SpecDocument::dict). Used by both storage modes — the engines'
+  /// (SpecDocument::dict). Every entity is encoded into it: the engines'
   /// TermId-encoded checkpoints are shared across workers and sessions,
-  /// which requires a common dictionary regardless of storage layout.
+  /// which requires a common dictionary.
   std::shared_ptr<Dictionary> dictionary;
 
   /// Path to a snapshot artifact (src/snapshot/) to load the service
@@ -85,16 +83,16 @@ struct ServiceOptions {
   /// ignores the passed spec and restores dictionary, entity instance,
   /// masters (zero-copy, mmap-backed), rules, config, grounded program
   /// and the chased all-null checkpoint from the file. Incompatible
-  /// with `chase`, `dictionary`, `validate_spec` and `columnar_storage
-  /// == false` being meaningful — those describe a from-scratch build,
-  /// so Create rejects the combinations with kInvalidArgument.
+  /// with `chase`, `dictionary` and `validate_spec` — those describe a
+  /// from-scratch build, so Create rejects the combinations with
+  /// kInvalidArgument.
   /// Version or CRC problems surface as kInvalidArgument / kDataLoss;
   /// a service is never half-built from a bad artifact.
   std::string snapshot_path;
 
   /// Graceful degradation for serving: when loading `snapshot_path`
   /// fails (corrupt file, version mismatch, missing file), fall back to
-  /// a cold columnar build from the passed Specification instead of
+  /// a cold build from the passed Specification instead of
   /// refusing to start. The fallback service reports degraded() ==
   /// true with the load error as its reason; `relacc serve` logs the
   /// warning and carries on (opt out with --snapshot-strict). Ignored
@@ -252,15 +250,11 @@ class AccuracyService {
   /// engine, checker worker engines, completion slots and sessions.
   Dictionary* dictionary() const { return dict_.get(); }
 
-  /// Whether entity instances are stored and chased dictionary-encoded.
-  bool columnar_storage() const { return options_.columnar_storage; }
-
-  /// How this service stores its data: "row", "columnar", or
-  /// "snapshot" (mmap-backed artifact). Serve stats and bench rows
-  /// report this label.
+  /// How this service stores its data: "columnar" (built from the
+  /// Specification) or "snapshot" (mmap-backed artifact). Serve stats
+  /// and bench rows report this label.
   const char* storage_mode() const {
-    if (reader_ != nullptr) return "snapshot";
-    return options_.columnar_storage ? "columnar" : "row";
+    return reader_ != nullptr ? "snapshot" : "columnar";
   }
 
   /// Terms currently interned in the service dictionary (including the
@@ -281,10 +275,8 @@ class AccuracyService {
   /// Serializes the service's full derived state — dictionary, encoded
   /// entity instance, masters, rules, config, grounded program, chased
   /// all-null checkpoint — into a snapshot artifact at `path`, building
-  /// the engine and checkpoint first if needed. Requires columnar
-  /// storage (the artifact ships dictionary-encoded columns);
-  /// kFailedPrecondition otherwise. A snapshot-loaded service can
-  /// re-export.
+  /// the engine and checkpoint first if needed. A snapshot-loaded
+  /// service can re-export.
   Status WriteSnapshot(const std::string& path);
 
   /// Opens a streaming pipeline session. Rejects managed TopKOptions
@@ -432,9 +424,9 @@ class AccuracyService {
   std::shared_ptr<const MasterBlock> master_block_;
 
   // Lazily-grounded state of the spec's own entity instance; engine_
-  // owns the shared all-null checkpoint. Under columnar storage, cie_
-  // is the dictionary-encoded spec_.ie the engine reads its columns
-  // from (and must outlive the engine).
+  // owns the shared all-null checkpoint. cie_ is the dictionary-encoded
+  // spec_.ie the engine reads its columns from (and must outlive the
+  // engine).
   std::unique_ptr<ColumnarRelation> cie_;
   std::unique_ptr<GroundProgram> program_;
   std::unique_ptr<ChaseEngine> engine_;
@@ -610,9 +602,9 @@ class InteractionSession {
   InteractionOptions options_;
 
   // For sessions over a caller-supplied entity; default-entity sessions
-  // borrow the service's relation and program instead. Under columnar
-  // storage, own_cie_ is the encoded form the session engine reads
-  // (interned into the service dictionary).
+  // borrow the service's relation and program instead. own_cie_ is the
+  // encoded form the session engine reads (interned into the service
+  // dictionary).
   std::unique_ptr<Relation> own_ie_;
   std::unique_ptr<ColumnarRelation> own_cie_;
   std::unique_ptr<GroundProgram> own_program_;

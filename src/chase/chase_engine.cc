@@ -49,43 +49,9 @@ struct ChaseEngine::RunState {
 
 ChaseEngine::~ChaseEngine() = default;
 
-ChaseEngine::ChaseEngine(const Relation& ie, const GroundProgram* program,
-                         ChaseConfig config, Dictionary* dict)
-    : ie_(&ie),
-      schema_(&ie.schema()),
-      dict_(dict),
-      program_(program),
-      config_(config),
-      n_(ie.size()),
-      num_attrs_(ie.schema().size()) {
-  const MasterBlock* block = program->master.get();
-  if (dict_ == nullptr && block != nullptr) dict_ = block->dict();
-  if (dict_ == nullptr) {
-    owned_dict_ = std::make_unique<Dictionary>();
-    dict_ = owned_dict_.get();
-  }
-  RequireBlockDictionary();
-  columns_.resize(num_attrs_);
-  value_groups_.resize(num_attrs_);
-  value_slot_.resize(num_attrs_);
-  for (AttrId a = 0; a < num_attrs_; ++a) {
-    columns_[a].reserve(n_);
-    for (int i = 0; i < n_; ++i) {
-      const TermId id = dict_->Intern(ie.tuple(i).at(a));
-      columns_[a].push_back(id);
-      if (id == kNullTermId) continue;
-      auto [it, inserted] = value_slot_[a].try_emplace(
-          id, static_cast<int32_t>(value_groups_[a].size()));
-      if (inserted) value_groups_[a].emplace_back();
-      value_groups_[a][it->second].push_back(i);
-    }
-  }
-  BuildIndex();
-}
-
 ChaseEngine::ChaseEngine(const ColumnarRelation& ie,
                          const GroundProgram* program, ChaseConfig config)
-    : cie_(&ie),
+    : ie_(&ie),
       schema_(&ie.schema()),
       dict_(ie.mutable_dict()),
       program_(program),
@@ -112,11 +78,10 @@ ChaseEngine::ChaseEngine(const ColumnarRelation& ie,
 }
 
 const Relation& ChaseEngine::ie() const {
-  if (ie_ != nullptr) return *ie_;
-  // Columnar engine: the row adapter exists only for consumers that walk
-  // tuples (top-k search-space builders); built once, thread-safely.
+  // The row adapter exists only for consumers that walk tuples (top-k
+  // search-space builders); built once, thread-safely.
   std::call_once(ie_once_, [this] {
-    materialized_ie_ = std::make_unique<Relation>(cie_->ToRelation());
+    materialized_ie_ = std::make_unique<Relation>(ie_->ToRelation());
   });
   return *materialized_ie_;
 }
@@ -440,8 +405,8 @@ bool ChaseEngine::InitState(RunState* st_ptr, const Tuple& initial_te) const {
       for (int i = 0; i < n_; ++i) {
         if (columns_[a][i] == kNullTermId) nulls.push_back(i);
       }
-      // ϕ9 over non-null duplicates, in first-seen group order (stable
-      // across the row and columnar construction paths).
+      // ϕ9 over non-null duplicates, in first-seen group order (a
+      // function of the rows, not of the term ids).
       for (const std::vector<int>& indices : value_groups_[a]) {
         for (std::size_t x = 0; x < indices.size() && ok; ++x) {
           for (std::size_t y = x + 1; y < indices.size() && ok; ++y) {
@@ -829,9 +794,10 @@ ChaseOutcome ChaseEngine::RunFromInitial() const {
 }
 
 ChaseOutcome IsCR(const Specification& spec) {
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  Dictionary dict;
+  const ColumnarRelation ie = ColumnarRelation::FromRelation(spec.ie, &dict);
+  const GroundProgram program = Instantiate(ie, spec.masters, spec.rules);
+  ChaseEngine engine(ie, &program, spec.config);
   return engine.RunFromInitial();
 }
 

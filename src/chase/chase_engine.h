@@ -75,27 +75,18 @@ class ChaseEngine {
   /// program's own steps; a block-backed program's master steps are
   /// already indexed in the block, so the pass is per-entity sized.
   ///
-  /// Internally the engine is dictionary-encoded end to end: the Ie
-  /// columns, the te slots of every run state, the ϕ8/ϕ9 value index and
-  /// the residual-constant watch entries are all TermIds interned into
-  /// `dict` (Value equality == id equality by the interning contract), so
-  /// the chase hot loop compares integers, not Values. Pass a shared
-  /// dictionary so sibling engines — checker worker pools, pipeline
-  /// windows, serve sessions — intern each distinct term once and can
-  /// share checkpoints (AdoptCheckpointFrom requires a common
-  /// dictionary). With dict == nullptr the engine adopts the dictionary
-  /// of the program's master block, or owns a private one when the
-  /// program has none. A block-backed program requires the engine to
-  /// intern into the block's dictionary (the block's watchers are keyed
-  /// by its ids); a mismatch aborts.
-  ChaseEngine(const Relation& ie, const GroundProgram* program,
-              ChaseConfig config, Dictionary* dict = nullptr);
-
-  /// Columnar-native construction: chases `ie` without ever holding a
-  /// row copy (the dictionary is ie.mutable_dict(), which must be the
-  /// program's block dictionary when it has a block). ie() materializes a
-  /// row adapter lazily for the few consumers that still need tuples
-  /// (the top-k search-space builders); grounding and chasing never do.
+  /// The engine is dictionary-encoded end to end: the Ie columns, the te
+  /// slots of every run state, the ϕ8/ϕ9 value index and the
+  /// residual-constant watch entries are all TermIds of ie.mutable_dict()
+  /// (Value equality == id equality by the interning contract), so the
+  /// chase hot loop compares integers, not Values. Sibling engines —
+  /// checker worker pools, pipeline windows, serve sessions — encode
+  /// their entities into one shared dictionary, so each distinct term is
+  /// interned once and checkpoints can be shared (AdoptCheckpointFrom
+  /// requires a common dictionary). A block-backed program requires ie's
+  /// dictionary to be the block's (the block's watchers are keyed by its
+  /// ids); a mismatch aborts. A row Relation is encoded once, at the API
+  /// boundary, with ColumnarRelation::FromRelation.
   ChaseEngine(const ColumnarRelation& ie, const GroundProgram* program,
               ChaseConfig config);
 
@@ -184,14 +175,15 @@ class ChaseEngine {
   /// rejected with kDataLoss and leave the engine unchanged.
   Status ImportCheckpoint(const ChaseCheckpoint& image);
 
-  /// Row view of Ie. For a row-constructed engine this is the caller's
-  /// relation; for a columnar engine a row adapter is materialized (and
-  /// cached) on first call — the chase itself never needs it.
+  /// The encoded Ie the engine chases.
+  const ColumnarRelation& encoded_ie() const { return *ie_; }
+  /// Row view of Ie: a row adapter materialized (and cached) on first
+  /// call for the top-k search-space builders — the chase never needs it.
   const Relation& ie() const;
   const GroundProgram& program() const { return *program_; }
   const ChaseConfig& config() const { return config_; }
 
-  /// The term dictionary this engine encodes against (shared or owned).
+  /// The term dictionary this engine encodes against (ie's).
   const Dictionary& dict() const { return *dict_; }
   Dictionary* mutable_dict() const { return dict_; }
 
@@ -279,7 +271,7 @@ class ChaseEngine {
   // dictionary than dict_ (its keyed watchers would be meaningless).
   void RequireBlockDictionary() const;
 
-  // Shared body of both constructors (columns/value groups are already
+  // Second half of construction (columns/value groups are already
   // encoded when it runs): watch lists, residual counters, step te ids.
   void BuildIndex();
 
@@ -291,8 +283,8 @@ class ChaseEngine {
   StepRef StepAt(int32_t s) const;
 
   // Encodes te ids back into a boundary Tuple, coercing numeric
-  // representatives to the schema column type so outcomes are
-  // byte-identical to the row path on type-consistent data.
+  // representatives to the schema column type so outcomes carry the
+  // boundary values, not the dictionary representatives.
   Tuple MaterializeTe(const std::vector<TermId>& te) const;
 
   // dict_->value(id).ToString() with null id -> "" (violation messages).
@@ -305,17 +297,14 @@ class ChaseEngine {
            static_cast<uint64_t>(j);
   }
 
-  /// Exactly one of ie_/cie_ is set at construction; ie() materializes a
-  /// cached row adapter for columnar engines on demand.
-  const Relation* ie_ = nullptr;
-  const ColumnarRelation* cie_ = nullptr;
+  const ColumnarRelation* ie_;
+  /// The cached row adapter behind ie(), built on demand.
   mutable std::unique_ptr<Relation> materialized_ie_;
   mutable std::once_flag ie_once_;
   const Schema* schema_;
-  /// Shared (caller-owned) or private term dictionary; columns_, watch
-  /// constants and every RunState te slot are ids into it.
+  /// ie's (caller-owned) term dictionary; columns_, watch constants and
+  /// every RunState te slot are ids into it.
   Dictionary* dict_;
-  std::unique_ptr<Dictionary> owned_dict_;
   const GroundProgram* program_;
   ChaseConfig config_;
   int n_;
@@ -352,9 +341,8 @@ class ChaseEngine {
   /// Dictionary-encoded column per attribute (orders & the ϕ8 anchor).
   std::vector<std::vector<TermId>> columns_;
   /// Per attribute: groups of tuple indices sharing a non-null value, in
-  /// first-seen row order — deterministic and representation-independent
-  /// (the row and columnar paths emit ϕ9 pairs in the same order) —
-  /// plus an id -> group index for the ϕ8 anchor lookup.
+  /// first-seen row order — deterministic and independent of the term
+  /// ids — plus an id -> group index for the ϕ8 anchor lookup.
   std::vector<std::vector<std::vector<int>>> value_groups_;
   std::vector<std::unordered_map<TermId, int32_t>> value_slot_;
 

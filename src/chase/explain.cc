@@ -1,13 +1,111 @@
 #include "chase/explain.h"
 
+#include <memory>
 #include <unordered_set>
 #include <utility>
 
 #include "rules/axioms.h"
-#include "rules/grounding.h"
 #include "rules/predicate.h"
 
 namespace relacc {
+namespace {
+
+/// Grounds one form-(1) rule on the ordered pair (ti, tj) by evaluating
+/// every constant conjunct on the tuples' Values. Returns false if some
+/// constant predicate already fails (the step is dropped).
+bool GroundPairRule(const AccuracyRule& rule, const Relation& ie, int i,
+                    int j, GroundStep* out) {
+  const Tuple& t1 = ie.tuple(i);
+  const Tuple& t2 = ie.tuple(j);
+  out->kind = GroundStep::Kind::kAddOrder;
+  out->attr = rule.rhs_attr;
+  out->i = i;
+  out->j = j;
+  out->residual.clear();
+  for (const TuplePairPredicate& p : rule.lhs) {
+    switch (p.kind) {
+      case TuplePairPredicate::Kind::kAttrAttr: {
+        if (!EvalCompare(p.op, t1.at(p.left_attr), t2.at(p.right_attr))) {
+          return false;
+        }
+        break;
+      }
+      case TuplePairPredicate::Kind::kAttrConst: {
+        const Tuple& t = p.which == 1 ? t1 : t2;
+        if (!EvalCompare(p.op, t.at(p.left_attr), p.constant)) return false;
+        break;
+      }
+      case TuplePairPredicate::Kind::kAttrTe: {
+        // ti[a] op te[b]  ==>  te[b] op' c with c = ti[a].
+        const Tuple& t = p.which == 1 ? t1 : t2;
+        const Value& c = t.at(p.left_attr);
+        const CompareOp flipped = FlipCompareOp(p.op);
+        // te values are non-null once set, so te = null is unsatisfiable
+        // and te-order-compare against null is always false.
+        if (c.is_null() && flipped != CompareOp::kNe) return false;
+        GroundPredicate g;
+        g.kind = GroundPredicate::Kind::kTeCompare;
+        g.attr = p.right_attr;
+        g.op = flipped;
+        g.constant = c;
+        out->residual.push_back(std::move(g));
+        break;
+      }
+      case TuplePairPredicate::Kind::kTeConst: {
+        if (p.constant.is_null() && p.op != CompareOp::kNe) return false;
+        GroundPredicate g;
+        g.kind = GroundPredicate::Kind::kTeCompare;
+        g.attr = p.left_attr;
+        g.op = p.op;
+        g.constant = p.constant;
+        out->residual.push_back(std::move(g));
+        break;
+      }
+      case TuplePairPredicate::Kind::kOrder: {
+        // t1 ≺_a t2 requires differing values; resolved now since tuple
+        // values are constants.
+        if (p.strict && t1.at(p.left_attr) == t2.at(p.left_attr)) {
+          return false;
+        }
+        GroundPredicate g;
+        g.kind = GroundPredicate::Kind::kOrderPair;
+        g.attr = p.left_attr;
+        g.i = i;
+        g.j = j;
+        out->residual.push_back(std::move(g));
+        break;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+GroundProgram ReferenceInstantiate(const Relation& ie,
+                                   const std::vector<Relation>& masters,
+                                   const std::vector<AccuracyRule>& rules) {
+  GroundProgram prog;
+  prog.num_tuples = ie.size();
+  prog.num_attrs = ie.schema().size();
+  for (const AccuracyRule& rule : rules) prog.rule_names.push_back(rule.name);
+  // Pair steps in serial emission order: rule, then ti, then tj.
+  GroundStep scratch;
+  for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
+    if (rules[r].form != AccuracyRule::Form::kTuplePair) continue;
+    for (int i = 0; i < ie.size(); ++i) {
+      for (int j = 0; j < ie.size(); ++j) {
+        if (i != j && GroundPairRule(rules[r], ie, i, j, &scratch)) {
+          scratch.rule_id = r;
+          prog.steps.push_back(scratch);
+        }
+      }
+    }
+  }
+  prog.master =
+      MasterBlock::Build(masters, rules, std::make_shared<Dictionary>());
+  return prog.Materialize();
+}
 
 ExplainedChase::ExplainedChase(const Specification& spec)
     : schema_(spec.ie.schema()), ie_(spec.ie) {
@@ -125,10 +223,9 @@ void ExplainedChase::Run(const Specification& spec) {
     std::vector<AccuracyRule> axioms = ExpandAxioms(schema_);
     rules.insert(rules.end(), axioms.begin(), axioms.end());
   }
-  // The oracle walks the flat program, never the chase engine's index
-  // over a shared master block.
-  const GroundProgram program =
-      Instantiate(ie_, spec.masters, rules).Materialize();
+  // The oracle grounds on Values and walks the flat program, never the
+  // chase engine's dictionary-encoded index.
+  const GroundProgram program = ReferenceInstantiate(ie_, spec.masters, rules);
 
   // λ applies to the initial empty orders already: a lone tuple (or a set
   // of value-equal tuples once ϕ9 fires) is trivially the greatest element.

@@ -7,6 +7,7 @@
 
 #include "chase/specification.h"
 #include "core/relation.h"
+#include "rules/grounding.h"
 
 namespace relacc {
 
@@ -106,6 +107,16 @@ class ExplainedChase {
   std::vector<std::vector<int>> pair_derivation_;
   std::vector<int> te_derivation_;
 };
+
+/// The naive oracle's own grounder: procedure Instantiation evaluated on
+/// Values, straight off the tuples, returning the flat program (every
+/// step in `steps`, no block). ExplainedChase walks it; tests compare the
+/// dictionary-encoded Instantiate (rules/grounding.h) against it step for
+/// step. The form-(2) steps come from a private MasterBlock, whose
+/// grounding reads master tuples as Values already.
+GroundProgram ReferenceInstantiate(const Relation& ie,
+                                   const std::vector<Relation>& masters,
+                                   const std::vector<AccuracyRule>& rules);
 
 }  // namespace relacc
 

@@ -298,7 +298,6 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
   Result<int64_t> threads = args.GetInt("threads", 0);
   Result<int64_t> window = args.GetInt("window", 0);
   const std::string completion = args.GetString("completion", "best");
-  const std::string storage = args.GetString("storage", "row");
   const std::string snapshot = args.GetString("snapshot");
   const bool as_json = args.Has("json");
   Result<SpecDocument> doc = LoadSpec(args);
@@ -317,14 +316,6 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
   } else if (completion != "best") {
     return Status::InvalidArgument(
         "--completion must be best, heuristic or none");
-  }
-  if (storage != "row" && storage != "columnar") {
-    return Status::InvalidArgument("--storage must be row or columnar");
-  }
-  if (!snapshot.empty() && args.Has("storage") && storage != "columnar") {
-    return Status::InvalidArgument(
-        "--storage row conflicts with --snapshot: the artifact is "
-        "dictionary-encoded");
   }
   const Specification& spec = doc.value().spec;
   const Schema& schema = spec.ie.schema();
@@ -351,10 +342,9 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
     // dictionary must not seed the service — the artifact restores its
     // own (id stability needs a fresh one).
     service_options.snapshot_path = snapshot;
-  } else if (storage == "columnar") {
-    // Dictionary-encoded storage, seeded with the parse-time dictionary
-    // (SpecDocument::dict) so the service never re-interns the document.
-    service_options.columnar_storage = true;
+  } else {
+    // Seeded with the parse-time dictionary (SpecDocument::dict), so the
+    // service never re-interns the document.
     service_options.dictionary = doc.value().dict;
   }
   Result<PipelineReport> finished = StreamResolvedEntities(
@@ -780,7 +770,7 @@ const char* SectionName(snapshot::SectionType type) {
 
 /// `relacc snapshot build <spec.json> --out <file> [--threads N]`:
 /// builds the service exactly as `relacc serve <spec.json>` would
-/// (columnar storage, the document's chase config), chases the all-null
+/// (the document's dictionary and chase config), chases the all-null
 /// checkpoint once, and serializes the whole thing into one artifact.
 Status CmdSnapshotBuild(const Args& args, std::ostream& out) {
   Result<int64_t> threads = args.GetInt("threads", 0);
@@ -803,7 +793,6 @@ Status CmdSnapshotBuild(const Args& args, std::ostream& out) {
 
   ServiceOptions service_options;
   service_options.num_threads = static_cast<int>(threads.value());
-  service_options.columnar_storage = true;
   service_options.dictionary = doc.value().dict;
   Result<std::unique_ptr<AccuracyService>> service = AccuracyService::Create(
       std::move(doc.value().spec), std::move(service_options));
@@ -1027,7 +1016,7 @@ std::string CliUsage() {
       "  pipeline  flat relation -> entity resolution -> per-entity targets\n"
       "            --key <attr[,attr...]> [--threads N] [--window N]\n"
       "            [--completion best|heuristic|none]\n"
-      "            [--storage row|columnar] [--snapshot FILE] [--json]\n"
+      "            [--snapshot FILE] [--json]\n"
       "  interactive  the Fig. 3 user loop on one entity instance\n"
       "            [--k N]\n"
       "  serve     long-lived daemon over a pool of AccuracyService\n"

@@ -29,7 +29,7 @@ namespace relacc {
 ///   relacc fmt <spec.json> [--rules-only]
 ///       Normalized spec (canonical rule DSL) back to stdout.
 ///   relacc pipeline <spec.json> --key <attr[,attr...]> [--threads N]
-///       [--completion best|heuristic|none] [--storage row|columnar] [--json]
+///       [--completion best|heuristic|none] [--snapshot FILE] [--json]
 ///       Treats the entity relation as a flat database: entity resolution
 ///       over --key, then the whole-database accuracy pipeline.
 ///   relacc interactive <spec.json> [--k N]

@@ -113,8 +113,8 @@ class Dictionary {
 /// Materializes `id` as a Value of the schema column type `as`: numeric
 /// representatives are coerced (exactly — cross-type interning only ever
 /// merges numerically equal values) so a column declared kInt yields
-/// Value::Int even when a double was interned first, keeping row adapters
-/// and chase outcomes byte-identical to the row path. Non-numeric or
+/// Value::Int even when a double was interned first, so row adapters and
+/// chase outcomes carry the boundary values. Non-numeric or
 /// non-coercible representatives are returned as stored.
 Value MaterializeAs(const Dictionary& dict, TermId id, ValueType as);
 

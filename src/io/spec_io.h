@@ -22,9 +22,9 @@ struct SpecDocument {
   std::vector<std::string> master_names;  ///< parallel to spec.masters
 
   /// Term dictionary built at parse time: every entity and master cell
-  /// is interned as the document loads, so a columnar service
-  /// (ServiceOptions::dictionary / columnar_storage) starts with a warm
-  /// dictionary instead of re-interning the whole instance. Shared so
+  /// is interned as the document loads, so a service seeded with it
+  /// (ServiceOptions::dictionary) starts with a warm dictionary instead
+  /// of re-interning the whole instance. Shared so
   /// copies of the document (and services outliving it) stay cheap.
   std::shared_ptr<Dictionary> dict;
 

@@ -9,75 +9,6 @@
 namespace relacc {
 namespace {
 
-/// Grounds one form-(1) rule on the ordered pair (ti, tj). Returns false if
-/// some constant predicate already fails (the step is dropped).
-bool GroundPairRule(const AccuracyRule& rule, const Relation& ie, int i,
-                    int j, GroundStep* out) {
-  const Tuple& t1 = ie.tuple(i);
-  const Tuple& t2 = ie.tuple(j);
-  out->kind = GroundStep::Kind::kAddOrder;
-  out->attr = rule.rhs_attr;
-  out->i = i;
-  out->j = j;
-  out->residual.clear();
-  for (const TuplePairPredicate& p : rule.lhs) {
-    switch (p.kind) {
-      case TuplePairPredicate::Kind::kAttrAttr: {
-        if (!EvalCompare(p.op, t1.at(p.left_attr), t2.at(p.right_attr))) {
-          return false;
-        }
-        break;
-      }
-      case TuplePairPredicate::Kind::kAttrConst: {
-        const Tuple& t = p.which == 1 ? t1 : t2;
-        if (!EvalCompare(p.op, t.at(p.left_attr), p.constant)) return false;
-        break;
-      }
-      case TuplePairPredicate::Kind::kAttrTe: {
-        // ti[a] op te[b]  ==>  te[b] op' c with c = ti[a].
-        const Tuple& t = p.which == 1 ? t1 : t2;
-        const Value& c = t.at(p.left_attr);
-        const CompareOp flipped = FlipCompareOp(p.op);
-        // te values are non-null once set, so te = null is unsatisfiable
-        // and te-order-compare against null is always false.
-        if (c.is_null() && flipped != CompareOp::kNe) return false;
-        GroundPredicate g;
-        g.kind = GroundPredicate::Kind::kTeCompare;
-        g.attr = p.right_attr;
-        g.op = flipped;
-        g.constant = c;
-        out->residual.push_back(std::move(g));
-        break;
-      }
-      case TuplePairPredicate::Kind::kTeConst: {
-        if (p.constant.is_null() && p.op != CompareOp::kNe) return false;
-        GroundPredicate g;
-        g.kind = GroundPredicate::Kind::kTeCompare;
-        g.attr = p.left_attr;
-        g.op = p.op;
-        g.constant = p.constant;
-        out->residual.push_back(std::move(g));
-        break;
-      }
-      case TuplePairPredicate::Kind::kOrder: {
-        // t1 ≺_a t2 requires differing values; resolved now since tuple
-        // values are constants.
-        if (p.strict && t1.at(p.left_attr) == t2.at(p.left_attr)) {
-          return false;
-        }
-        GroundPredicate g;
-        g.kind = GroundPredicate::Kind::kOrderPair;
-        g.attr = p.left_attr;
-        g.i = i;
-        g.j = j;
-        out->residual.push_back(std::move(g));
-        break;
-      }
-    }
-  }
-  return true;
-}
-
 /// Grounds one form-(2) rule on master tuple tm, emitting one kSetTe step
 /// per assignment with a non-null source value. The conjuncts are decided
 /// before the residual is built, so a master tuple the rule rejects costs
@@ -122,28 +53,6 @@ void GroundMasterRule(const AccuracyRule& rule, const Tuple& tm, int rule_id,
   }
 }
 
-/// Grounds every form-(1) rule of `rules` against every ordered pair
-/// (ti, tj), i != j, of `ie`, appending to `out` in serial emission order:
-/// rule, then ti, then tj.
-void GroundRows(const Relation& ie, const std::vector<AccuracyRule>& rules,
-                std::vector<GroundStep>* out) {
-  const int n = ie.size();
-  GroundStep scratch;
-  for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
-    const AccuracyRule& rule = rules[r];
-    if (rule.form != AccuracyRule::Form::kTuplePair) continue;
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if (i == j) continue;
-        if (GroundPairRule(rule, ie, i, j, &scratch)) {
-          scratch.rule_id = r;
-          out->push_back(scratch);
-        }
-      }
-    }
-  }
-}
-
 /// Grounds every form-(2) rule of `rules` against every tuple of its
 /// master relation, appending to `out` in rule, then tm order. Rules
 /// referencing an absent master contribute no steps.
@@ -183,16 +92,18 @@ std::vector<std::vector<TermId>> InternRuleConstants(
   return ids;
 }
 
-/// Columnar twin of GroundPairRule. Equality operators are decided on
-/// TermIds (id equality == Value::operator== equality by the interning
-/// contract, nulls included: all nulls share kNullTermId); order
-/// operators fall back to the dictionary representatives, whose
-/// cross-type numeric Compare agrees with the schema-typed row values.
-/// `const_ids[k]` pre-resolves the k-th conjunct's kAttrConst constant.
-bool GroundPairRuleColumnar(const AccuracyRule& rule,
-                            const std::vector<TermId>& const_ids,
-                            const ColumnarRelation& ie, int i, int j,
-                            GroundStep* out) {
+/// Grounds one form-(1) rule on the ordered pair (ti, tj). Returns false if
+/// some constant predicate already fails (the step is dropped). Equality
+/// operators are decided on TermIds (id equality == Value::operator==
+/// equality by the interning contract, nulls included: all nulls share
+/// kNullTermId); order operators fall back to the dictionary
+/// representatives, whose cross-type numeric Compare agrees with the
+/// schema-typed values. `const_ids[k]` pre-resolves the k-th conjunct's
+/// kAttrConst constant.
+bool GroundPairRule(const AccuracyRule& rule,
+                    const std::vector<TermId>& const_ids,
+                    const ColumnarRelation& ie, int i, int j,
+                    GroundStep* out) {
   const Dictionary& dict = ie.dict();
   out->kind = GroundStep::Kind::kAddOrder;
   out->attr = rule.rhs_attr;
@@ -228,8 +139,9 @@ bool GroundPairRuleColumnar(const AccuracyRule& rule,
       }
       case TuplePairPredicate::Kind::kAttrTe: {
         // ti[a] op te[b]  ==>  te[b] op' c with c = ti[a], materialized
-        // with the schema column type so the residual constant is
-        // byte-identical to the row path's.
+        // with the schema column type (the boundary value, not the
+        // dictionary representative). te values are non-null once set,
+        // so te = null is unsatisfiable.
         const int row = p.which == 1 ? i : j;
         const TermId vid = ie.id_at(row, p.left_attr);
         const CompareOp flipped = FlipCompareOp(p.op);
@@ -253,6 +165,8 @@ bool GroundPairRuleColumnar(const AccuracyRule& rule,
         break;
       }
       case TuplePairPredicate::Kind::kOrder: {
+        // t1 ≺_a t2 requires differing values; resolved now since tuple
+        // values are constants.
         if (p.strict &&
             ie.id_at(i, p.left_attr) == ie.id_at(j, p.left_attr)) {
           return false;
@@ -270,12 +184,13 @@ bool GroundPairRuleColumnar(const AccuracyRule& rule,
   return true;
 }
 
-/// Columnar twin of GroundRows — identical loop structure and emission
-/// order.
-void GroundRowsColumnar(const ColumnarRelation& ie,
-                        const std::vector<AccuracyRule>& rules,
-                        const std::vector<std::vector<TermId>>& const_ids,
-                        std::vector<GroundStep>* out) {
+/// Grounds every form-(1) rule of `rules` against every ordered pair
+/// (ti, tj), i != j, of `ie`, appending to `out` in serial emission order:
+/// rule, then ti, then tj.
+void GroundRows(const ColumnarRelation& ie,
+                const std::vector<AccuracyRule>& rules,
+                const std::vector<std::vector<TermId>>& const_ids,
+                std::vector<GroundStep>* out) {
   const int n = ie.size();
   GroundStep scratch;
   for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
@@ -284,7 +199,7 @@ void GroundRowsColumnar(const ColumnarRelation& ie,
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
         if (i == j) continue;
-        if (GroundPairRuleColumnar(rule, const_ids[r], ie, i, j, &scratch)) {
+        if (GroundPairRule(rule, const_ids[r], ie, i, j, &scratch)) {
           scratch.rule_id = r;
           out->push_back(scratch);
         }
@@ -305,28 +220,12 @@ std::vector<std::string> RuleNames(const std::vector<AccuracyRule>& rules) {
   std::abort();
 }
 
-/// The program shell every overload fills: sizes, rule names and the
-/// shared block (built from this very rule list).
-GroundProgram ProgramOver(int num_tuples, int num_attrs,
-                          const MasterBlock& block,
-                          const std::vector<AccuracyRule>& rules) {
-  if (block.num_rules() != static_cast<int>(rules.size())) {
-    AbortBlockMismatch("the master block was built from another rule list");
-  }
-  GroundProgram prog;
-  prog.num_tuples = num_tuples;
-  prog.num_attrs = num_attrs;
-  prog.rule_names = RuleNames(rules);
-  prog.master = block.shared_from_this();
-  return prog;
-}
-
 uint64_t WatchKey(AttrId attr, TermId v) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(attr)) << 32) | v;
 }
 
-/// A non-owning handle on a caller-owned dictionary (the columnar
-/// overloads' private blocks intern into the relation's dictionary).
+/// A non-owning handle on a caller-owned dictionary (the `masters`
+/// overload's private block interns into the relation's dictionary).
 std::shared_ptr<Dictionary> Borrow(Dictionary* dict) {
   return std::shared_ptr<Dictionary>(std::shared_ptr<Dictionary>(), dict);
 }
@@ -446,31 +345,23 @@ std::span<const MasterBlock::Watch> MasterBlock::Watchers(AttrId attr,
 
 // ------------------------------------------------------------ Instantiate
 
-GroundProgram Instantiate(const Relation& ie, const MasterBlock& block,
-                          const std::vector<AccuracyRule>& rules) {
-  GroundProgram prog = ProgramOver(ie.size(), ie.schema().size(), block, rules);
-  GroundRows(ie, rules, &prog.steps);
-  return prog;
-}
-
-GroundProgram Instantiate(const Relation& ie,
-                          const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules) {
-  const std::shared_ptr<const MasterBlock> block =
-      MasterBlock::Build(masters, rules, std::make_shared<Dictionary>());
-  return Instantiate(ie, *block, rules);
-}
-
 GroundProgram Instantiate(const ColumnarRelation& ie, const MasterBlock& block,
                           const std::vector<AccuracyRule>& rules) {
   if (block.dict() != ie.mutable_dict()) {
     AbortBlockMismatch(
         "the master block interns into another dictionary than the entity");
   }
-  GroundProgram prog = ProgramOver(ie.size(), ie.schema().size(), block, rules);
+  if (block.num_rules() != static_cast<int>(rules.size())) {
+    AbortBlockMismatch("the master block was built from another rule list");
+  }
+  GroundProgram prog;
+  prog.num_tuples = ie.size();
+  prog.num_attrs = ie.schema().size();
+  prog.rule_names = RuleNames(rules);
+  prog.master = block.shared_from_this();
   const std::vector<std::vector<TermId>> const_ids =
       InternRuleConstants(rules, ie.mutable_dict());
-  GroundRowsColumnar(ie, rules, const_ids, &prog.steps);
+  GroundRows(ie, rules, const_ids, &prog.steps);
   return prog;
 }
 

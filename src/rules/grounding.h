@@ -166,11 +166,12 @@ void GroundProgram::ForEachStep(Fn&& fn) const {
 }
 
 /// Structural equality, field for field in step order (tests assert
-/// step-by-step identity between the row and columnar paths and between
-/// block-backed and flat programs). Programs compare as materialized: a
-/// block-backed program equals its Materialize() twin and the snapshot
-/// reader's flat copy. Value equality treats null == null as true, so
-/// residual constants compare as stored.
+/// step-by-step identity between the TermId grounder and the naive
+/// oracle's reference grounder, and between block-backed and flat
+/// programs). Programs compare as materialized: a block-backed program
+/// equals its Materialize() twin and the snapshot reader's flat copy.
+/// Value equality treats null == null as true, so residual constants
+/// compare as stored.
 bool operator==(const GroundPredicate& a, const GroundPredicate& b);
 inline bool operator!=(const GroundPredicate& a, const GroundPredicate& b) {
   return !(a == b);
@@ -191,44 +192,35 @@ inline bool operator!=(const GroundProgram& a, const GroundProgram& b) {
 /// across entities (the pipeline window grounds its entities
 /// concurrently).
 ///
+/// The entity is dictionary-encoded: every constant conjunct whose
+/// operator is an equality is decided by TermId comparison (id equality
+/// == value equality by the interning contract, nulls included); order
+/// comparisons fall back to the dictionary values, whose cross-type
+/// numeric Compare agrees with the schema-typed values. Residual
+/// constants lifted out of tuples (kAttrTe) are materialized with the
+/// schema column type, so the program is step-for-step identical
+/// (operator== above) to the naive oracle's Value-level
+/// ReferenceInstantiate (chase/explain.h) — enforced by tests. Rule
+/// constants are pre-interned into ie's dictionary before the pair loop.
+///
 /// Cost. The form-(2) half is O(|Σ₂|·|Im|) and does not depend on the
 /// entity: a service builds its MasterBlock once and pays it once, not
 /// per entity. Per entity, grounding is O(|Σ₁|·|Ie|²) over the pair
 /// rules, and the chase touches a master step only when a te value its
 /// residual waits on is set (its keyed watcher) — so beyond the pair
 /// rules an entity costs the master steps that actually fire, plus
-/// O(|Γ|) dense per-run counters. The overloads below that take
-/// `masters` build a private block per call and so still pay the
-/// O(|Σ₂|·|Im|) half every time; reuse a block to avoid that.
+/// O(|Γ|) dense per-run counters.
 ///
 /// This overload grounds the pair rules of `rules` against `ie` and
-/// shares `block` (built from the same rule list) for the rest. The
-/// program's block dictionary is `block.dict()`; a row engine over it
-/// adopts that dictionary.
-GroundProgram Instantiate(const Relation& ie, const MasterBlock& block,
-                          const std::vector<AccuracyRule>& rules);
-
-/// Instantiation against a private block built from `masters` (with its
-/// own dictionary, which a row engine over the program adopts).
-GroundProgram Instantiate(const Relation& ie,
-                          const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules);
-
-/// Columnar Instantiation: the same Γ, built from dictionary-encoded
-/// columns. Every constant conjunct whose operator is an equality is
-/// decided by TermId comparison (id equality == value equality by the
-/// interning contract, nulls included); order comparisons fall back to
-/// the dictionary values, whose cross-type numeric Compare agrees with
-/// the schema-typed row values. Residual constants lifted out of tuples
-/// (kAttrTe) are materialized with the schema column type, so the
-/// emitted program is step-for-step identical (operator== above) to
-/// Instantiate(ie.ToRelation(), masters, rules) — enforced by tests.
-/// Rule constants are pre-interned into ie's dictionary before the pair
-/// loop. `block` must intern into ie's dictionary; the `masters`
-/// overloads build their private block there (so that dictionary must
-/// outlive the program, as it must outlive `ie`).
+/// shares `block` (built from the same rule list, interning into ie's
+/// dictionary) for the rest.
 GroundProgram Instantiate(const ColumnarRelation& ie, const MasterBlock& block,
                           const std::vector<AccuracyRule>& rules);
+
+/// Instantiation against a private block built from `masters`, interning
+/// into ie's dictionary (which must therefore outlive the program, as it
+/// must outlive `ie`). It pays the O(|Σ₂|·|Im|) half on every call; reuse
+/// a block to avoid that.
 GroundProgram Instantiate(const ColumnarRelation& ie,
                           const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules);

@@ -362,7 +362,7 @@ bool Server::Dispatch(const std::shared_ptr<Connection>& conn,
     }
     result.Set("replicas", std::move(replicas));
     // Storage + memo telemetry of the underlying services: how they
-    // were built (row / columnar / snapshot — identical across the
+    // were built (columnar / snapshot — identical across the
     // pool), how large the dictionary grew, and whether the verdict
     // memos are earning hits (summed over replicas).
     result.Set("storage_mode", Json::Str(services_.front()->storage_mode()));

@@ -27,12 +27,12 @@ void CandidateChecker::EnsureWorkers() const {
   if (!engines_.empty()) return;
   engines_.reserve(num_threads_);
   for (int w = 0; w < num_threads_; ++w) {
-    // Workers must share the prototype's dictionary: the adopted
-    // checkpoint below carries TermId-encoded state, and ids are only
-    // meaningful within one dictionary.
-    auto engine = std::make_unique<ChaseEngine>(
-        prototype_->ie(), &prototype_->program(), prototype_->config(),
-        prototype_->mutable_dict());
+    // Workers read the prototype's encoded Ie, so they share its
+    // dictionary: the adopted checkpoint below carries TermId-encoded
+    // state, and ids are only meaningful within one dictionary.
+    auto engine = std::make_unique<ChaseEngine>(prototype_->encoded_ie(),
+                                                &prototype_->program(),
+                                                prototype_->config());
     // The checkpoint is the dominant per-engine setup cost; adopting the
     // prototype's shares it by pointer (it is immutable once built)
     // instead of re-running the all-null chase per worker. Each worker

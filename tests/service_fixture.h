@@ -2,8 +2,9 @@
 #define RELACC_TESTS_SERVICE_FIXTURE_H_
 
 // One-call drivers over the public AccuracyService API — a pipeline run,
-// a Fig. 3 interaction and a batch `check`, each on a fresh service — and
-// a UserOracle wrapper that checks every interaction round against the
+// a Fig. 3 interaction and a batch `check`, each on a fresh service — a
+// one-entity engine that owns its whole encode/ground/index chain, and a
+// UserOracle wrapper that checks every interaction round against the
 // from-scratch chase. Shared by the tests that compare these runs across
 // thread budgets or against the engine.
 
@@ -21,6 +22,26 @@
 
 namespace relacc {
 namespace testing_fixture {
+
+/// One entity instance on the engine path, owning every link of the
+/// chain: a private dictionary, the entity encoded into it, the program
+/// Instantiate grounds over a private master block, and the engine over
+/// both. Not movable — the engine points into the relation and program.
+struct EncodedEngine {
+  EncodedEngine(const Relation& ie, const std::vector<Relation>& masters,
+                const std::vector<AccuracyRule>& rules,
+                ChaseConfig config = {})
+      : cie(ColumnarRelation::FromRelation(ie, &dict)),
+        program(Instantiate(cie, masters, rules)),
+        engine(cie, &program, config) {}
+  explicit EncodedEngine(const Specification& spec)
+      : EncodedEngine(spec.ie, spec.masters, spec.rules, spec.config) {}
+
+  Dictionary dict;
+  ColumnarRelation cie;
+  GroundProgram program;
+  ChaseEngine engine;
+};
 
 /// Creates a service; a Create failure fails the calling test.
 inline std::unique_ptr<AccuracyService> CreateService(
@@ -107,18 +128,16 @@ inline std::vector<char> CheckOnService(const Specification& spec,
 /// oracle for the session's incremental ResumeWith re-chase.
 class OracleCheckedUser : public UserOracle {
  public:
-  OracleCheckedUser(Specification spec, UserOracle* inner)
-      : spec_(std::move(spec)),
-        program_(Instantiate(spec_.ie, spec_.masters, spec_.rules)),
-        oracle_(spec_.ie, &program_, spec_.config),
-        inner_(inner) {}
+  OracleCheckedUser(const Specification& spec, UserOracle* inner)
+      : oracle_(spec), inner_(inner) {}
 
   /// The session whose template the next rounds are checked against.
   void Watch(const InteractionSession* session) { session_ = session; }
 
   Response Inspect(const Tuple& deduced_te,
                    const std::vector<Tuple>& candidates) override {
-    const ChaseOutcome expected = oracle_.Run(session_->target_template());
+    const ChaseOutcome expected =
+        oracle_.engine.Run(session_->target_template());
     EXPECT_TRUE(expected.church_rosser) << "round " << rounds_;
     EXPECT_EQ(deduced_te, expected.target) << "round " << rounds_;
     ++rounds_;
@@ -128,7 +147,8 @@ class OracleCheckedUser : public UserOracle {
   /// Checks the round that ended the loop: a target the chase completed
   /// is never shown to the user, so Inspect did not see it.
   void CheckFinal(const FrameworkResult& result) const {
-    const ChaseOutcome expected = oracle_.Run(session_->target_template());
+    const ChaseOutcome expected =
+        oracle_.engine.Run(session_->target_template());
     EXPECT_EQ(expected.church_rosser, result.church_rosser);
     if (result.found_complete_target && expected.target.IsComplete()) {
       EXPECT_EQ(expected.target, result.target);
@@ -138,9 +158,7 @@ class OracleCheckedUser : public UserOracle {
   int rounds_checked() const { return rounds_; }
 
  private:
-  Specification spec_;
-  GroundProgram program_;
-  ChaseEngine oracle_;
+  EncodedEngine oracle_;
   UserOracle* inner_;
   const InteractionSession* session_ = nullptr;
   int rounds_ = 0;

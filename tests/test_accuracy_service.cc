@@ -25,6 +25,7 @@
 namespace relacc {
 namespace {
 
+using testing_fixture::EncodedEngine;
 using testing_fixture::MjExpectedTarget;
 using testing_fixture::MjSpecification;
 using testing_fixture::OneWindowPipeline;
@@ -390,6 +391,18 @@ TEST(AccuracyServiceTest, CreateValidatesWindow) {
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(AccuracyServiceTest, RowStorageIsRejected) {
+  // Row storage is gone; asking for it is an error, not a silent no-op.
+  ServiceOptions options;
+  options.columnar_storage = false;
+  Result<std::unique_ptr<AccuracyService>> bad =
+      AccuracyService::Create(MjSpecification(), std::move(options));
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("row storage was removed"),
+            std::string::npos)
+      << bad.status().ToString();
+}
+
 TEST(AccuracyServiceTest, ChaseOverrideReplacesSpecConfig) {
   Specification spec = MjSpecification();
   ASSERT_EQ(spec.config.max_actions, -1);
@@ -439,9 +452,8 @@ TEST(AccuracyServiceTest, ManagedTopKKnobsAreRejectedNotOverridden) {
   // An injected checker is refused too (it would be bound to a foreign
   // engine).
   Specification spec = MjSpecification();
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   CandidateChecker checker(engine, 1);
   PipelineSessionOptions with_checker;
   with_checker.topk.checker = &checker;
@@ -540,9 +552,8 @@ InteractionOptions KOpts(int k) {
 
 TEST(AccuracyServiceTest, TopKMatchesDirectAlgorithms) {
   Specification spec = ArenaOpenMjSpec();
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const ChaseOutcome outcome = engine.RunFromCheckpoint();
   ASSERT_TRUE(outcome.church_rosser);
   ASSERT_FALSE(outcome.target.IsComplete());
@@ -593,9 +604,8 @@ TEST(AccuracyServiceTest, CheckCandidatesMatchesFreeFunction) {
   // The batch verdicts equal the per-candidate check on an engine of
   // the caller's own.
   Specification spec = ArenaOpenMjSpec();
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const ChaseOutcome outcome = engine.RunFromCheckpoint();
   ASSERT_TRUE(outcome.church_rosser);
   const std::vector<Tuple> pool = EnumerateCandidateProduct(

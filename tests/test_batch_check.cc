@@ -28,6 +28,7 @@
 namespace relacc {
 namespace {
 
+using testing_fixture::EncodedEngine;
 using testing_fixture::MjSpecification;
 
 /// The Example 9/10 setting (as in test_topk.cc): drop `team` from ϕ6 so
@@ -69,9 +70,8 @@ TEST(ParallelForSlots, HandlesEmptyAndTinyRanges) {
 
 TEST(CheckCandidates, VerdictsMatchSequentialAcrossThreadCounts) {
   const Specification spec = Example9Spec();
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
   const ChaseOutcome outcome = engine.RunFromInitial();
   ASSERT_TRUE(outcome.church_rosser);
   const std::vector<Tuple> candidates = EnumerateCandidateProduct(
@@ -117,9 +117,8 @@ void ExpectIdenticalRankedResults(const Specification& spec,
                                   const PreferenceModel& pref,
                                   const Tuple& te, int k,
                                   bool expect_accepts) {
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
   ASSERT_TRUE(engine.RunFromInitial().church_rosser);
   std::size_t max_targets = 0;
   for (const AlgoCase& algo : kAlgos) {
@@ -151,9 +150,8 @@ TEST(TopKDeterminism, AllAlgorithmsMatchSequentialOnMjFixture) {
   const Specification spec = Example9Spec();
   const PreferenceModel pref =
       PreferenceModel::FromOccurrences(spec.ie, spec.masters);
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
   const ChaseOutcome outcome = engine.RunFromInitial();
   ASSERT_TRUE(outcome.church_rosser);
   ExpectIdenticalRankedResults(spec, pref, outcome.target, 5,
@@ -194,9 +192,8 @@ TEST(TopKDeterminism, BudgetAtExactSpaceExhaustionIsNotReportedAsExhausted) {
   const Specification spec = Example9Spec();
   const PreferenceModel pref =
       PreferenceModel::FromOccurrences(spec.ie, spec.masters);
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
   const ChaseOutcome outcome = engine.RunFromInitial();
   ASSERT_TRUE(outcome.church_rosser);
 

@@ -27,6 +27,7 @@
 namespace relacc {
 namespace {
 
+using testing_fixture::EncodedEngine;
 using testing_fixture::MjSpecification;
 
 /// Example 9/10 setting (as in test_batch_check.cc): drop `team` from ϕ6
@@ -110,9 +111,8 @@ std::vector<Tuple> MixedPool(const Specification& spec,
 /// the same engine; the resume outcomes are checked against Run too.
 void ExpectVerdictsMatchRun(const Specification& spec, const Tuple& te,
                             std::size_t stride) {
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
   const std::vector<Tuple> pool = MixedPool(spec, engine, te, stride);
   ASSERT_GT(pool.size(), 8u);
 
@@ -147,9 +147,8 @@ void ExpectVerdictsMatchRun(const Specification& spec, const Tuple& te,
 
 TEST(CandidateCheck, VerdictsMatchFromScratchRunOnMjFixture) {
   const Specification spec = Example9Spec();
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
   const ChaseOutcome outcome = engine.RunFromCheckpoint();
   ASSERT_TRUE(outcome.church_rosser);
   ExpectVerdictsMatchRun(spec, outcome.target, /*stride=*/1);
@@ -165,9 +164,8 @@ TEST(CandidateCheck, VerdictsMatchFromScratchRunOnSyntheticSpec) {
 
 TEST(CandidateCheck, RollbackAfterConflictLeavesCheckpointPristine) {
   const Specification spec = Example9Spec();
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
 
   const std::vector<Tuple> pool =
       MixedPool(spec, engine, engine.RunFromCheckpoint().target);
@@ -195,9 +193,8 @@ TEST(CandidateCheck, RollbackAfterConflictLeavesCheckpointPristine) {
 
 TEST(CandidateCheck, BatchVerdictsMatchFromScratchRunAcrossThreads) {
   const Specification spec = Example9Spec();
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
   const std::vector<Tuple> pool =
       MixedPool(spec, engine, engine.RunFromCheckpoint().target);
 
@@ -231,15 +228,14 @@ constexpr AlgoCase kAlgos[] = {
 void ExpectRankedOutputVerified(const Specification& spec,
                                 const PreferenceModel& pref, const Tuple& te,
                                 int k) {
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
   std::size_t max_targets = 0;
   for (const AlgoCase& algo : kAlgos) {
     TopKOptions opts;
     opts.max_expansions = 2000;
     opts.num_threads = 1;
 
-    const ChaseEngine reference_engine(spec.ie, &program, spec.config);
+    const EncodedEngine reference_encoded(spec);
+    const ChaseEngine& reference_engine = reference_encoded.engine;
     ASSERT_TRUE(reference_engine.RunFromCheckpoint().church_rosser);
     const TopKResult reference =
         algo.run(reference_engine, spec.masters, te, pref, k, opts);
@@ -248,7 +244,8 @@ void ExpectRankedOutputVerified(const Specification& spec,
       EXPECT_TRUE(reference_engine.Run(target).church_rosser) << algo.name;
     }
 
-    const ChaseEngine engine(spec.ie, &program, spec.config);
+    const EncodedEngine encoded(spec);
+    const ChaseEngine& engine = encoded.engine;
     for (int threads : {1, 4}) {
       opts.num_threads = threads;
       const TopKResult got = algo.run(engine, spec.masters, te, pref, k, opts);
@@ -267,9 +264,8 @@ TEST(CandidateCheck, RankedOutputIdenticalOnMjFixture) {
   const Specification spec = Example9Spec();
   const PreferenceModel pref =
       PreferenceModel::FromOccurrences(spec.ie, spec.masters);
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
   const ChaseOutcome outcome = engine.RunFromCheckpoint();
   ASSERT_TRUE(outcome.church_rosser);
   ExpectRankedOutputVerified(spec, pref, outcome.target, 5);
@@ -283,9 +279,8 @@ TEST(CandidateCheck, RankedOutputIdenticalOnSyntheticSpec) {
 
 TEST(CandidateCheck, RunFromCheckpointMatchesRunFromInitial) {
   const Specification spec = Example9Spec();
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
   const ChaseOutcome fresh = engine.RunFromInitial();
   const ChaseOutcome shared = engine.RunFromCheckpoint();
   ASSERT_EQ(shared.church_rosser, fresh.church_rosser);
@@ -303,9 +298,8 @@ TEST(CandidateCheck, RunFromCheckpointReportsViolationOfBrokenSpec) {
   Specification spec = MjSpecification();
   spec.rules.push_back(testing_fixture::Phi12(spec.ie.schema()));
 
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  const ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  const ChaseEngine& engine = encoded.engine;
   const ChaseOutcome fresh = engine.RunFromInitial();
   const ChaseOutcome shared = engine.RunFromCheckpoint();
   EXPECT_EQ(shared.church_rosser, fresh.church_rosser);

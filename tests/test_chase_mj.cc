@@ -6,10 +6,12 @@
 #include "chase/chase_engine.h"
 #include "mj_fixture.h"
 #include "rules/axioms.h"
+#include "service_fixture.h"
 
 namespace relacc {
 namespace {
 
+using testing_fixture::EncodedEngine;
 using testing_fixture::MjExpectedTarget;
 using testing_fixture::MjSpecification;
 using testing_fixture::Phi12;
@@ -52,8 +54,8 @@ TEST(ChaseMj, DroppingPhi11LeavesArenaUndetermined) {
 TEST(ChaseMj, PartialOrdersMatchExample2) {
   Specification spec = MjSpecification();
   spec.config.keep_orders = true;
-  const GroundProgram prog = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &prog, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const ChaseOutcome out = engine.RunFromInitial();
   ASSERT_TRUE(out.church_rosser);
 
@@ -98,8 +100,8 @@ TEST(ChaseMj, ExplicitAxiomsMatchBuiltins) {
 
 TEST(ChaseMj, CandidateCheckAcceptsTargetAndRejectsCorruptions) {
   Specification spec = MjSpecification();
-  const GroundProgram prog = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &prog, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
 
   const Tuple target = MjExpectedTarget();
   EXPECT_TRUE(CheckCandidateTarget(engine, target));
@@ -119,8 +121,8 @@ TEST(ChaseMj, ChaseIsIdempotentAcrossRuns) {
   // The engine is reusable: repeated runs over the same ground program
   // yield identical outcomes (fresh per-run state).
   Specification spec = MjSpecification();
-  const GroundProgram prog = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &prog, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const ChaseOutcome a = engine.RunFromInitial();
   const ChaseOutcome b = engine.RunFromInitial();
   ASSERT_TRUE(a.church_rosser);
@@ -133,8 +135,8 @@ TEST(ChaseMj, PartialInitialTemplateIsRespected) {
   // User-provided te values (framework step (4)) survive and steer the
   // chase; contradicting master data is detected.
   Specification spec = MjSpecification();
-  const GroundProgram prog = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &prog, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
 
   Tuple seed(std::vector<Value>(spec.ie.schema().size(), Value::Null()));
   seed.set(spec.ie.schema().MustIndexOf("arena"),

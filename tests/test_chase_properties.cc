@@ -10,10 +10,13 @@
 #include "datagen/profile_generator.h"
 #include "datagen/syn_generator.h"
 #include "rules/rule_builder.h"
+#include "service_fixture.h"
 #include "util/rng.h"
 
 namespace relacc {
 namespace {
+
+using testing_fixture::EncodedEngine;
 
 /// A fully random small specification: random values over small domains
 /// and random (possibly conflicting!) currency/equality rules. Nothing
@@ -111,8 +114,8 @@ TEST_P(ChaseMetatheory, CheckpointedCheckMatchesFromScratchRun) {
   // CheckCandidate (the fast continuation) must agree with Run(t) — the
   // definitionally correct from-scratch chase — on complete candidates.
   const Specification spec = RandomSpec(GetParam() * 99991ULL + 3);
-  const GroundProgram prog = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &prog, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const ChaseOutcome base = engine.RunFromInitial();
   if (!base.church_rosser) return;
   Rng rng(GetParam() * 5);
@@ -152,9 +155,9 @@ TEST_P(GeneratedSpecs, ProfileEntitiesAreChurchRosserAcrossSeeds) {
   c.master_size = 14;
   const EntityDataset ds = GenerateProfile(c);
   for (std::size_t i = 0; i < ds.entities.size(); ++i) {
-    const GroundProgram prog =
-        Instantiate(ds.entities[i], ds.masters, ds.rules);
-    ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
+    EncodedEngine encoded(ds.entities[i], ds.masters, ds.rules,
+                          ds.chase_config);
+    ChaseEngine& engine = encoded.engine;
     const ChaseOutcome out = engine.RunFromInitial();
     EXPECT_TRUE(out.church_rosser) << "entity " << i << ": " << out.violation;
   }

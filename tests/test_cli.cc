@@ -197,6 +197,16 @@ TEST_F(CliTest, PipelineGroundShardsFlagIsUnknown) {
       << err_.str();
 }
 
+TEST_F(CliTest, PipelineStorageFlagIsUnknown) {
+  // Entities are always stored dictionary-encoded, so the flag that used
+  // to pick row or columnar storage is gone and reported like any other
+  // unknown flag.
+  int rc = Run({"pipeline", path_, "--key", "league", "--storage", "row"});
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err_.str().find("unknown flag(s): --storage"), std::string::npos)
+      << err_.str();
+}
+
 TEST_F(CliTest, TopKIgnoresLegacyCheckStrategyConfigKey) {
   // The shipped example no longer carries config.check_strategy; a copy
   // that still does (as documents written by older releases) must rank

@@ -2,9 +2,10 @@
 // core/columnar.h) and its end-to-end identity guarantees: TermId
 // equality must coincide with Value equality (including the numeric
 // cross-type classes), FromRelation/ToRelation must round-trip exactly,
-// columnar grounding must produce the row program step for step, and
-// the service's columnar mode must reproduce the row pipeline/top-k
-// reports byte for byte across thread budgets.
+// the TermId grounder must produce the naive oracle's Value-level program
+// step for step, and the service must reproduce, byte for byte and
+// across thread budgets, the pipeline/top-k reports pinned from the
+// former row storage.
 
 #include <sstream>
 #include <string>
@@ -14,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "api/accuracy_service.h"
+#include "chase/explain.h"
 #include "core/columnar.h"
 #include "core/dictionary.h"
 #include "datagen/profile_generator.h"
+#include "io/spec_io.h"
 #include "rules/grounding.h"
 
 namespace relacc {
@@ -208,66 +211,74 @@ TEST(ColumnarGrounding, ProgramIdenticalToRow) {
   const EntityDataset ds = SmallMed(/*seed=*/11, /*entities=*/8);
   Dictionary dict;
   for (const EntityInstance& e : ds.entities) {
-    const GroundProgram reference = Instantiate(e, ds.masters, ds.rules);
+    const GroundProgram reference =
+        ReferenceInstantiate(e, ds.masters, ds.rules);
     const ColumnarRelation col = ColumnarRelation::FromRelation(e, &dict);
     const GroundProgram columnar = Instantiate(col, ds.masters, ds.rules);
     EXPECT_TRUE(columnar == reference);
   }
 }
 
-// --- service columnar mode -------------------------------------------------
+// --- service reports -------------------------------------------------------
 
 TEST(ColumnarService, PipelineReportsByteIdenticalToRow) {
+  // tests/golden/service_pipeline_small_med.txt is Serialize() of this
+  // run on the former row storage, which every budget reproduced.
+  Result<std::string> golden = ReadFile(
+      std::string(RELACC_SOURCE_DIR) +
+      "/tests/golden/service_pipeline_small_med.txt");
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
   const EntityDataset ds = SmallMed();
   for (const int budget : {1, 4}) {
-    std::string reports[2];
-    for (const bool columnar : {false, true}) {
-      ServiceOptions options;
-      options.num_threads = budget;
-      options.window = 5;
-      options.columnar_storage = columnar;
-      auto service = MakeService(SpecOf(ds, Relation(ds.schema)), options);
-      Result<std::unique_ptr<PipelineSession>> session =
-          service->StartPipeline();
-      ASSERT_TRUE(session.ok()) << session.status().ToString();
-      for (std::size_t begin = 0; begin < ds.entities.size(); begin += 7) {
-        const std::size_t end = std::min(ds.entities.size(), begin + 7);
-        ASSERT_TRUE(session.value()
-                        ->Submit({ds.entities.begin() + begin,
-                                  ds.entities.begin() + end})
-                        .ok());
-      }
-      Result<PipelineReport> report = session.value()->Finish();
-      ASSERT_TRUE(report.ok()) << report.status().ToString();
-      reports[columnar ? 1 : 0] = Serialize(report.value());
+    ServiceOptions options;
+    options.num_threads = budget;
+    options.window = 5;
+    auto service = MakeService(SpecOf(ds, Relation(ds.schema)), options);
+    Result<std::unique_ptr<PipelineSession>> session =
+        service->StartPipeline();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (std::size_t begin = 0; begin < ds.entities.size(); begin += 7) {
+      const std::size_t end = std::min(ds.entities.size(), begin + 7);
+      ASSERT_TRUE(session.value()
+                      ->Submit({ds.entities.begin() + begin,
+                                ds.entities.begin() + end})
+                      .ok());
     }
-    EXPECT_EQ(reports[1], reports[0]) << "budget " << budget;
+    Result<PipelineReport> report = session.value()->Finish();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(Serialize(report.value()), golden.value()) << "budget " << budget;
   }
 }
 
 TEST(ColumnarService, TopKAndDeduceByteIdenticalToRow) {
-  // Fully corrupted free attributes keep the deduced target incomplete,
-  // so TopK genuinely searches candidates through the checker.
+  // Fully corrupted free attributes leave entity 4's deduced target one
+  // attribute short, so TopK genuinely checks candidates through the
+  // checker. The strings are the former row storage's output, which
+  // every budget reproduced.
   const EntityDataset ds = SmallMed(/*seed=*/17, /*entities=*/6,
                                     /*corruption=*/1.0);
+  const std::string prefix =
+      "(med-e4 | 8 | v8_med_a2_v7 | v8_med_a3_v11 | v8_med_a4_v7 | "
+      "v8_med_a5_v11 | v8_med_a6_v3 | v8_med_a7_v7 | v8_med_a8_v3 | "
+      "v8_med_a9_v7 | v8_med_a10_v11 | med_a11_v5 | med_a12_v5 | med_a13_v1 | "
+      "med_a14_v1 | med_a15_v9 | med_a16_v1 | med_a17_v9 | med_a18_v9 | "
+      "med_a19_v5 | med_a20_v5 | med_a21_v1 | med_a22_v1 | med_a23_v9 | "
+      "med_a24_v5 | med_a25_v1 | med_a26_v1 | med_a27_v9 | med_a28_v9 | ";
+  const std::string deduced = prefix + "null)";
+  const std::string topk = prefix + "med_a29_v5)@79\n" + prefix +
+                           "med_a29_v5~alt)@78\n2 2";
   for (const int budget : {1, 4}) {
-    std::string deduced[2];
-    std::string topk[2];
-    for (const bool columnar : {false, true}) {
-      ServiceOptions options;
-      options.num_threads = budget;
-      options.columnar_storage = columnar;
-      auto service = MakeService(SpecOf(ds, ds.entities[0]), options);
-      Result<ChaseOutcome> outcome = service->DeduceEntity();
-      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-      ASSERT_TRUE(outcome.value().church_rosser);
-      deduced[columnar ? 1 : 0] = outcome.value().target.ToString();
-      Result<TopKResult> result = service->TopK(5);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      topk[columnar ? 1 : 0] = Serialize(result.value());
-    }
-    EXPECT_EQ(deduced[1], deduced[0]) << "budget " << budget;
-    EXPECT_EQ(topk[1], topk[0]) << "budget " << budget;
+    ServiceOptions options;
+    options.num_threads = budget;
+    auto service = MakeService(SpecOf(ds, ds.entities[4]), options);
+    Result<ChaseOutcome> outcome = service->DeduceEntity();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_TRUE(outcome.value().church_rosser);
+    EXPECT_EQ(outcome.value().target.ToString(), deduced)
+        << "budget " << budget;
+    Result<TopKResult> result = service->TopK(5);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(Serialize(result.value()), topk) << "budget " << budget;
   }
 }
 
@@ -278,7 +289,6 @@ TEST(ColumnarService, SpecDocumentDictionaryIsShared) {
   auto dict = std::make_shared<Dictionary>();
   const std::size_t before = dict->size();
   ServiceOptions options;
-  options.columnar_storage = true;
   options.dictionary = dict;
   auto service = MakeService(SpecOf(ds, ds.entities[0]), options);
   Result<ChaseOutcome> outcome = service->DeduceEntity();

@@ -7,10 +7,13 @@
 #include "datagen/profile_generator.h"
 #include "datagen/rest_generator.h"
 #include "datagen/syn_generator.h"
+#include "service_fixture.h"
 #include "truth/metrics.h"
 
 namespace relacc {
 namespace {
+
+using testing_fixture::EncodedEngine;
 
 ProfileConfig SmallMed(uint64_t seed) {
   ProfileConfig c = MedConfig(seed);
@@ -57,9 +60,9 @@ TEST(ProfileGen, DeterministicForFixedSeed) {
 TEST(ProfileGen, EverySpecificationIsChurchRosser) {
   const EntityDataset ds = GenerateProfile(SmallMed(2));
   for (std::size_t i = 0; i < ds.entities.size(); ++i) {
-    const GroundProgram prog =
-        Instantiate(ds.entities[i], ds.masters, ds.rules);
-    ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
+    EncodedEngine encoded(ds.entities[i], ds.masters, ds.rules,
+                          ds.chase_config);
+    ChaseEngine& engine = encoded.engine;
     const ChaseOutcome out = engine.RunFromInitial();
     EXPECT_TRUE(out.church_rosser) << "entity " << i << ": " << out.violation;
   }
@@ -71,9 +74,9 @@ TEST(ProfileGen, DeducedValuesAgreeWithGroundTruth) {
   const EntityDataset ds = GenerateProfile(SmallMed(3));
   std::vector<TargetQuality> qs;
   for (std::size_t i = 0; i < ds.entities.size(); ++i) {
-    const GroundProgram prog =
-        Instantiate(ds.entities[i], ds.masters, ds.rules);
-    ChaseEngine engine(ds.entities[i], &prog, ds.chase_config);
+    EncodedEngine encoded(ds.entities[i], ds.masters, ds.rules,
+                          ds.chase_config);
+    ChaseEngine& engine = encoded.engine;
     const ChaseOutcome out = engine.RunFromInitial();
     ASSERT_TRUE(out.church_rosser);
     qs.push_back(CompareTarget(out.target, ds.truths[i]));

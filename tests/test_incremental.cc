@@ -15,6 +15,7 @@
 namespace relacc {
 namespace {
 
+using testing_fixture::EncodedEngine;
 using testing_fixture::MjExpectedTarget;
 using testing_fixture::MjSpecification;
 using testing_fixture::Phi12;
@@ -37,8 +38,8 @@ Specification IncompleteMjSpec() {
 
 TEST(ResumeWith, AllNullResumeEqualsPlainRun) {
   Specification spec = IncompleteMjSpec();
-  GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
 
   Tuple all_null(std::vector<Value>(spec.ie.schema().size(), Value::Null()));
   ChaseOutcome full = engine.Run(all_null);
@@ -50,8 +51,8 @@ TEST(ResumeWith, AllNullResumeEqualsPlainRun) {
 
 TEST(ResumeWith, PartialRevisionMatchesFromScratchRun) {
   Specification spec = IncompleteMjSpec();
-  GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const Schema& schema = spec.ie.schema();
 
   Tuple revision(std::vector<Value>(schema.size(), Value::Null()));
@@ -68,8 +69,8 @@ TEST(ResumeWith, PartialRevisionMatchesFromScratchRun) {
 
 TEST(ResumeWith, ConflictingRevisionIsRejectedOnBothPaths) {
   Specification spec = IncompleteMjSpec();
-  GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const Schema& schema = spec.ie.schema();
 
   // league is pinned to NBA by master data; revising it to SL must make
@@ -87,8 +88,8 @@ TEST(ResumeWith, ConflictingRevisionIsRejectedOnBothPaths) {
 TEST(ResumeWith, NonChurchRosserBaseReportsViolation) {
   Specification spec = MjSpecification();
   spec.rules.push_back(Phi12(spec.ie.schema()));
-  GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
 
   Tuple all_null(std::vector<Value>(spec.ie.schema().size(), Value::Null()));
   ChaseOutcome resumed = engine.ResumeWith(all_null);
@@ -98,8 +99,8 @@ TEST(ResumeWith, NonChurchRosserBaseReportsViolation) {
 
 TEST(ResumeWith, RepeatedResumesAreIndependent) {
   Specification spec = IncompleteMjSpec();
-  GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const Schema& schema = spec.ie.schema();
   AttrId arena = schema.MustIndexOf("arena");
 
@@ -128,8 +129,8 @@ TEST(ResumeWith, AgreesWithFullRunsAcrossGeneratedRevisions) {
   int compared = 0;
   for (size_t i = 0; i < dataset.entities.size(); ++i) {
     Specification spec = dataset.SpecFor(static_cast<int>(i));
-    GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-    ChaseEngine engine(spec.ie, &program, spec.config);
+    EncodedEngine encoded(spec);
+    ChaseEngine& engine = encoded.engine;
     ChaseOutcome base = engine.RunFromInitial();
     if (!base.church_rosser || base.target.IsComplete()) continue;
 
@@ -156,8 +157,8 @@ TEST(ResumeWith, AgreesWithFullRunsAcrossGeneratedRevisions) {
 TEST(ResumeWith, KeepOrdersIsHonoured) {
   Specification spec = IncompleteMjSpec();
   spec.config.keep_orders = true;
-  GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   Tuple all_null(std::vector<Value>(spec.ie.schema().size(), Value::Null()));
   ChaseOutcome resumed = engine.ResumeWith(all_null);
   ASSERT_TRUE(resumed.church_rosser);
@@ -184,9 +185,8 @@ std::optional<SessionFixture> FindSessionFixture(std::size_t min_nulls) {
   for (size_t i = 0; i < dataset.entities.size(); ++i) {
     SessionFixture fx;
     fx.spec = dataset.SpecFor(static_cast<int>(i));
-    GroundProgram program =
-        Instantiate(fx.spec.ie, fx.spec.masters, fx.spec.rules);
-    ChaseEngine engine(fx.spec.ie, &program, fx.spec.config);
+    EncodedEngine encoded(fx.spec);
+    ChaseEngine& engine = encoded.engine;
     ChaseOutcome base = engine.RunFromInitial();
     if (!base.church_rosser) continue;
     const Tuple& truth = dataset.truths[i];
@@ -203,9 +203,8 @@ std::optional<SessionFixture> FindSessionFixture(std::size_t min_nulls) {
 TEST(ResumeWith, SessionExtensionMatchesFromScratchEveryRound) {
   std::optional<SessionFixture> fx = FindSessionFixture(3);
   ASSERT_TRUE(fx.has_value());
-  GroundProgram program =
-      Instantiate(fx->spec.ie, fx->spec.masters, fx->spec.rules);
-  ChaseEngine engine(fx->spec.ie, &program, fx->spec.config);
+  EncodedEngine encoded(fx->spec);
+  ChaseEngine& engine = encoded.engine;
 
   // Cumulative reveals, as DriveInteraction issues them: every round must
   // match the from-scratch chase of the same designated values.
@@ -233,8 +232,8 @@ TEST(ResumeWith, SessionExtensionMatchesFromScratchEveryRound) {
 
 TEST(ResumeWith, AbortedResumeKeepsSessionUsable) {
   Specification spec = IncompleteMjSpec();
-  GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const Schema& schema = spec.ie.schema();
 
   Tuple good(std::vector<Value>(schema.size(), Value::Null()));
@@ -257,13 +256,13 @@ TEST(ResumeWith, AbortedResumeKeepsSessionUsable) {
 
 TEST(ResumeWithStats, ReportsPerCallDeltas) {
   Specification spec = IncompleteMjSpec();
-  GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   const Schema& schema = spec.ie.schema();
   Tuple all_null(std::vector<Value>(schema.size(), Value::Null()));
   Tuple revision = all_null;
   revision.set(schema.MustIndexOf("arena"), Value::Str("United Center"));
 
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const ChaseOutcome checkpoint = engine.RunFromCheckpoint();
   ASSERT_TRUE(checkpoint.church_rosser);
 
@@ -293,8 +292,8 @@ TEST(ResumeWith, CandidateChecksPristineAcrossSessionActivity) {
   // separate; resumes (including aborting ones) must not disturb
   // candidate verdicts, and vice versa.
   Specification spec = IncompleteMjSpec();
-  GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   const Schema& schema = spec.ie.schema();
 
   ChaseOutcome base = engine.RunFromCheckpoint();

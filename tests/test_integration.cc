@@ -20,6 +20,8 @@
 namespace relacc {
 namespace {
 
+using testing_fixture::EncodedEngine;
+
 TEST(Integration, MedSliceEndToEnd) {
   // Generate -> chase -> top-k -> framework, asserting quality bars that
   // the Fig. 6 benches report at full scale.
@@ -107,9 +109,8 @@ TEST(Integration, SynTopKAlgorithmsAgreeOnScores) {
   c.num_rules = 24;
   c.cfd_coverage = 0.9;  // make rejections certain at this small scale
   const SynDataset syn = GenerateSyn(c);
-  const GroundProgram prog =
-      Instantiate(syn.spec.ie, syn.spec.masters, syn.spec.rules);
-  ChaseEngine engine(syn.spec.ie, &prog, syn.spec.config);
+  EncodedEngine encoded(syn.spec);
+  ChaseEngine& engine = encoded.engine;
   const ChaseOutcome out = engine.RunFromInitial();
   ASSERT_TRUE(out.church_rosser);
   ASSERT_FALSE(out.target.IsComplete());

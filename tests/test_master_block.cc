@@ -26,9 +26,12 @@
 #include "mj_fixture.h"
 #include "rules/grounding.h"
 #include "rules/rule_builder.h"
+#include "service_fixture.h"
 
 namespace relacc {
 namespace {
+
+using testing_fixture::EncodedEngine;
 
 std::string Describe(const ChaseOutcome& o) {
   std::ostringstream os;
@@ -71,7 +74,7 @@ Tuple Complete(const Tuple& base, const Tuple& truth, const Relation& ie,
 /// (up to the dead flags and counters of master steps the block never
 /// visits, and the dictionary ids of te). `probes` are extra initial
 /// templates for Run.
-void ExpectTwinsAgree(const Relation& ie, const GroundProgram& program,
+void ExpectTwinsAgree(const ColumnarRelation& ie, const GroundProgram& program,
                       ChaseConfig config, const std::vector<Tuple>& probes,
                       const std::string& label) {
   ASSERT_NE(program.master, nullptr) << label;
@@ -107,12 +110,14 @@ void ExpectTwinsAgree(const Relation& ie, const GroundProgram& program,
 
 /// A random sequence of candidate checks and resumes on one block-backed
 /// engine, each compared with a from-scratch Run of the flat twin.
-void ExpectInterleavedAgree(const Relation& ie, const GroundProgram& program,
+void ExpectInterleavedAgree(const ColumnarRelation& cie,
+                            const GroundProgram& program,
                             const ChaseConfig& config, const Tuple& truth,
                             uint64_t seed, const std::string& label) {
   const GroundProgram flat = program.Materialize();
-  const ChaseEngine engine(ie, &program, config);
-  const ChaseEngine oracle(ie, &flat, config);
+  const ChaseEngine engine(cie, &program, config);
+  const ChaseEngine oracle(cie, &flat, config);
+  const Relation ie = cie.ToRelation();
   const ChaseOutcome base = oracle.RunFromInitial();
   if (!base.church_rosser) {
     EXPECT_FALSE(engine.ResumeWith(AllNull(ie)).church_rosser) << label;
@@ -148,8 +153,8 @@ void ExpectInterleavedAgree(const Relation& ie, const GroundProgram& program,
 
 TEST(MasterBlock, HoldsExactlyTheFormTwoSteps) {
   const Specification spec = testing_fixture::MjSpecification();
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
+  const EncodedEngine encoded(spec);
+  const GroundProgram& program = encoded.program;
   ASSERT_NE(program.master, nullptr);
   const MasterBlock& block = *program.master;
   EXPECT_EQ(block.num_rules(), static_cast<int>(spec.rules.size()));
@@ -194,38 +199,31 @@ TEST(MasterBlock, MaterializeEqualsFlatGrounding) {
   config.master_size = 40;
   const EntityDataset ds = GenerateProfile(config);
   const Relation& ie = ds.entities[0];
+  // The naive oracle's Value-level grounder, flat.
   const GroundProgram reference =
-      Instantiate(ie, ds.masters, ds.rules).Materialize();
+      ReferenceInstantiate(ie, ds.masters, ds.rules);
   ASSERT_EQ(reference.master, nullptr);
   ASSERT_FALSE(reference.steps.empty());
 
-  // Row storage, private and shared blocks.
-  const GroundProgram row = Instantiate(ie, ds.masters, ds.rules);
-  EXPECT_TRUE(row.Materialize() == reference) << "row";
-  const auto row_block = MasterBlock::Build(ds.masters, ds.rules,
-                                            std::make_shared<Dictionary>());
-  const GroundProgram row_shared = Instantiate(ie, *row_block, ds.rules);
-  EXPECT_TRUE(row_shared.Materialize() == reference) << "row, shared block";
-
-  // Columnar storage, private and shared blocks.
+  // The TermId grounder, private and shared blocks.
   auto dict = std::make_shared<Dictionary>();
   const ColumnarRelation cie = ColumnarRelation::FromRelation(ie, dict.get());
   const GroundProgram col = Instantiate(cie, ds.masters, ds.rules);
-  EXPECT_TRUE(col.Materialize() == reference) << "columnar";
+  EXPECT_TRUE(col.Materialize() == reference) << "private block";
   const auto col_block = MasterBlock::Build(ds.masters, ds.rules, dict);
   const GroundProgram col_shared = Instantiate(cie, *col_block, ds.rules);
-  EXPECT_TRUE(col_shared.Materialize() == reference)
-      << "columnar, shared block";
+  EXPECT_TRUE(col_shared.Materialize() == reference) << "shared block";
   EXPECT_EQ(col_shared.size(), reference.steps.size());
 }
 
 TEST(MasterBlockDeathTest, EngineRejectsAForeignDictionary) {
   const Specification spec = testing_fixture::MjSpecification();
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
+  const EncodedEngine encoded(spec);
   Dictionary other;
+  const ColumnarRelation foreign =
+      ColumnarRelation::FromRelation(spec.ie, &other);
   EXPECT_DEATH(
-      { ChaseEngine engine(spec.ie, &program, spec.config, &other); },
+      { ChaseEngine engine(foreign, &encoded.program, spec.config); },
       "another dictionary");
 }
 
@@ -239,16 +237,16 @@ TEST(MasterBlockEngine, MjTwinsAgree) {
               Value::Str("United Center"));
   Tuple conflicting = partial;
   conflicting.set(spec.ie.schema().MustIndexOf("league"), Value::Str("SL"));
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  ExpectTwinsAgree(spec.ie, program, spec.config,
+  const EncodedEngine encoded(spec);
+  ExpectTwinsAgree(encoded.cie, encoded.program, spec.config,
                    {truth, partial, conflicting}, "mj");
-  ExpectInterleavedAgree(spec.ie, program, spec.config, truth, 1, "mj");
+  ExpectInterleavedAgree(encoded.cie, encoded.program, spec.config, truth, 1,
+                         "mj");
 
   // Not Church-Rosser: ϕ12 contradicts the master.
   spec.rules.push_back(testing_fixture::Phi12(spec.ie.schema()));
-  const GroundProgram bad = Instantiate(spec.ie, spec.masters, spec.rules);
-  ExpectTwinsAgree(spec.ie, bad, spec.config, {truth}, "mj+phi12");
+  const EncodedEngine bad(spec);
+  ExpectTwinsAgree(bad.cie, bad.program, spec.config, {truth}, "mj+phi12");
 }
 
 TEST(MasterBlockEngine, QueueOrderFollowsVirtualIds) {
@@ -279,15 +277,14 @@ TEST(MasterBlockEngine, QueueOrderFollowsVirtualIds) {
       {{{pair, copy}, "conflicting target values for attribute Y: q"},
        {{copy, pair}, "lambda would overwrite target attribute Y: z"}};
   for (const auto& [rules, expected] : cases) {
-    const GroundProgram program = Instantiate(ie, {master}, rules);
-    ASSERT_EQ(program.steps.size(), 1u);
-    ASSERT_EQ(program.master->steps().size(), 1u);
-    const ChaseEngine engine(ie, &program, ChaseConfig());
-    const ChaseOutcome outcome = engine.Run(designated);
+    const EncodedEngine encoded(ie, {master}, rules);
+    ASSERT_EQ(encoded.program.steps.size(), 1u);
+    ASSERT_EQ(encoded.program.master->steps().size(), 1u);
+    const ChaseOutcome outcome = encoded.engine.Run(designated);
     ASSERT_FALSE(outcome.church_rosser);
     EXPECT_NE(outcome.violation.find(expected), std::string::npos)
         << outcome.violation;
-    ExpectTwinsAgree(ie, program, ChaseConfig(), {designated},
+    ExpectTwinsAgree(encoded.cie, encoded.program, ChaseConfig(), {designated},
                      "rule " + rules[0].name + " first");
   }
 }
@@ -301,17 +298,16 @@ void ExpectProfileTwinsAgree(const EntityDataset& ds, int count,
   int incomplete = 0;
   for (int i = 0; i < count && i < static_cast<int>(ds.entities.size());
        ++i) {
-    const Relation& ie = ds.entities[i];
     const ColumnarRelation cie =
-        ColumnarRelation::FromRelation(ie, dict.get());
+        ColumnarRelation::FromRelation(ds.entities[i], dict.get());
     const GroundProgram program = Instantiate(cie, *block, ds.rules);
     const std::string label = name + " entity " + std::to_string(i);
-    ExpectTwinsAgree(ie, program, ds.chase_config, {ds.truths[i]}, label);
+    ExpectTwinsAgree(cie, program, ds.chase_config, {ds.truths[i]}, label);
     const ChaseEngine engine(cie, &program, ds.chase_config);
     const ChaseOutcome outcome = engine.RunFromCheckpoint();
     if (outcome.church_rosser && !outcome.target.IsComplete()) {
       ++incomplete;
-      ExpectInterleavedAgree(ie, program, ds.chase_config, ds.truths[i],
+      ExpectInterleavedAgree(cie, program, ds.chase_config, ds.truths[i],
                              static_cast<uint64_t>(i), label);
     }
   }
@@ -345,15 +341,14 @@ TEST(MasterBlockEngine, SynTwinsAgreeIncludingNonChurchRosser) {
     config.cfd_coverage = 0.5;
     const SynDataset syn = GenerateSyn(config);
     const Specification& spec = syn.spec;
-    const GroundProgram program =
-        Instantiate(spec.ie, spec.masters, spec.rules);
+    const EncodedEngine encoded(spec);
     const std::string label = "syn seed " + std::to_string(seed);
-    ExpectTwinsAgree(spec.ie, program, spec.config, {syn.truth}, label);
-    ExpectInterleavedAgree(spec.ie, program, spec.config, syn.truth, seed,
-                           label);
+    ExpectTwinsAgree(encoded.cie, encoded.program, spec.config, {syn.truth},
+                     label);
+    ExpectInterleavedAgree(encoded.cie, encoded.program, spec.config,
+                           syn.truth, seed, label);
     ++specs;
-    const ChaseEngine engine(spec.ie, &program, spec.config);
-    if (!engine.RunFromInitial().church_rosser) ++non_cr;
+    if (!encoded.engine.RunFromInitial().church_rosser) ++non_cr;
   }
   EXPECT_GE(specs, 200);
   EXPECT_GT(non_cr, 0);
@@ -373,9 +368,8 @@ TEST(MasterBlockEngine, ExplainedChaseAgreesWithTheBlockBackedEngine) {
   }
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const Specification& spec = specs[s];
-    const GroundProgram program =
-        Instantiate(spec.ie, spec.masters, spec.rules);
-    const ChaseEngine engine(spec.ie, &program, spec.config);
+    EncodedEngine encoded(spec);
+    const ChaseEngine& engine = encoded.engine;
     const ChaseOutcome outcome = engine.RunFromInitial();
     const ExplainedChase oracle(spec);
     ASSERT_EQ(oracle.church_rosser(), outcome.church_rosser) << "spec " << s;

@@ -7,10 +7,13 @@
 #include "chase/chase_engine.h"
 #include "datagen/profile_generator.h"
 #include "discovery/ar_miner.h"
+#include "service_fixture.h"
 #include "truth/metrics.h"
 
 namespace relacc {
 namespace {
+
+using testing_fixture::EncodedEngine;
 
 EntityDataset MiningDataset(uint64_t seed) {
   ProfileConfig c = MedConfig(seed);
@@ -60,8 +63,8 @@ TEST(ArMiner, MinedRulesAreUsableByTheChase) {
   const EntityDataset test = MiningDataset(33);
   int resolved_cur = 0, correct_cur = 0, entities = 0;
   for (std::size_t i = 0; i < test.entities.size(); ++i) {
-    const GroundProgram prog = Instantiate(test.entities[i], {}, rules);
-    ChaseEngine engine(test.entities[i], &prog, test.chase_config);
+    EncodedEngine encoded(test.entities[i], {}, rules, test.chase_config);
+    ChaseEngine& engine = encoded.engine;
     const ChaseOutcome out = engine.RunFromInitial();
     ASSERT_TRUE(out.church_rosser) << out.violation;
     ++entities;

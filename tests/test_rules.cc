@@ -10,10 +10,12 @@
 #include "rules/cfd.h"
 #include "rules/grounding.h"
 #include "rules/rule_builder.h"
+#include "service_fixture.h"
 
 namespace relacc {
 namespace {
 
+using testing_fixture::EncodedEngine;
 using testing_fixture::MjRules;
 using testing_fixture::MjSpecification;
 using testing_fixture::NbaRelation;
@@ -68,7 +70,8 @@ TEST(Grounding, Example8SingleChaseSteps) {
   const Relation stat = StatRelation();
   const Relation nba = NbaRelation();
   const auto rules = MjRules(stat.schema(), nba.schema());
-  const GroundProgram prog = Instantiate(stat, {nba}, rules);
+  const EncodedEngine encoded(stat, {nba}, rules);
+  const GroundProgram& prog = encoded.program;
   const AttrId rnds = stat.schema().MustIndexOf("rnds");
   const AttrId jnum = stat.schema().MustIndexOf("J#");
 
@@ -107,7 +110,8 @@ TEST(Grounding, ConstantPredicatesPruneSteps) {
                       .WhereAttrs("league", CompareOp::kEq, "league")
                       .WhereAttrs("rnds", CompareOp::kLt, "rnds")
                       .Concludes("rnds"));
-  const GroundProgram prog = Instantiate(stat, {}, rules);
+  const EncodedEngine encoded(stat, {}, rules);
+  const GroundProgram& prog = encoded.program;
   EXPECT_EQ(prog.steps.size(), 3u);
   for (const GroundStep& s : prog.steps) {
     EXPECT_NE(s.i, 3);
@@ -123,7 +127,8 @@ TEST(Grounding, StrictOrderPredicateDropsEqualValuePairs) {
   rules.push_back(RuleBuilder(stat.schema(), "phi5")
                       .WhereOrder("MN", /*strict=*/true)
                       .Concludes("FN"));
-  const GroundProgram prog = Instantiate(stat, {}, rules);
+  const EncodedEngine encoded(stat, {}, rules);
+  const GroundProgram& prog = encoded.program;
   // Surviving pairs: those involving t4 (MN = Jeffrey) on either side: 6.
   EXPECT_EQ(prog.steps.size(), 6u);
   for (const GroundStep& s : prog.steps) {
@@ -137,7 +142,8 @@ TEST(Grounding, MasterRuleSkipsNonMatchingTuples) {
   const Relation stat = StatRelation();
   const Relation nba = NbaRelation();
   const auto rules = MjRules(stat.schema(), nba.schema());
-  const GroundProgram prog = Instantiate(stat, {nba}, rules);
+  const EncodedEngine encoded(stat, {nba}, rules);
+  const GroundProgram& prog = encoded.program;
   int master_steps = 0;
   for (const GroundStep& s : prog.Materialize().steps) {
     if (s.kind == GroundStep::Kind::kSetTe) {
@@ -184,8 +190,8 @@ TEST(Cfd, ViolatingCandidateFailsCheck) {
   spec.masters.push_back(compiled.master);
   for (auto& r : compiled.rules) spec.rules.push_back(std::move(r));
 
-  const GroundProgram prog = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &prog, spec.config);
+  EncodedEngine encoded(spec);
+  ChaseEngine& engine = encoded.engine;
   Tuple bad = testing_fixture::MjExpectedTarget();
   bad.set(spec.ie.schema().MustIndexOf("arena"), Value::Str("Regions Park"));
   EXPECT_FALSE(CheckCandidateTarget(engine, bad));
@@ -201,7 +207,8 @@ TEST(Grounding, TePredicateAgainstNullTupleValueIsDropped) {
   rules.push_back(RuleBuilder(stat.schema(), "anchor-mn")
                       .WhereTe(2, "MN", CompareOp::kEq, "MN")
                       .Concludes("MN"));
-  const GroundProgram prog = Instantiate(stat, {}, rules);
+  const EncodedEngine encoded(stat, {}, rules);
+  const GroundProgram& prog = encoded.program;
   // Only pairs whose t2 is t4 (the only non-null MN) survive: 3 steps.
   EXPECT_EQ(prog.steps.size(), 3u);
   for (const GroundStep& s : prog.steps) EXPECT_EQ(s.j, 3);

@@ -60,12 +60,11 @@ std::unique_ptr<AccuracyService> MakeService(Specification spec,
 std::unique_ptr<AccuracyService> ColdService(const EntityDataset& ds,
                                              Relation ie) {
   ServiceOptions options;
-  options.columnar_storage = true;
   options.num_threads = 2;
   return MakeService(SpecOf(ds, std::move(ie)), std::move(options));
 }
 
-/// Builds a columnar service over entity 0 of `ds`, snapshots it to a
+/// Builds a service over entity 0 of `ds`, snapshots it to a
 /// temp file named after `tag`, and returns the path.
 std::string WriteArtifact(const EntityDataset& ds, Relation ie,
                           const std::string& tag) {
@@ -415,7 +414,6 @@ TEST(MemoCacheTest, HitMissEvictionAndDisabled) {
 TEST(SnapshotServiceTest, MemoizedCallsAreIdenticalAndCounted) {
   const EntityDataset ds = SmallMed();
   ServiceOptions options;
-  options.columnar_storage = true;
   options.num_threads = 2;
   options.memo_cache_entries = 16;
   std::unique_ptr<AccuracyService> service =

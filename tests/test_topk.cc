@@ -7,12 +7,14 @@
 #include "chase/chase_engine.h"
 #include "mj_fixture.h"
 #include "rules/cfd.h"
+#include "service_fixture.h"
 #include "topk/rank_join_ct.h"
 #include "topk/topk_ct.h"
 
 namespace relacc {
 namespace {
 
+using testing_fixture::EncodedEngine;
 using testing_fixture::MjExpectedTarget;
 using testing_fixture::MjSpecification;
 
@@ -31,15 +33,15 @@ Specification Example9Spec() {
 }
 
 struct TopKHarness {
-  explicit TopKHarness(Specification s) : spec(std::move(s)) {
-    program = Instantiate(spec.ie, spec.masters, spec.rules);
-    engine = std::make_unique<ChaseEngine>(spec.ie, &program, spec.config);
-    outcome = engine->RunFromInitial();
-    pref = PreferenceModel::FromOccurrences(spec.ie, spec.masters);
-  }
+  explicit TopKHarness(Specification s)
+      : spec(std::move(s)),
+        encoded(spec),
+        engine(&encoded.engine),
+        outcome(engine->RunFromInitial()),
+        pref(PreferenceModel::FromOccurrences(spec.ie, spec.masters)) {}
   Specification spec;
-  GroundProgram program;
-  std::unique_ptr<ChaseEngine> engine;
+  EncodedEngine encoded;
+  const ChaseEngine* engine;
   ChaseOutcome outcome;
   PreferenceModel pref;
 };
