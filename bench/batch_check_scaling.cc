@@ -64,7 +64,7 @@ int Run() {
   // the deduced target over the active domains of its null attributes.
   const Tuple& te = outcome.target;
   const std::vector<Tuple> candidates = EnumerateCandidateProduct(
-      spec.ie, spec.masters, te, /*include_default_values=*/false,
+      entity.cie, spec.masters, te, /*include_default_values=*/false,
       small ? 128 : 512);
   std::printf("candidates: %zu  (null attrs of template: %d)\n\n",
               candidates.size(), te.NullCount());
@@ -113,15 +113,18 @@ int Run() {
   // passing candidates are sparse.
   TopKOptions opts;
   opts.max_expansions = 2000;
-  opts.num_threads = 1;
   TopKResult seq;
   const double seq_ms = TimeMs([&] {
     seq = TopKCT(engine, spec.masters, te, syn.pref, 8, opts);
   });
-  opts.num_threads = 8;
   TopKResult par;
+  // The injected checker's pool and worker engines are built lazily on
+  // its first fan-out, so the timed call pays for them.
   const double par_ms = TimeMs([&] {
+    const CandidateChecker checker(engine, 8);
+    opts.checker = &checker;
     par = TopKCT(engine, spec.masters, te, syn.pref, 8, opts);
+    opts.checker = nullptr;
   });
   const bool same =
       par.targets == seq.targets && par.scores == seq.scores;

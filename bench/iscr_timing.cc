@@ -70,6 +70,7 @@ std::vector<Tuple> SessionRounds(const Specification& spec,
 /// session resets to the checkpoint on every call — the
 /// no-prefix-reuse worst case.
 std::vector<Tuple> IndependentRevisions(const Specification& spec,
+                                        const ColumnarRelation& cie,
                                         const Tuple& deduced) {
   const int num_attrs = spec.ie.schema().size();
   std::vector<Tuple> revisions;
@@ -77,7 +78,7 @@ std::vector<Tuple> IndependentRevisions(const Specification& spec,
     if (!deduced.at(a).is_null()) continue;
     int taken = 0;
     for (const Value& v :
-         ActiveDomain(spec.ie, spec.masters, a, /*defaults=*/false)) {
+         ActiveDomain(cie, spec.masters, a, /*defaults=*/false)) {
       if (taken >= 2) break;
       Tuple single(std::vector<Value>(num_attrs, Value::Null()));
       single.set(a, v);
@@ -179,7 +180,7 @@ int Run() {
       const std::vector<Tuple> session =
           SessionRounds(spec, outcome.target, ds.truths[i]);
       const std::vector<Tuple> independent =
-          IndependentRevisions(spec, outcome.target);
+          IndependentRevisions(spec, probe.cie, outcome.target);
       if (session.empty() || independent.empty()) continue;
       found = true;
 

@@ -100,22 +100,15 @@ void CompleteEntityPhase(const EntityInstance& entity,
   report->complete = report->target.IsComplete();
 }
 
-/// The option-audit gate (see ISSUE 4): top-k threading is owned by the
-/// service plan, so caller-set values that the legacy batch functions
-/// used to override silently are rejected loudly instead.
+/// The option-audit gate: top-k check width is owned by the service
+/// plan, which injects its own persistent checker, so a caller-set one
+/// is rejected loudly instead of being silently replaced.
 Status ValidateManagedTopK(const TopKOptions& topk, const char* where) {
   if (topk.checker != nullptr) {
     return Status::InvalidArgument(
         std::string(where) +
         ": TopKOptions::checker is managed by the service (it injects its "
         "own persistent checker); leave it null");
-  }
-  if (topk.num_threads != 1) {  // 1 is the TopKOptions default
-    return Status::InvalidArgument(
-        std::string(where) +
-        ": TopKOptions::num_threads is governed by the service thread "
-        "budget; leave it at its default and set "
-        "ServiceOptions::num_threads instead");
   }
   return Status::OK();
 }
@@ -482,7 +475,6 @@ Result<TopKResult> AccuracyService::TopK(int k, TopKAlgorithm algo,
     local_pref = PreferenceModel::FromOccurrences(spec_.ie, spec_.masters);
     preference = &local_pref;
   }
-  topk.num_threads = budget_;
   topk.checker = &AcquireChecker(*engine_, engine_token_);
   switch (algo) {
     case TopKAlgorithm::kHeuristic:
@@ -695,8 +687,6 @@ void PipelineSession::ProcessWindow() {
     // entity and its engine, and results land at the entity's input
     // index, so the reduction is byte-identical to the serial loop for
     // every worker count and check width.
-    TopKOptions topk = options_.topk;
-    topk.num_threads = check_width;
     service_->EnsureCompletionSlots(workers);
     service_->ChasePool().ParallelForSlots(
         static_cast<int64_t>(todo.size()), workers,
@@ -707,9 +697,9 @@ void PipelineSession::ProcessWindow() {
           const ChaseEngine& engine = *p->engine;
           const CandidateChecker& checker =
               service_->AcquireCompletionChecker(slot, check_width, engine);
-          CompleteEntityPhase(entities[k], spec.masters, completion_, topk,
-                              options_.preference, engine, checker,
-                              &reports[k]);
+          CompleteEntityPhase(entities[k], spec.masters, completion_,
+                              options_.topk, options_.preference, engine,
+                              checker, &reports[k]);
           p.reset();  // free the checkpoint/probe memory as we go
         });
   }
@@ -809,7 +799,6 @@ Result<Suggestion> InteractionSession::Suggest() {
                                     ? options_.preference
                                     : &own_pref_;
   TopKOptions topk = options_.topk;
-  topk.num_threads = service_->budget_;
   topk.checker = &service_->AcquireChecker(*engine_, token_);
   s.candidates =
       TopKCT(*engine_, service_->spec_.masters, s.deduced_target, *pref,

@@ -118,9 +118,9 @@ struct PipelineSessionOptions {
   int64_t window = 0;
 
   /// Per-entity top-k knobs (max_expansions, include_default_values, ...).
-  /// `num_threads` and `checker` are managed by the service thread plan:
-  /// setting them here is rejected with kInvalidArgument instead of being
-  /// silently overridden (set ServiceOptions::num_threads instead).
+  /// `checker` is managed by the service thread plan: setting it here is
+  /// rejected with kInvalidArgument instead of being silently replaced
+  /// (set ServiceOptions::num_threads to size the service's checkers).
   TopKOptions topk;
 
   /// Occurrence-count preference weights are built per entity (plus
@@ -146,8 +146,7 @@ struct InteractionOptions {
   int k = 15;  ///< candidates per Suggest() (paper default)
 
   /// Top-k knobs for Suggest(). As with PipelineSessionOptions::topk,
-  /// `num_threads`/`checker` are managed by the service and rejected when
-  /// set.
+  /// `checker` is managed by the service and rejected when set.
   TopKOptions topk;
 
   /// Preference model for ranking; null builds occurrence-count weights
@@ -279,9 +278,8 @@ class AccuracyService {
   /// service can re-export.
   Status WriteSnapshot(const std::string& path);
 
-  /// Opens a streaming pipeline session. Rejects managed TopKOptions
-  /// knobs (num_threads/checker) and negative windows with
-  /// kInvalidArgument.
+  /// Opens a streaming pipeline session. Rejects a caller-set
+  /// TopKOptions::checker and negative windows with kInvalidArgument.
   Result<std::unique_ptr<PipelineSession>> StartPipeline(
       PipelineSessionOptions options = {});
 
@@ -318,7 +316,7 @@ class AccuracyService {
   /// the shared checkpoint and checker. An already-complete deduced
   /// target is returned (check-verified) as its own sole candidate.
   /// kFailedPrecondition when the spec is not Church-Rosser;
-  /// kInvalidArgument for k < 1 or managed topk knobs. `preference` null
+  /// kInvalidArgument for k < 1 or a caller-set topk.checker. `preference` null
   /// builds occurrence-count weights over (ie, masters).
   Result<TopKResult> TopK(int k, TopKAlgorithm algo = TopKAlgorithm::kTopKCT,
                           TopKOptions topk = {},

@@ -77,15 +77,6 @@ ChaseEngine::ChaseEngine(const ColumnarRelation& ie,
   BuildIndex();
 }
 
-const Relation& ChaseEngine::ie() const {
-  // The row adapter exists only for consumers that walk tuples (top-k
-  // search-space builders); built once, thread-safely.
-  std::call_once(ie_once_, [this] {
-    materialized_ie_ = std::make_unique<Relation>(ie_->ToRelation());
-  });
-  return *materialized_ie_;
-}
-
 void ChaseEngine::RequireBlockDictionary() const {
   const MasterBlock* block = program_->master.get();
   if (block != nullptr && block->dict() != dict_) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -175,11 +174,8 @@ class ChaseEngine {
   /// rejected with kDataLoss and leave the engine unchanged.
   Status ImportCheckpoint(const ChaseCheckpoint& image);
 
-  /// The encoded Ie the engine chases.
+  /// The encoded Ie the engine chases (top-k's BuildSearchSpace reads it).
   const ColumnarRelation& encoded_ie() const { return *ie_; }
-  /// Row view of Ie: a row adapter materialized (and cached) on first
-  /// call for the top-k search-space builders — the chase never needs it.
-  const Relation& ie() const;
   const GroundProgram& program() const { return *program_; }
   const ChaseConfig& config() const { return config_; }
 
@@ -298,9 +294,6 @@ class ChaseEngine {
   }
 
   const ColumnarRelation* ie_;
-  /// The cached row adapter behind ie(), built on demand.
-  mutable std::unique_ptr<Relation> materialized_ie_;
-  mutable std::once_flag ie_once_;
   const Schema* schema_;
   /// ie's (caller-owned) term dictionary; columns_, watch constants and
   /// every RunState te slot are ids into it.

@@ -19,23 +19,10 @@ void Relation::Add(Tuple t) {
 
 std::vector<Value> Relation::ColumnDomain(AttrId a) const {
   std::vector<Value> out;
-  std::unordered_set<std::size_t> seen;
+  std::unordered_set<Value, ValueHash> seen;
   for (const Tuple& t : tuples_) {
     const Value& v = t.at(a);
-    if (v.is_null()) continue;
-    const std::size_t h = v.Hash();
-    if (seen.count(h)) {
-      bool dup = false;
-      for (const Value& u : out) {
-        if (u == v) {
-          dup = true;
-          break;
-        }
-      }
-      if (dup) continue;
-    }
-    seen.insert(h);
-    out.push_back(v);
+    if (!v.is_null() && seen.insert(v).second) out.push_back(v);
   }
   return out;
 }

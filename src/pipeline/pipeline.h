@@ -24,8 +24,8 @@ enum class CompletionPolicy {
 /// How the pipeline spends its single thread budget. The two phases run
 /// non-overlapping — entity-parallel chasing first, then candidate
 /// completion — so they time-multiplex the budget instead of multiplying
-/// it (the pre-budget behaviour could spawn entity pool ×
-/// topk.num_threads checker threads, one pool per in-flight entity).
+/// it (the pre-budget behaviour could spawn entity pool × checker
+/// threads, one pool per in-flight entity).
 ///
 /// The completion phase is itself two-dimensional: `completion_workers`
 /// entities complete concurrently (one slot-pooled CandidateChecker per

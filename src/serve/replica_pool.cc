@@ -130,6 +130,7 @@ Scheduler::Stats ReplicaPool::aggregate_stats() const {
     total.executed_interactive += s.executed_interactive;
     total.executed_batch += s.executed_batch;
     total.rejected += s.rejected;
+    total.batch_queued_at_interactive += s.batch_queued_at_interactive;
     total.cancelled_queued += s.cancelled_queued;
     total.expired_running += s.expired_running;
     total.p50_interactive_ms =

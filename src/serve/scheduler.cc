@@ -319,7 +319,15 @@ void Scheduler::ExecutorLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       for (;;) {
         if (stop_) return;
-        if (PopNext(&job, &cls, &tenant_of_job)) break;
+        if (PopNext(&job, &cls, &tenant_of_job)) {
+          if (cls == JobClass::kInteractive) {
+            for (const auto& [tenant, queues] : tenants_) {
+              stats_.batch_queued_at_interactive +=
+                  static_cast<int64_t>(queues.batch.size());
+            }
+          }
+          break;
+        }
         // Queues are empty. Draining means no further Enqueue can add
         // work and no job is running to spawn a continuation, so this
         // is the drained fixpoint.

@@ -95,6 +95,9 @@ class Scheduler {
     int64_t executed_interactive = 0;
     int64_t executed_batch = 0;
     int64_t rejected = 0;  ///< admission-control rejections
+    /// Summed over interactive jobs: the batch jobs (quanta) still queued
+    /// when each one started — those it overtook by strict priority.
+    int64_t batch_queued_at_interactive = 0;
     /// Deadline accounting: queued jobs cancelled before running, and
     /// running jobs that overran (they still finish; the expiry fired
     /// their on_deadline early).

@@ -135,6 +135,8 @@ class Server {
   int64_t deadline_exceeded() const { return deadline_exceeded_.load(); }
   int64_t shed() const { return shed_.load(); }
   const ReplicaPool& pool() const { return *pool_; }
+  /// The ServerOptions::fault_inject injector; null for an empty spec.
+  FaultInjector* fault_injector() const { return fault_.get(); }
 
  private:
   /// One response per request id: the scheduler job and the deadline

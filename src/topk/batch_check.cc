@@ -67,32 +67,17 @@ std::vector<char> CandidateChecker::CheckAll(
 }
 
 std::vector<Tuple> EnumerateCandidateProduct(
-    const Relation& ie, const std::vector<Relation>& masters,
+    const ColumnarRelation& ie, const std::vector<Relation>& masters,
     const Tuple& te, bool include_default_values, std::size_t limit) {
-  std::vector<AttrId> z;
-  std::vector<std::vector<Value>> domains;
-  for (AttrId a = 0; a < ie.schema().size(); ++a) {
-    if (!te.at(a).is_null()) continue;
-    z.push_back(a);
-    domains.push_back(ActiveDomain(ie, masters, a, include_default_values));
-    if (domains.back().empty()) return {};
-  }
   std::vector<Tuple> out;
-  std::vector<std::size_t> idx(z.size(), 0);
-  while (out.size() < limit) {
-    Tuple t = te;
-    for (std::size_t i = 0; i < z.size(); ++i) {
-      t.set(z[i], domains[i][idx[i]]);
-    }
-    out.push_back(std::move(t));
-    // Odometer increment over the product space.
-    std::size_t i = 0;
-    for (; i < z.size(); ++i) {
-      if (++idx[i] < domains[i].size()) break;
-      idx[i] = 0;
-    }
-    if (i == z.size() || z.empty()) break;
-  }
+  // Unweighted: the default model scores every value 0.
+  ForEachCompletion(BuildSearchSpace(ie, masters, te, PreferenceModel(),
+                                     include_default_values),
+                    te, 0.0, [&](Tuple t, double) {
+                      if (out.size() >= limit) return false;
+                      out.push_back(std::move(t));
+                      return true;
+                    });
   return out;
 }
 

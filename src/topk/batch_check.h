@@ -94,14 +94,14 @@ class CandidateChecker {
 
 /// Resolves which checker a top-k call runs its checks through: the
 /// caller-injected one (TopKOptions::checker) when usable, else a
-/// privately owned one over TopKOptions::num_threads. skip_check always
-/// gets a private width-1 checker — it is never consulted for verdicts,
-/// but its RoundCap shapes batching and the stats counters, which must
-/// not depend on whether an outer caller happened to inject a pool.
+/// privately owned inline (width-1) one. skip_check always gets the
+/// private checker — it is never consulted for verdicts, but its RoundCap
+/// shapes batching and the stats counters, which must not depend on
+/// whether an outer caller happened to inject a pool.
 class CheckerHandle {
  public:
   CheckerHandle(const ChaseEngine& engine, bool skip_check,
-                int num_threads, const CandidateChecker* injected) {
+                const CandidateChecker* injected) {
     if (!skip_check && injected != nullptr &&
         &injected->prototype() == &engine) {
       checker_ = injected;
@@ -113,7 +113,7 @@ class CheckerHandle {
     // (slower, never wrong).
     assert(injected == nullptr || skip_check ||
            &injected->prototype() == &engine);
-    owned_.emplace(engine, skip_check ? 1 : num_threads);
+    owned_.emplace(engine, 1);
     checker_ = &*owned_;
   }
 
@@ -124,14 +124,11 @@ class CheckerHandle {
   const CandidateChecker* checker_ = nullptr;
 };
 
-/// Completions of `te` in odometer order over the active domains of its
-/// null attributes, capped at `limit`; empty if some domain is empty (no
-/// complete candidate can exist). This is the materialized form of the
-/// streaming enumeration inside TopKBruteForce (which cannot afford to
-/// materialize the product) — tests and benchmarks build their candidate
-/// pools from it.
+/// The first `limit` completions of `te` over the top-k search space
+/// (ForEachCompletion over BuildSearchSpace, odometer order); empty if a
+/// domain is empty. Tests and benchmarks build candidate pools from it.
 std::vector<Tuple> EnumerateCandidateProduct(
-    const Relation& ie, const std::vector<Relation>& masters,
+    const ColumnarRelation& ie, const std::vector<Relation>& masters,
     const Tuple& te, bool include_default_values, std::size_t limit);
 
 }  // namespace relacc

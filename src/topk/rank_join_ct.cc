@@ -1,6 +1,5 @@
 #include "topk/rank_join_ct.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "topk/batch_check.h"
@@ -15,43 +14,28 @@ TopKResult RankJoinCT(const ChaseEngine& engine,
   TopKResult result;
   if (k <= 0) return result;
 
-  // Null attributes of te and their ranked lists Li (sorted up front —
-  // the cost RankJoinCT pays that TopKCT avoids).
-  std::vector<AttrId> z;
-  std::vector<std::vector<std::pair<Value, double>>> lists;
-  const Relation& ie = engine.ie();
-  for (AttrId a = 0; a < ie.schema().size(); ++a) {
-    if (!deduced_te.at(a).is_null()) continue;
-    z.push_back(a);
-    std::vector<std::pair<Value, double>> list;
-    for (Value& v :
-         ActiveDomain(ie, masters, a, opts.include_default_values)) {
-      const double w = pref.Weight(a, v);
-      list.emplace_back(std::move(v), w);
-    }
+  // Ranked lists Li: the active domains of te's null attributes, sorted
+  // up front — the cost RankJoinCT pays that TopKCT avoids.
+  SearchSpace space =
+      BuildSearchSpace(engine.encoded_ie(), masters, deduced_te, pref,
+                       opts.include_default_values);
+  for (WeightedDomain& list : space.domains) {
     if (list.empty()) return result;  // no candidate can exist
-    std::sort(list.begin(), list.end(), [](const auto& x, const auto& y) {
-      if (x.second != y.second) return x.second > y.second;
-      return x.first.TotalLess(y.first);
-    });
-    lists.push_back(std::move(list));
+    SortByDescendingWeight(&list);
   }
 
-  const double base_score = pref.Score(deduced_te);
-  if (z.empty()) {
-    ++result.checks;
-    if (opts.skip_check || CheckCandidateTarget(engine, deduced_te)) {
-      result.targets.push_back(deduced_te);
-      result.scores.push_back(base_score);
-    }
-    return result;
+  // A complete te is its own sole candidate, which TopKCT checks.
+  if (space.z.empty()) {
+    return TopKCT(engine, masters, deduced_te, pref, k, opts);
   }
+  const double base_score = pref.Score(deduced_te);
+  const std::vector<AttrId>& z = space.z;
 
   // Consume join results in output order; the shared loop batches the
   // checks and keeps the ranked output identical for every thread count.
-  const CheckerHandle checker(engine, opts.skip_check, opts.num_threads,
-                              opts.checker);
-  std::unique_ptr<RankedStream> stream = BuildRankJoinTree(std::move(lists));
+  const CheckerHandle checker(engine, opts.skip_check, opts.checker);
+  std::unique_ptr<RankedStream> stream =
+      BuildRankJoinTree(std::move(space.domains));
   RunBatchedAcceptLoop(
       // RankedStream has no non-consuming peek; the pre-batching loop
       // checked the budget before Next() too, so budget-first is the

@@ -37,35 +37,8 @@ struct IndexVectorHash {
   }
 };
 
-/// Shared set-up for the top-k algorithms: the null attributes Z of te and
-/// their weighted active domains.
-struct SearchSpace {
-  std::vector<AttrId> z;                   ///< null attributes of te
-  std::vector<std::vector<std::pair<Value, double>>> domains;  ///< per z-attr
-};
-
-SearchSpace BuildSearchSpace(const Relation& ie,
-                             const std::vector<Relation>& masters,
-                             const Tuple& te, const PreferenceModel& pref,
-                             const TopKOptions& opts) {
-  SearchSpace space;
-  for (AttrId a = 0; a < ie.schema().size(); ++a) {
-    if (!te.at(a).is_null()) continue;
-    space.z.push_back(a);
-    std::vector<std::pair<Value, double>> dom;
-    for (Value& v :
-         ActiveDomain(ie, masters, a, opts.include_default_values)) {
-      const double w = pref.Weight(a, v);
-      dom.emplace_back(std::move(v), w);
-    }
-    space.domains.push_back(std::move(dom));
-  }
-  return space;
-}
-
 Tuple Materialize(const Tuple& te, const SearchSpace& space,
-                  const std::vector<std::vector<std::pair<Value, double>>>& b,
-                  const Obj& o) {
+                  const std::vector<WeightedDomain>& b, const Obj& o) {
   Tuple t = te;
   for (std::size_t i = 0; i < space.z.size(); ++i) {
     t.set(space.z[i], b[i][o.p[i]].first);
@@ -127,14 +100,15 @@ void RunBatchedAcceptLoop(const CandidateChecker& checker,
   }
 }
 
-TopKResult TopKCT(const ChaseEngine& engine,
-                  const std::vector<Relation>& masters,
-                  const Tuple& deduced_te, const PreferenceModel& pref, int k,
-                  const TopKOptions& opts) {
+namespace {
+
+/// TopKCT over a built search space (TopKCTh's seed phase reuses the
+/// space it repairs over). k >= 1.
+TopKResult BestFirstSearch(const ChaseEngine& engine, const SearchSpace& space,
+                           const Tuple& deduced_te,
+                           const PreferenceModel& pref, int k,
+                           const TopKOptions& opts) {
   TopKResult result;
-  if (k <= 0) return result;
-  const SearchSpace space =
-      BuildSearchSpace(engine.ie(), masters, deduced_te, pref, opts);
   const std::size_t m = space.z.size();
   const double base_score = pref.Score(deduced_te);
 
@@ -152,7 +126,7 @@ TopKResult TopKCT(const ChaseEngine& engine,
   // lines 2, 10-11). An empty domain means no candidate target can exist.
   std::vector<ValueHeap> heaps;
   heaps.reserve(m);
-  std::vector<std::vector<std::pair<Value, double>>> buffers(m);
+  std::vector<WeightedDomain> buffers(m);
   for (std::size_t i = 0; i < m; ++i) {
     if (space.domains[i].empty()) return result;
     heaps.emplace_back(space.domains[i]);
@@ -173,8 +147,7 @@ TopKResult TopKCT(const ChaseEngine& engine,
   // Under skip_check the checker is never consulted, so don't build a
   // pool or per-worker engines (TopKCTh's seed phase lands here); an
   // injected checker (opts.checker) is reused instead of owned.
-  const CheckerHandle checker(engine, opts.skip_check, opts.num_threads,
-                              opts.checker);
+  const CheckerHandle checker(engine, opts.skip_check, opts.checker);
   // Pop and expand in the exact sequential best-first order (Fig. 5 lines
   // 10-15); only the `check` is deferred and batched.
   RunBatchedAcceptLoop(
@@ -204,23 +177,38 @@ TopKResult TopKCT(const ChaseEngine& engine,
   return result;
 }
 
+}  // namespace
+
+TopKResult TopKCT(const ChaseEngine& engine,
+                  const std::vector<Relation>& masters,
+                  const Tuple& deduced_te, const PreferenceModel& pref, int k,
+                  const TopKOptions& opts) {
+  if (k <= 0) return {};
+  return BestFirstSearch(
+      engine,
+      BuildSearchSpace(engine.encoded_ie(), masters, deduced_te, pref,
+                       opts.include_default_values),
+      deduced_te, pref, k, opts);
+}
+
 TopKResult TopKCTh(const ChaseEngine& engine,
                    const std::vector<Relation>& masters,
                    const Tuple& deduced_te, const PreferenceModel& pref,
                    int k, const TopKOptions& opts) {
+  TopKResult result;
+  if (k <= 0) return result;
+  const SearchSpace space =
+      BuildSearchSpace(engine.encoded_ie(), masters, deduced_te, pref,
+                       opts.include_default_values);
   // Phase 1: k unvalidated seeds (TopKCT without the check step).
   TopKOptions seed_opts = opts;
   seed_opts.skip_check = true;
-  TopKResult seeds = TopKCT(engine, masters, deduced_te, pref, k, seed_opts);
-
-  TopKResult result;
+  const TopKResult seeds =
+      BestFirstSearch(engine, space, deduced_te, pref, k, seed_opts);
   result.queue_pops = seeds.queue_pops;
   result.heap_pops = seeds.heap_pops;
 
-  const SearchSpace space =
-      BuildSearchSpace(engine.ie(), masters, deduced_te, pref, opts);
-  const CheckerHandle handle(engine, /*skip_check=*/false, opts.num_threads,
-                             opts.checker);
+  const CheckerHandle handle(engine, /*skip_check=*/false, opts.checker);
   const CandidateChecker& checker = handle.get();
   // A seed needs exactly one accept, so rounds never speculate past the
   // pool width.
@@ -275,11 +263,8 @@ TopKResult TopKCTh(const ChaseEngine& engine,
     std::vector<double> batch_scores;
     for (std::size_t i = 0; i < space.z.size() && !accepted; ++i) {
       // Values sorted by descending weight for the greedy order.
-      std::vector<std::pair<Value, double>> dom = space.domains[i];
-      std::sort(dom.begin(), dom.end(), [](const auto& a, const auto& b) {
-        if (a.second != b.second) return a.second > b.second;
-        return a.first.TotalLess(b.first);
-      });
+      WeightedDomain dom = space.domains[i];
+      SortByDescendingWeight(&dom);
       const Value original = t.at(space.z[i]);
       int tried = 0;
       std::size_t next = 0;
@@ -326,11 +311,10 @@ TopKResult TopKBruteForce(const ChaseEngine& engine,
   TopKResult result;
   if (k <= 0) return result;
   const SearchSpace space =
-      BuildSearchSpace(engine.ie(), masters, deduced_te, pref, opts);
-  const std::size_t m = space.z.size();
+      BuildSearchSpace(engine.encoded_ie(), masters, deduced_te, pref,
+                       opts.include_default_values);
 
-  const CheckerHandle handle(engine, /*skip_check=*/false, opts.num_threads,
-                             opts.checker);
+  const CheckerHandle handle(engine, /*skip_check=*/false, opts.checker);
   const CandidateChecker& checker = handle.get();
   // The oracle checks the whole product space anyway, so batches can be
   // large; enumeration order is preserved by indexing.
@@ -352,37 +336,17 @@ TopKResult TopKBruteForce(const ChaseEngine& engine,
     batch_scores.clear();
   };
 
-  std::vector<std::size_t> idx(m, 0);
-  for (;;) {
-    Tuple t = deduced_te;
-    bool valid_combo = true;
-    double score = pref.Score(deduced_te);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (space.domains[i].empty()) {
-        valid_combo = false;
-        break;
-      }
-      t.set(space.z[i], space.domains[i][idx[i]].first);
-      score += space.domains[i][idx[i]].second;
-    }
-    if (!valid_combo) break;
-    batch.push_back(std::move(t));
-    batch_scores.push_back(score);
-    if (batch.size() >= batch_cap) flush();
-    // Odometer increment over the product space.
-    std::size_t i = 0;
-    for (; i < m; ++i) {
-      if (++idx[i] < space.domains[i].size()) break;
-      idx[i] = 0;
-    }
-    if (i == m || m == 0) break;
-  }
+  ForEachCompletion(space, deduced_te, pref.Score(deduced_te),
+                    [&](Tuple t, double score) {
+                      batch.push_back(std::move(t));
+                      batch_scores.push_back(score);
+                      if (batch.size() >= batch_cap) flush();
+                      return true;
+                    });
   flush();
-  std::stable_sort(accepted.begin(), accepted.end(),
-                   [](const auto& a, const auto& b) {
-                     if (a.first != b.first) return a.first > b.first;
-                     return false;
-                   });
+  std::stable_sort(
+      accepted.begin(), accepted.end(),
+      [](const auto& a, const auto& b) { return a.first > b.first; });
   for (std::size_t i = 0;
        i < accepted.size() && static_cast<int>(result.targets.size()) < k;
        ++i) {

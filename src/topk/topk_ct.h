@@ -33,27 +33,14 @@ struct TopKOptions {
   /// Sec. 6.3); -1 = unbounded.
   int max_repair_values = 4;
 
-  /// Workers for the candidate-target `check` (see topk/batch_check.h).
-  /// With 1 the algorithms run their original strictly-sequential loops;
-  /// with more, checks are batched and fanned out over a thread pool with
-  /// one ChaseEngine per worker (each holding a long-lived probe state,
-  /// all sharing the prototype's checkpoint by pointer). Ranked results
-  /// (targets and scores) are identical for every thread count; the
-  /// stats counters may report more work with >1 threads because batch
-  /// members past the k-th accepted target are checked speculatively.
-  /// <= 0 is treated as 1. Superseded by `checker` when that is set.
-  int num_threads = 1;
-
-  /// External candidate checker to run the `check` chases through. When
-  /// set it must be bound (CandidateChecker ctor / Rebind) to the same
-  /// engine passed to the algorithm, and its width supersedes
-  /// `num_threads`; the algorithm then reuses its thread pool and warm
-  /// per-worker probe states instead of building and tearing down its
-  /// own per call — the pipeline rebinds one checker per entity and the
-  /// interactive framework keeps one across revision rounds. Null: each
-  /// call owns a private checker over `num_threads`. Internal seed
-  /// phases that skip the check (TopKCTh) always use a private inline
-  /// checker so their stats stay identical with and without injection.
+  /// External candidate checker, bound (ctor / Rebind) to the engine
+  /// passed to the algorithm: the one way to fan the `check` chases out
+  /// over threads (topk/batch_check.h). Checks are batched to its width,
+  /// reusing its pool and warm probe states across calls. Ranked results
+  /// are identical for every width; the stats may count speculative
+  /// checks past the k-th accepted target. Null: checks run inline, in
+  /// the paper's strictly sequential order. TopKCTh's seed phase skips
+  /// the check and never uses it, so its stats do not depend on it.
   const CandidateChecker* checker = nullptr;
 };
 
@@ -72,8 +59,11 @@ struct TopKResult {
 /// target `te`. Does not require ranked lists; instance optimal w.r.t.
 /// ValueHeap pops (Prop. 7), with the early-termination property.
 ///
-/// `engine` supplies Ie (and runs the `check`); `masters` contributes the
-/// master portion of the active domains.
+/// `engine` supplies the encoded Ie (ChaseEngine::encoded_ie()) and runs
+/// the `check`; `masters` contributes the master portion of the active
+/// domains. The search space comes from BuildSearchSpace
+/// (topk/preference.h), shared by all four algorithms; ties among equal
+/// scores follow its domain order.
 TopKResult TopKCT(const ChaseEngine& engine,
                   const std::vector<Relation>& masters,
                   const Tuple& deduced_te, const PreferenceModel& pref, int k,
@@ -81,7 +71,8 @@ TopKResult TopKCT(const ChaseEngine& engine,
 
 /// Algorithm TopKCTh (Sec. 6.3): PTIME heuristic — runs TopKCT without the
 /// check to obtain k seeds, then greedily repairs each seed with active-
-/// domain values until the check passes. Accepted tuples are guaranteed
+/// domain values until the check passes. Both phases share one search
+/// space. Accepted tuples are guaranteed
 /// candidate targets but not necessarily of maximal score.
 TopKResult TopKCTh(const ChaseEngine& engine,
                    const std::vector<Relation>& masters,
@@ -109,7 +100,8 @@ void RunBatchedAcceptLoop(const CandidateChecker& checker,
                           TopKResult* result);
 
 /// Exhaustive reference oracle for tests: enumerates the full product of
-/// active domains, checks every combination, and returns the k best.
+/// active domains (ForEachCompletion), checks every combination, and
+/// returns the k best.
 /// Exponential; only usable on tiny instances.
 TopKResult TopKBruteForce(const ChaseEngine& engine,
                           const std::vector<Relation>& masters,

@@ -415,52 +415,33 @@ TEST(AccuracyServiceTest, ChaseOverrideReplacesSpecConfig) {
 }
 
 TEST(AccuracyServiceTest, ManagedTopKKnobsAreRejectedNotOverridden) {
-  // The audit satellite: the legacy batch paths silently replaced
-  // caller-set topk.num_threads / topk.checker; the service refuses them
-  // with an explanatory kInvalidArgument instead.
+  // The audit satellite: the legacy batch paths silently replaced a
+  // caller-set topk.checker; the service refuses it with an explanatory
+  // kInvalidArgument instead (it would be bound to a foreign engine).
   auto service = MakeService(MjSpecification());
-
-  PipelineSessionOptions pipeline_options;
-  pipeline_options.topk.num_threads = 4;
-  Result<std::unique_ptr<PipelineSession>> pipeline =
-      service->StartPipeline(std::move(pipeline_options));
-  EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(pipeline.status().message().find("num_threads"),
-            std::string::npos);
-
-  InteractionOptions interaction_options;
-  interaction_options.topk.num_threads = 4;
-  Result<std::unique_ptr<InteractionSession>> interaction =
-      service->StartInteraction(std::move(interaction_options));
-  EXPECT_EQ(interaction.status().code(), StatusCode::kInvalidArgument);
-
-  TopKOptions bad_topk;
-  bad_topk.num_threads = 2;
-  Result<TopKResult> topk =
-      service->TopK(3, TopKAlgorithm::kTopKCT, bad_topk);
-  EXPECT_EQ(topk.status().code(), StatusCode::kInvalidArgument);
-
-  // Any non-default value is rejected — 0 ("auto") would otherwise be
-  // silently overridden by the budget, the exact behaviour the audit
-  // removed.
-  TopKOptions zero_threads;
-  zero_threads.num_threads = 0;
-  Result<TopKResult> zero =
-      service->TopK(3, TopKAlgorithm::kTopKCT, zero_threads);
-  EXPECT_EQ(zero.status().code(), StatusCode::kInvalidArgument);
-
-  // An injected checker is refused too (it would be bound to a foreign
-  // engine).
   Specification spec = MjSpecification();
   EncodedEngine encoded(spec);
   ChaseEngine& engine = encoded.engine;
   CandidateChecker checker(engine, 1);
+
   PipelineSessionOptions with_checker;
   with_checker.topk.checker = &checker;
   Result<std::unique_ptr<PipelineSession>> rejected =
       service->StartPipeline(std::move(with_checker));
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(rejected.status().message().find("checker"), std::string::npos);
+
+  InteractionOptions interaction_options;
+  interaction_options.topk.checker = &checker;
+  Result<std::unique_ptr<InteractionSession>> interaction =
+      service->StartInteraction(std::move(interaction_options));
+  EXPECT_EQ(interaction.status().code(), StatusCode::kInvalidArgument);
+
+  TopKOptions bad_topk;
+  bad_topk.checker = &checker;
+  Result<TopKResult> topk =
+      service->TopK(3, TopKAlgorithm::kTopKCT, bad_topk);
+  EXPECT_EQ(topk.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- one-shot conveniences ---------------------------------------------------
@@ -609,7 +590,7 @@ TEST(AccuracyServiceTest, CheckCandidatesMatchesFreeFunction) {
   const ChaseOutcome outcome = engine.RunFromCheckpoint();
   ASSERT_TRUE(outcome.church_rosser);
   const std::vector<Tuple> pool = EnumerateCandidateProduct(
-      spec.ie, spec.masters, outcome.target,
+      engine.encoded_ie(), spec.masters, outcome.target,
       /*include_default_values=*/false, /*limit=*/64);
   ASSERT_FALSE(pool.empty());
   std::vector<char> legacy;

@@ -75,7 +75,7 @@ TEST(CheckCandidates, VerdictsMatchSequentialAcrossThreadCounts) {
   const ChaseOutcome outcome = engine.RunFromInitial();
   ASSERT_TRUE(outcome.church_rosser);
   const std::vector<Tuple> candidates = EnumerateCandidateProduct(
-      engine.ie(), spec.masters, outcome.target,
+      engine.encoded_ie(), spec.masters, outcome.target,
       /*include_default_values=*/false, /*limit=*/100000);
   ASSERT_GT(candidates.size(), 4u);
 
@@ -126,11 +126,11 @@ void ExpectIdenticalRankedResults(const Specification& spec,
     // Tight pop budget: bounds the runtime when few candidates pass and
     // covers determinism of the exhausted_budget path as well.
     opts.max_expansions = 2000;
-    opts.num_threads = 1;
     const TopKResult seq = algo.run(engine, spec.masters, te, pref, k, opts);
     max_targets = std::max(max_targets, seq.targets.size());
     for (int threads : {2, 8}) {
-      opts.num_threads = threads;
+      const CandidateChecker checker(engine, threads);
+      opts.checker = &checker;
       const TopKResult par =
           algo.run(engine, spec.masters, te, pref, k, opts);
       EXPECT_EQ(par.targets, seq.targets)
@@ -206,7 +206,8 @@ TEST(TopKDeterminism, BudgetAtExactSpaceExhaustionIsNotReportedAsExhausted) {
   ASSERT_GT(full.queue_pops, 1);
 
   for (int threads : {1, 8}) {
-    opts.num_threads = threads;
+    const CandidateChecker checker(engine, threads);
+    opts.checker = &checker;
     opts.max_expansions = full.queue_pops;  // exactly the space size
     const TopKResult boundary =
         TopKCT(engine, spec.masters, outcome.target, pref, huge_k, opts);

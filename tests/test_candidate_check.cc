@@ -84,8 +84,8 @@ std::vector<Tuple> MixedPool(const Specification& spec,
   const ChaseOutcome outcome = engine.RunFromCheckpoint();
   EXPECT_TRUE(outcome.church_rosser);
   const std::vector<Tuple> product = EnumerateCandidateProduct(
-      spec.ie, spec.masters, te, /*include_default_values=*/false,
-      /*limit=*/64 * stride);
+      engine.encoded_ie(), spec.masters, te,
+      /*include_default_values=*/false, /*limit=*/64 * stride);
   std::vector<Tuple> pool;
   for (std::size_t i = 0; i < product.size(); i += stride) {
     pool.push_back(product[i]);
@@ -98,8 +98,8 @@ std::vector<Tuple> MixedPool(const Specification& spec,
     }
   }
   const std::vector<Tuple> conflicted = EnumerateCandidateProduct(
-      spec.ie, spec.masters, reopened, /*include_default_values=*/false,
-      /*limit=*/32);
+      engine.encoded_ie(), spec.masters, reopened,
+      /*include_default_values=*/false, /*limit=*/32);
   pool.insert(pool.end(), conflicted.begin(), conflicted.end());
   return pool;
 }
@@ -232,7 +232,6 @@ void ExpectRankedOutputVerified(const Specification& spec,
   for (const AlgoCase& algo : kAlgos) {
     TopKOptions opts;
     opts.max_expansions = 2000;
-    opts.num_threads = 1;
 
     const EncodedEngine reference_encoded(spec);
     const ChaseEngine& reference_engine = reference_encoded.engine;
@@ -247,7 +246,8 @@ void ExpectRankedOutputVerified(const Specification& spec,
     const EncodedEngine encoded(spec);
     const ChaseEngine& engine = encoded.engine;
     for (int threads : {1, 4}) {
-      opts.num_threads = threads;
+      const CandidateChecker checker(engine, threads);
+      opts.checker = &checker;
       const TopKResult got = algo.run(engine, spec.masters, te, pref, k, opts);
       EXPECT_EQ(got.targets, reference.targets)
           << algo.name << " threads=" << threads;

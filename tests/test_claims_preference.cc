@@ -110,6 +110,40 @@ TEST(Preference, ScoreIgnoresNullAttributes) {
                    3.0);
 }
 
+/// The domain edge cases: Ie repeats values (and has nulls), `y` is in Ie
+/// and in master m1, `w` repeats within m1, `v` is in both masters, and
+/// m2's double column `n` holds 5.0 (equal to Ie's int 5) and 9.5.
+struct EdgeCaseInput {
+  EdgeCaseInput()
+      : ie(Schema({{"name", ValueType::kString},
+                   {"n", ValueType::kInt},
+                   {"flag", ValueType::kBool}})) {
+    auto S = [](const char* s) { return Value::Str(s); };
+    auto I = [](int64_t i) { return Value::Int(i); };
+    const Value N = Value::Null();
+    ie.Add(Tuple({S("x"), I(3), Value::Bool(false)}));
+    ie.Add(Tuple({S("y"), N, N}));
+    ie.Add(Tuple({S("x"), I(3), Value::Bool(false)}));
+    ie.Add(Tuple({N, I(5), N}));
+    ie.Add(Tuple({S("z"), I(3), N}));
+    ie.Add(Tuple({S("y"), I(7), N}));
+    Relation m1(Schema({{"name", ValueType::kString},
+                        {"other", ValueType::kString}}));
+    for (const Value& v : {S("w"), S("y"), S("v"), S("w"), N}) {
+      m1.Add(Tuple({v, S("o")}));
+    }
+    Relation m2(
+        Schema({{"n", ValueType::kDouble}, {"name", ValueType::kString}}));
+    m2.Add(Tuple({Value::Real(5.0), S("v")}));
+    m2.Add(Tuple({Value::Real(9.5), S("u")}));
+    m2.Add(Tuple({N, S("v")}));
+    masters = {std::move(m1), std::move(m2)};
+  }
+
+  Relation ie;
+  std::vector<Relation> masters;
+};
+
 TEST(Preference, DefaultWeightAppliesToUnknownValues) {
   Schema schema({{"a", ValueType::kString}});
   Relation ie(schema);
@@ -118,26 +152,84 @@ TEST(Preference, DefaultWeightAppliesToUnknownValues) {
   pref.set_default_weight(0.25);
   EXPECT_DOUBLE_EQ(pref.Weight(0, Value::Str("unknown")), 0.25);
   EXPECT_DOUBLE_EQ(pref.Weight(0, Value::Str("x")), 1.0);
+
+  // Occurrences count every Ie row; the master bonus counts once per
+  // master that holds the value, however many of its rows do.
+  const EdgeCaseInput edge;
+  const PreferenceModel weights =
+      PreferenceModel::FromOccurrences(edge.ie, edge.masters);
+  const std::vector<std::pair<const char*, double>> names = {
+      {"x", 2.0}, {"y", 3.0}, {"z", 1.0}, {"w", 1.0}, {"v", 2.0}, {"u", 1.0}};
+  for (const auto& [name, w] : names) {
+    EXPECT_EQ(weights.Weight(0, Value::Str(name)), w) << name;
+  }
+  EXPECT_EQ(weights.Weight(1, Value::Int(3)), 3.0);
+  EXPECT_EQ(weights.Weight(1, Value::Int(5)), 2.0);  // Ie once + m2's 5.0
+  EXPECT_EQ(weights.Weight(1, Value::Int(7)), 1.0);
+  EXPECT_EQ(weights.Weight(1, Value::Real(9.5)), 1.0);
+  EXPECT_EQ(weights.Weight(2, Value::Bool(true)), 0.0);
+  EXPECT_EQ(weights.Weight(2, Value::Bool(false)), 2.0);
 }
 
 TEST(Preference, BoolActiveDomainIsExactlyBothConstants) {
   Schema schema({{"flag", ValueType::kBool}});
   Relation ie(schema);
   ie.Add(Tuple({Value::Bool(true)}));
-  const auto dom = ActiveDomain(ie, {}, 0, /*include_default=*/true);
+  Dictionary dict;
+  const ColumnarRelation cie = ColumnarRelation::FromRelation(ie, &dict);
+  const auto dom = ActiveDomain(cie, {}, 0, /*include_default=*/true);
   ASSERT_EQ(dom.size(), 2u);  // finite domain: no synthetic default
   EXPECT_NE(dom[0], dom[1]);
+
+  // Always {true, false} in that order, whatever Ie holds.
+  const EdgeCaseInput edge;
+  Dictionary edge_dict;
+  const ColumnarRelation edge_ie =
+      ColumnarRelation::FromRelation(edge.ie, &edge_dict);
+  const std::vector<Value> both = {Value::Bool(true), Value::Bool(false)};
+  for (const bool with_default : {false, true}) {
+    EXPECT_EQ(ActiveDomain(edge_ie, edge.masters, 2, with_default), both);
+  }
 }
 
 TEST(Preference, DefaultValueJoinsInfiniteDomainsWhenRequested) {
   Schema schema({{"name", ValueType::kString}});
   Relation ie(schema);
   ie.Add(Tuple({Value::Str("x")}));
-  const auto without = ActiveDomain(ie, {}, 0, false);
-  const auto with = ActiveDomain(ie, {}, 0, true);
+  Dictionary dict;
+  const ColumnarRelation cie = ColumnarRelation::FromRelation(ie, &dict);
+  const auto without = ActiveDomain(cie, {}, 0, false);
+  const auto with = ActiveDomain(cie, {}, 0, true);
   EXPECT_EQ(without.size(), 1u);
   EXPECT_EQ(with.size(), 2u);
   EXPECT_EQ(with[1], MakeDefaultValue(ValueType::kString));
+
+  // Ie values once each in first-appearance order, then master values not
+  // already in the domain in master/row order, then the default.
+  const EdgeCaseInput edge;
+  Dictionary edge_dict;
+  const ColumnarRelation edge_ie =
+      ColumnarRelation::FromRelation(edge.ie, &edge_dict);
+  std::vector<Value> names;
+  for (const char* v : {"x", "y", "z", "w", "v", "u"}) {
+    names.push_back(Value::Str(v));
+  }
+  EXPECT_EQ(ActiveDomain(edge_ie, edge.masters, 0, false), names);
+  names.push_back(MakeDefaultValue(ValueType::kString));
+  EXPECT_EQ(ActiveDomain(edge_ie, edge.masters, 0, true), names);
+
+  std::vector<Value> numbers = {Value::Int(3), Value::Int(5), Value::Int(7),
+                                Value::Real(9.5)};
+  EXPECT_EQ(ActiveDomain(edge_ie, edge.masters, 1, false), numbers);
+  numbers.push_back(MakeDefaultValue(ValueType::kInt));
+  const std::vector<Value> with_default =
+      ActiveDomain(edge_ie, edge.masters, 1, true);
+  EXPECT_EQ(with_default, numbers);
+  ASSERT_EQ(with_default.size(), 5u);
+  for (const std::size_t i : {0u, 1u, 2u, 4u}) {
+    EXPECT_EQ(with_default[i].type(), ValueType::kInt) << i;
+  }
+  EXPECT_EQ(with_default[3].type(), ValueType::kDouble);
 }
 
 }  // namespace

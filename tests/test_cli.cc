@@ -335,6 +335,37 @@ TEST_F(CliTest, PipelineMatchesCheckedInGoldenReports) {
   }
 }
 
+TEST_F(CliTest, TopKMatchesCheckedInGoldenReports) {
+  // tests/golden/topk_med_e{2,6}_<algo>.json are the `relacc topk --json
+  // --k 3` reports of `relacc gen --profile med --entities 8 --entity E`.
+  // Entity 2 leaves 4 attributes null, entity 6 leaves 13 (too many for
+  // the brute-force product). Ties among equal scores follow the active
+  // domain order, so these pin that order for every algorithm.
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      cases = {{"2", {"topkct", "heuristic", "rankjoin", "brute"}},
+               {"6", {"topkct", "heuristic", "rankjoin"}}};
+  for (const auto& [entity, algos] : cases) {
+    const std::string spec = ::testing::TempDir() + "/relacc_cli_topk_e" +
+                             entity + "_" + std::to_string(getpid()) +
+                             ".json";
+    ASSERT_EQ(Run({"gen", "--profile", "med", "--entities", "8", "--entity",
+                   entity, "--out", spec}),
+              0)
+        << err_.str();
+    for (const std::string& algo : algos) {
+      Result<std::string> golden =
+          ReadFile(std::string(RELACC_SOURCE_DIR) + "/tests/golden/topk_med_e" +
+                   entity + "_" + algo + ".json");
+      ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+      ASSERT_EQ(Run({"topk", spec, "--json", "--k", "3", "--algo", algo}), 0)
+          << err_.str();
+      EXPECT_EQ(out_.str(), golden.value()) << "entity " << entity << " "
+                                            << algo;
+    }
+    std::remove(spec.c_str());
+  }
+}
+
 TEST_F(CliTest, PipelineRequiresKey) {
   int rc = Run({"pipeline", path_});
   EXPECT_EQ(rc, 2);

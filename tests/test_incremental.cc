@@ -299,8 +299,8 @@ TEST(ResumeWith, CandidateChecksPristineAcrossSessionActivity) {
   ChaseOutcome base = engine.RunFromCheckpoint();
   ASSERT_TRUE(base.church_rosser);
   const std::vector<Tuple> pool = EnumerateCandidateProduct(
-      spec.ie, spec.masters, base.target, /*include_default_values=*/false,
-      /*limit=*/32);
+      engine.encoded_ie(), spec.masters, base.target,
+      /*include_default_values=*/false, /*limit=*/32);
   ASSERT_FALSE(pool.empty());
   std::vector<char> verdicts_before;
   for (const Tuple& t : pool) {

@@ -723,41 +723,59 @@ TEST_F(ServeServerTest, ConcurrentClientsGetIdenticalReports) {
 
 TEST_F(ServeServerTest, InteractiveCompletesWhileBatchStreams) {
   // Client A streams a long batch (many one-window quanta); client B's
-  // interaction round must complete while A is still streaming — the
-  // fair-share contract. Checked structurally via the scheduler
-  // counters, not wall-clock: when B's suggest returns, the batch must
-  // not have finished its quanta yet.
+  // interaction round must run while A is still streaming — the
+  // fair-share contract. Checked structurally, not by wall-clock: an
+  // injected wedge holds A's batch at its third quantum until B's
+  // suggest is queued behind it, and the scheduler counts the batch
+  // quanta still queued when each interactive job started.
   constexpr int kEntities = 120;
   constexpr int64_t kWindow = 2;
-  std::atomic<bool> batch_ok{false};
-  std::thread batcher([&] {
-    std::unique_ptr<ServeClient> client = Connect();
-    ASSERT_NE(client, nullptr);
-    const std::string dump =
-        PipelineOverWire(client.get(), kEntities, kWindow);
-    batch_ok.store(!dump.empty());
-  });
+  server_->RequestDrain();
+  ASSERT_TRUE(server_->Wait().ok());
+  ServerOptions options;
+  // Executor jobs: B's interact.start, A's pipeline.start, then A's
+  // quanta; the fifth job (A's third quantum) blocks until released.
+  options.fault_inject = "wedge:0:4";
+  Result<std::unique_ptr<Server>> restarted =
+      Server::Start(service_.get(), options);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  server_ = std::move(restarted).value();
+  serve::FaultInjector* fault = server_->fault_injector();
+  ASSERT_NE(fault, nullptr);
+
   std::unique_ptr<ServeClient> client = Connect();
   ASSERT_NE(client, nullptr);
-  // Wait until the batch is genuinely streaming.
-  for (;;) {
-    Result<Json> stats = client->Call("stats", Json::Object());
-    ASSERT_TRUE(stats.ok());
-    if (stats.value().GetInt("executed_batch").value() >= 2) break;
-  }
   Result<Json> started = client->Call("interact.start", Json::Object());
-  ASSERT_TRUE(started.ok());
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::atomic<bool> batch_ok{false};
+  std::thread batcher([&] {
+    std::unique_ptr<ServeClient> batch_client = Connect();
+    ASSERT_NE(batch_client, nullptr);
+    const std::string dump =
+        PipelineOverWire(batch_client.get(), kEntities, kWindow);
+    batch_ok.store(!dump.empty());
+  });
+  // The batch is held mid-stream.
+  while (fault->stats().wedges == 0) std::this_thread::yield();
   Json suggest = Json::Object();
   suggest.Set("session", Json::Int(started.value().GetInt("session").value()));
-  Result<Json> round = client->Call("interact.suggest", suggest);
+  Result<Json> round = Status::Internal("suggest did not run");
+  std::thread interactive(
+      [&] { round = client->Call("interact.suggest", suggest); });
+  // Replica load counts the held quantum plus B's queued suggest.
+  while (server_->pool().replica_stats()[0].load < 2) {
+    std::this_thread::yield();
+  }
+  fault->ReleaseAll();
+  interactive.join();
   ASSERT_TRUE(round.ok()) << round.status().ToString();
-  const int64_t batch_quanta_after =
-      client->Call("stats", Json::Object()).value().GetInt("executed_batch")
-          .value();
   batcher.join();
   EXPECT_TRUE(batch_ok.load());
-  // The suggest round finished before the batch drained its quanta.
-  EXPECT_LT(batch_quanta_after, kEntities / kWindow);
+  const serve::Scheduler::Stats stats = server_->scheduler_stats();
+  // B's suggest overtook A's queued continuation — it ran inside the
+  // stream, before the batch drained its quanta. It is the only
+  // interactive job that found batch work queued.
+  EXPECT_EQ(stats.batch_queued_at_interactive, 1);
 }
 
 TEST_F(ServeServerTest, DrainFlushesInFlightSubmit) {

@@ -201,16 +201,39 @@ TEST(Preference, OccurrenceWeightsCountColumnsAndMasters) {
 TEST(Preference, ActiveDomainMergesIeAndMasters) {
   Specification spec = MjSpecification();
   const Schema& s = spec.ie.schema();
-  const auto dom = ActiveDomain(spec.ie, spec.masters,
-                                s.MustIndexOf("team"), false);
+  EncodedEngine encoded(spec);
+  const PreferenceModel pref =
+      PreferenceModel::FromOccurrences(spec.ie, spec.masters);
   // Ie: Chicago, Chicago Bulls, Birmingham Barons; master adds Washington
-  // Wizards (Chicago Bulls deduped).
-  EXPECT_EQ(dom.size(), 4u);
-  bool has_wizards = false;
-  for (const Value& v : dom) {
-    has_wizards |= v == Value::Str("Washington Wizards");
+  // Wizards (Chicago Bulls deduped). Ties in the rankings break on this
+  // order, so it is pinned exactly, with the weights.
+  const AttrId team = s.MustIndexOf("team");
+  const auto dom = ActiveDomain(encoded.engine.encoded_ie(), spec.masters,
+                                team, false);
+  const std::vector<Value> expected = {
+      Value::Str("Chicago"), Value::Str("Chicago Bulls"),
+      Value::Str("Birmingham Barons"), Value::Str("Washington Wizards")};
+  EXPECT_EQ(dom, expected);
+  const std::vector<double> weights = {1.0, 3.0, 1.0, 1.0};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(pref.Weight(team, expected[i]), weights[i]) << i;
   }
-  EXPECT_TRUE(has_wizards);
+  const AttrId rnds = s.MustIndexOf("rnds");
+  const std::vector<Value> rounds = {Value::Int(16), Value::Int(27),
+                                     Value::Int(1), Value::Int(127)};
+  EXPECT_EQ(ActiveDomain(encoded.engine.encoded_ie(), spec.masters, rnds,
+                         false),
+            rounds);
+
+  // A kInt column whose dictionary interned the double form first still
+  // decodes to Int values (the dictionary's representative is 16.0).
+  Dictionary dict;
+  dict.Intern(Value::Real(16.0));
+  const ColumnarRelation cie = ColumnarRelation::FromRelation(spec.ie, &dict);
+  const auto decoded = ActiveDomain(cie, spec.masters, rnds, false);
+  EXPECT_EQ(decoded, rounds);
+  ASSERT_FALSE(decoded.empty());
+  for (const Value& v : decoded) EXPECT_EQ(v.type(), ValueType::kInt);
 }
 
 }  // namespace
