@@ -119,23 +119,25 @@ struct EntityOutcome {
 
 /// A rule list grounded once against one master set: the master block
 /// every entity's program over (`masters`, `rules`) shares, so a sweep
-/// over many entities pays the form-(2) grounding once, as a service does.
+/// over many entities pays the form-(2) grounding once, as a service does,
+/// and the top-k master tables every entity's preference model and search
+/// space share.
 struct SharedRules {
   SharedRules(const std::vector<Relation>& masters,
               std::vector<AccuracyRule> rule_list)
-      : masters(&masters),
-        rules(std::move(rule_list)),
+      : rules(std::move(rule_list)),
         block(MasterBlock::Build(masters, rules,
-                                 std::make_shared<Dictionary>())) {}
+                                 std::make_shared<Dictionary>())),
+        domains(masters) {}
   /// `ds`'s rules under `filter` over `masters` (usually ds.masters;
   /// substitute a truncated copy for the ‖Im‖ sweeps).
   SharedRules(const EntityDataset& ds, const std::vector<Relation>& masters,
               RuleFormFilter filter)
       : SharedRules(masters, ds.FilteredRules(filter)) {}
 
-  const std::vector<Relation>* masters;
   std::vector<AccuracyRule> rules;
   std::shared_ptr<const MasterBlock> block;
+  MasterDomains domains;
 };
 
 /// One entity encoded, grounded and indexed: the relation, its program
@@ -191,7 +193,7 @@ inline const char* AlgoName(TopKAlgo algo) {
 }
 
 inline TopKResult RunTopK(TopKAlgo algo, const ChaseEngine& engine,
-                          const std::vector<Relation>& masters,
+                          const MasterDomains& masters,
                           const Tuple& te, const PreferenceModel& pref, int k,
                           const TopKOptions& opts = {}) {
   switch (algo) {
@@ -211,7 +213,6 @@ inline TopKResult RunTopK(TopKAlgo algo, const ChaseEngine& engine,
 /// yields the whole Fig. 6(b)/(f) k-sweep.
 inline int TruthRank(TopKAlgo algo, const EntityDataset& ds, int i,
                      const SharedRules& shared, int max_k) {
-  const std::vector<Relation>& masters = *shared.masters;
   const EntityEngine entity(shared, ds.entities[i], ds.chase_config);
   const ChaseEngine& engine = entity.engine;
   // Checkpoint-backed: RunTopK's candidate checks resume from this run.
@@ -221,9 +222,9 @@ inline int TruthRank(TopKAlgo algo, const EntityDataset& ds, int i,
     return res.target == ds.truths[i] ? 1 : 0;
   }
   const PreferenceModel pref =
-      PreferenceModel::FromOccurrences(ds.entities[i], masters);
+      PreferenceModel::FromOccurrences(entity.cie, shared.domains);
   const TopKResult topk =
-      RunTopK(algo, engine, masters, res.target, pref, max_k);
+      RunTopK(algo, engine, shared.domains, res.target, pref, max_k);
   for (std::size_t r = 0; r < topk.targets.size(); ++r) {
     if (topk.targets[r] == ds.truths[i]) return static_cast<int>(r) + 1;
   }

@@ -41,8 +41,8 @@ int main() {
       continue;
     }
     const PreferenceModel pref =
-        PreferenceModel::FromOccurrences(ds.entities[i], ds.masters);
-    const TopKResult r = TopKCT(engine, ds.masters, out.target, pref, 1);
+        PreferenceModel::FromOccurrences(entity.cie, shared.domains);
+    const TopKResult r = TopKCT(engine, shared.domains, out.target, pref, 1);
     if (!r.targets.empty() && r.targets[0] == truth) ++topk_hits;
   }
   const double dn = static_cast<double>(n);

@@ -39,10 +39,11 @@ int main() {
         const ChaseOutcome out = engine.RunFromInitial();
         if (!out.church_rosser || out.target.IsComplete()) continue;
         const PreferenceModel pref =
-            PreferenceModel::FromOccurrences(ds.entities[i], ds.masters);
+            PreferenceModel::FromOccurrences(entity.cie, shared.domains);
         (void)engine.CheckCandidate(ds.truths[i]);  // warm checkpoint
         total += TimeMs([&] {
-          (void)RunTopK(algos[a], engine, ds.masters, out.target, pref, 15);
+          (void)RunTopK(algos[a], engine, shared.domains, out.target, pref,
+                        15);
         });
         ++counted;
       }

@@ -29,9 +29,10 @@ int main() {
         const ChaseOutcome out = engine.RunFromInitial();
         if (!out.church_rosser || out.target.IsComplete()) continue;
         const PreferenceModel pref =
-            PreferenceModel::FromOccurrences(ds.entities[i], masters);
+            PreferenceModel::FromOccurrences(entity.cie, shared.domains);
         total += TimeMs([&] {
-          (void)RunTopK(algos[a], engine, masters, out.target, pref, 15);
+          (void)RunTopK(algos[a], engine, shared.domains, out.target, pref,
+                        15);
         });
         ++counted;
       }

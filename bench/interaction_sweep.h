@@ -23,17 +23,16 @@ inline void RunInteractionSweep(const EntityDataset& ds, int sample,
   int never = 0;
   for (int i = 0; i < n; ++i) {
     Specification spec = ds.SpecFor(i);
-    const PreferenceModel pref =
-        PreferenceModel::FromOccurrences(spec.ie, spec.masters);
     SimulatedUser user(ds.truths[i]);
     // One single-threaded service per entity, its own instance the entity.
     ServiceOptions service_options;
     service_options.num_threads = 1;
     Result<std::unique_ptr<AccuracyService>> service =
         AccuracyService::Create(std::move(spec), std::move(service_options));
+    // No preference: the session weighs occurrences over the entity and
+    // the service's master tables.
     InteractionOptions options;
     options.k = 15;
-    options.preference = &pref;
     FrameworkResult r;  // a service error counts as never found
     if (service.ok()) {
       Result<std::unique_ptr<InteractionSession>> session =

@@ -73,12 +73,13 @@ std::vector<Tuple> IndependentRevisions(const Specification& spec,
                                         const ColumnarRelation& cie,
                                         const Tuple& deduced) {
   const int num_attrs = spec.ie.schema().size();
+  const MasterDomains domains(spec.masters);
   std::vector<Tuple> revisions;
   for (AttrId a = 0; a < num_attrs; ++a) {
     if (!deduced.at(a).is_null()) continue;
     int taken = 0;
     for (const Value& v :
-         ActiveDomain(cie, spec.masters, a, /*defaults=*/false)) {
+         ActiveDomain(cie, domains, a, /*defaults=*/false)) {
       if (taken >= 2) break;
       Tuple single(std::vector<Value>(num_attrs, Value::Null()));
       single.set(a, v);

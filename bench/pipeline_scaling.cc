@@ -19,9 +19,15 @@
 // 4. ground_scaling: Instantiate at several |Ie| points, timing
 //    recorded.
 //
-// Exits nonzero only on a report mismatch or a window-bound
-// violation, so perf noise cannot break CI. Emits
-// BENCH_pipeline_scaling.json.
+// 5. preference_prep: the per-entity preference model over Med
+//    entities, once building private master tables per entity (the row
+//    call `FromOccurrences(entity, masters)`) and once over one shared
+//    MasterDomains (the service path); the weights must agree bit for
+//    bit.
+//
+// Exits nonzero only on a report mismatch, a window-bound violation or
+// a preference_prep weight mismatch, so perf noise cannot break CI.
+// Emits BENCH_pipeline_scaling.json.
 //
 // Extra mode for the CI peak-memory lane:
 //   bench_pipeline_scaling --stream N [--window W] [--chunk C]
@@ -31,6 +37,7 @@
 // asserts the RSS does not scale with N.
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -177,6 +184,74 @@ void RunGroundScaling(JsonReport* json) {
         .Set("ms_per_ground", ms_per);
     json->Add(std::move(row));
   }
+}
+
+/// preference_prep rows: µs per entity for the preference model over
+/// private master tables (rebuilt per entity from the row masters) and
+/// over one shared set. Returns false when any weight of any active
+/// domain value differs between the two.
+bool RunPreferencePrep(JsonReport* json) {
+  const bool small = SmallScale();
+  // Master rows are drawn from entity truths, so the dataset needs at
+  // least master_size entities; the first `n` are timed.
+  ProfileConfig config = MedConfig(/*seed=*/1);
+  config.master_size = small ? 240 : 2400;
+  config.num_entities = config.master_size;
+  const EntityDataset ds = GenerateProfile(config);
+  const std::size_t n = small ? 40 : 200;
+  Dictionary dict;
+  std::vector<ColumnarRelation> encoded;
+  encoded.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    encoded.push_back(ColumnarRelation::FromRelation(ds.entities[i], &dict));
+  }
+  std::vector<PreferenceModel> private_models(n);
+  std::vector<PreferenceModel> shared_models(n);
+  const double private_ms = TimeMs([&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      private_models[i] =
+          PreferenceModel::FromOccurrences(ds.entities[i], ds.masters);
+    }
+  });
+  MasterDomains shared;
+  const double shared_ms = TimeMs([&] {
+    shared = MasterDomains(ds.masters);
+    for (std::size_t i = 0; i < n; ++i) {
+      shared_models[i] = PreferenceModel::FromOccurrences(encoded[i], shared);
+    }
+  });
+  int64_t compared = 0;
+  bool identical = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (AttrId a = 0; a < ds.schema.size(); ++a) {
+      for (const Value& v : ActiveDomain(encoded[i], shared, a, false)) {
+        ++compared;
+        identical = identical &&
+                    std::bit_cast<uint64_t>(private_models[i].Weight(a, v)) ==
+                        std::bit_cast<uint64_t>(shared_models[i].Weight(a, v));
+      }
+    }
+  }
+  const double private_us = 1e3 * private_ms / static_cast<double>(n);
+  const double shared_us = 1e3 * shared_ms / static_cast<double>(n);
+  std::printf("== preference_prep (%zu med entities, %zu master rows) ==\n",
+              n, ds.masters.empty() ? std::size_t{0} : ds.masters[0].size());
+  std::printf("%10s %14s\n", "tables", "us/entity");
+  std::printf("%10s %14.2f\n%10s %14.2f  (tables built once, included)\n",
+              "private", private_us, "shared", shared_us);
+  std::printf("weights identical over %lld domain values: %s\n",
+              static_cast<long long>(compared), identical ? "yes" : "NO (BUG)");
+  for (const bool is_shared : {false, true}) {
+    JsonReport::Row row;
+    row.Set("scenario", "preference_prep")
+        .Set("mode", is_shared ? "shared" : "private")
+        .Set("entities", static_cast<int64_t>(n))
+        .Set("us_per_entity", is_shared ? shared_us : private_us)
+        .Set("values_compared", compared)
+        .Set("weights_identical", identical ? "yes" : "no");
+    json->Add(std::move(row));
+  }
+  return identical;
 }
 
 /// The CI peak-memory lane: stream `total` entities (one `chunk`-sized
@@ -443,13 +518,14 @@ int Run() {
   }
 
   RunGroundScaling(&json);
+  const bool weights_identical = RunPreferencePrep(&json);
 
   json.Write();
   std::printf("reports identical across modes, budgets and windows: %s\n",
               all_identical ? "yes" : "NO (BUG)");
   std::printf("streaming window bound held: %s\n",
               window_bound_held ? "yes" : "NO (BUG)");
-  return all_identical && window_bound_held ? 0 : 1;
+  return all_identical && window_bound_held && weights_identical ? 0 : 1;
 }
 
 }  // namespace

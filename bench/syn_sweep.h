@@ -38,13 +38,14 @@ inline void RunSynSweep(const char* x_label,
     }
     // Warm the check checkpoint so all algorithms pay the same base cost.
     (void)engine.CheckCandidate(syn.spec.ie.tuple(0));
+    const MasterDomains domains(syn.spec.masters);
     const TopKAlgo algos[3] = {TopKAlgo::kRankJoinCT, TopKAlgo::kTopKCT,
                                TopKAlgo::kTopKCTh};
     for (int a = 0; a < 3; ++a) {
       TopKResult result;
       const double ms = TimeMs([&] {
-        result = RunTopK(algos[a], engine, syn.spec.masters, out.target,
-                         syn.pref, p.k);
+        result =
+            RunTopK(algos[a], engine, domains, out.target, syn.pref, p.k);
       });
       times[a].push_back(ms);
     }

@@ -75,9 +75,9 @@ int main() {
     // TopKCT with k=1, once with occurrence-count weights (voting-style
     // preference) and once with copyCEF's posteriors as weights.
     const PreferenceModel vote_pref =
-        PreferenceModel::FromOccurrences(inst, spec.masters);
+        PreferenceModel::FromOccurrences(entity.cie, shared.domains);
     const TopKResult rv =
-        TopKCT(engine, spec.masters, out.target, vote_pref, 1);
+        TopKCT(engine, shared.domains, out.target, vote_pref, 1);
     if (!rv.targets.empty()) topk_vote[o] = rv.targets[0].at(closed);
 
     PreferenceModel cef_pref = vote_pref;
@@ -87,7 +87,7 @@ int main() {
       cef_pref.SetWeight(closed, value, prob * 10.0);
     }
     const TopKResult rc =
-        TopKCT(engine, spec.masters, out.target, cef_pref, 1);
+        TopKCT(engine, shared.domains, out.target, cef_pref, 1);
     if (!rc.targets.empty()) topk_cef[o] = rc.targets[0].at(closed);
   }
   Report("DeduceOrder", deduce, ds.truly_closed);

@@ -71,10 +71,11 @@ EntityReport ChaseEntityPhase(const EntityInstance& entity,
   return report;
 }
 
-/// Phase 2 for one incomplete entity (Sec. 6): top-1 candidate target.
+/// Phase 2 for one incomplete entity (Sec. 6): top-1 candidate target
+/// over the encoded entity `cie` and the service's shared master tables.
 /// `checker` is already bound to `engine` and runs every check chase.
-void CompleteEntityPhase(const EntityInstance& entity,
-                         const std::vector<Relation>& masters,
+void CompleteEntityPhase(const ColumnarRelation& cie,
+                         const MasterDomains& masters,
                          CompletionPolicy completion,
                          const TopKOptions& topk_options,
                          const PreferenceModel* preference,
@@ -84,7 +85,7 @@ void CompleteEntityPhase(const EntityInstance& entity,
   PreferenceModel local_pref;
   const PreferenceModel* pref = preference;
   if (pref == nullptr) {
-    local_pref = PreferenceModel::FromOccurrences(entity, masters);
+    local_pref = PreferenceModel::FromOccurrences(cie, masters);
     pref = &local_pref;
   }
   TopKOptions topk_opts = topk_options;
@@ -365,6 +366,11 @@ const MasterBlock& AccuracyService::EnsureMasterBlock() {
   return *master_block_;
 }
 
+const MasterDomains& AccuracyService::EnsureMasterDomains() {
+  if (!master_domains_.has_value()) master_domains_.emplace(spec_.masters);
+  return *master_domains_;
+}
+
 Status AccuracyService::CheckEntityArity(const std::string& what,
                                          const Schema& schema) const {
   const AttrId arity = spec_.ie.schema().size();
@@ -470,27 +476,26 @@ Result<TopKResult> AccuracyService::TopK(int k, TopKAlgorithm algo,
   }
   // A complete deduced target is not an error: the algorithms verify it
   // and return it as its own sole candidate (their m == 0 branch).
+  const MasterDomains& masters = EnsureMasterDomains();
   PreferenceModel local_pref;
   if (preference == nullptr) {
-    local_pref = PreferenceModel::FromOccurrences(spec_.ie, spec_.masters);
+    local_pref = PreferenceModel::FromOccurrences(*cie_, masters);
     preference = &local_pref;
   }
   topk.checker = &AcquireChecker(*engine_, engine_token_);
   switch (algo) {
     case TopKAlgorithm::kHeuristic:
-      return TopKCTh(*engine_, spec_.masters, outcome.target, *preference, k,
-                     topk);
+      return TopKCTh(*engine_, masters, outcome.target, *preference, k, topk);
     case TopKAlgorithm::kRankJoin:
-      return RankJoinCT(*engine_, spec_.masters, outcome.target, *preference,
-                        k, topk);
+      return RankJoinCT(*engine_, masters, outcome.target, *preference, k,
+                        topk);
     case TopKAlgorithm::kBruteForce:
-      return TopKBruteForce(*engine_, spec_.masters, outcome.target,
-                            *preference, k, topk);
+      return TopKBruteForce(*engine_, masters, outcome.target, *preference, k,
+                            topk);
     case TopKAlgorithm::kTopKCT:
       break;
   }
-  return TopKCT(*engine_, spec_.masters, outcome.target, *preference, k,
-                topk);
+  return TopKCT(*engine_, masters, outcome.target, *preference, k, topk);
 }
 
 Result<std::vector<char>> AccuracyService::CheckCandidates(
@@ -541,7 +546,7 @@ Result<std::unique_ptr<PipelineSession>> AccuracyService::StartPipeline(
 
 Result<std::unique_ptr<InteractionSession>>
 AccuracyService::StartInteractionImpl(InteractionOptions options,
-                                      std::unique_ptr<Relation> own_ie) {
+                                      const Relation* own_ie) {
   if (options.k < 1) {
     return Status::InvalidArgument(
         "InteractionOptions::k must be >= 1, got " +
@@ -552,20 +557,16 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
   RELACC_RETURN_NOT_OK(EnsureMasters());
   auto session = std::unique_ptr<InteractionSession>(
       new InteractionSession(this, std::move(options)));
-  const Relation* ie;
   const ColumnarRelation* cie;
   const GroundProgram* program;
   if (own_ie == nullptr) {
     RELACC_RETURN_NOT_OK(EnsureDefaultEngine());
-    ie = &spec_.ie;
     cie = cie_.get();
     program = program_.get();
   } else {
-    session->own_ie_ = std::move(own_ie);
     const MasterBlock& block = EnsureMasterBlock();
-    ie = session->own_ie_.get();
     session->own_cie_ = std::make_unique<ColumnarRelation>(
-        ColumnarRelation::FromRelation(*ie, dict_.get()));
+        ColumnarRelation::FromRelation(*own_ie, dict_.get()));
     cie = session->own_cie_.get();
     session->own_program_ = std::make_unique<GroundProgram>(
         Instantiate(*cie, block, spec_.rules));
@@ -577,14 +578,15 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
   // pointer (no second all-null chase): the session engine reads the
   // service's encoded entity, so both intern into one dictionary.
   session->engine_ = std::make_unique<ChaseEngine>(*cie, program, spec_.config);
-  if (session->own_ie_ == nullptr) {
+  if (session->own_cie_ == nullptr) {
     session->engine_->AdoptCheckpointFrom(*engine_);
   }
   session->token_ = NewBindingToken();
   session->template_ =
-      Tuple(std::vector<Value>(ie->schema().size(), Value::Null()));
+      Tuple(std::vector<Value>(cie->schema().size(), Value::Null()));
+  const MasterDomains& masters = EnsureMasterDomains();
   if (session->options_.preference == nullptr) {
-    session->own_pref_ = PreferenceModel::FromOccurrences(*ie, spec_.masters);
+    session->own_pref_ = PreferenceModel::FromOccurrences(*cie, masters);
   }
   return session;
 }
@@ -598,8 +600,7 @@ Result<std::unique_ptr<InteractionSession>> AccuracyService::StartInteraction(
     Relation entity, InteractionOptions options) {
   RELACC_RETURN_NOT_OK(CheckEntityArity(
       "AccuracyService::StartInteraction: entity", entity.schema()));
-  return StartInteractionImpl(std::move(options),
-                              std::make_unique<Relation>(std::move(entity)));
+  return StartInteractionImpl(std::move(options), &entity);
 }
 
 // ---------------------------------------------------------- PipelineSession
@@ -662,6 +663,7 @@ void PipelineSession::ProcessWindow() {
     if (pending[static_cast<std::size_t>(k)] != nullptr) todo.push_back(k);
   }
   if (!todo.empty()) {
+    const MasterDomains& masters = service_->EnsureMasterDomains();
     // The two-dimensional completion split, resolved against what this
     // window actually carries into phase 2: entity-level workers up to
     // the pending count, the rest of the budget as per-worker check
@@ -697,7 +699,7 @@ void PipelineSession::ProcessWindow() {
           const ChaseEngine& engine = *p->engine;
           const CandidateChecker& checker =
               service_->AcquireCompletionChecker(slot, check_width, engine);
-          CompleteEntityPhase(entities[k], spec.masters, completion_,
+          CompleteEntityPhase(*p->cie, masters, completion_,
                               options_.topk, options_.preference, engine,
                               checker, &reports[k]);
           p.reset();  // free the checkpoint/probe memory as we go
@@ -795,14 +797,10 @@ Result<Suggestion> InteractionSession::Suggest() {
     last_.reset();
     return s;
   }
-  const PreferenceModel* pref = options_.preference != nullptr
-                                    ? options_.preference
-                                    : &own_pref_;
   TopKOptions topk = options_.topk;
   topk.checker = &service_->AcquireChecker(*engine_, token_);
-  s.candidates =
-      TopKCT(*engine_, service_->spec_.masters, s.deduced_target, *pref,
-             options_.k, topk);
+  s.candidates = TopKCT(*engine_, service_->EnsureMasterDomains(),
+                        s.deduced_target, preference(), options_.k, topk);
   last_ = s;
   return s;
 }

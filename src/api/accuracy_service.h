@@ -123,8 +123,8 @@ struct PipelineSessionOptions {
   /// (set ServiceOptions::num_threads to size the service's checkers).
   TopKOptions topk;
 
-  /// Occurrence-count preference weights are built per entity (plus
-  /// masters) unless a model is supplied here.
+  /// Occurrence-count preference weights are built per entity (over the
+  /// service's shared master tables) unless a model is supplied here.
   const PreferenceModel* preference = nullptr;
 
   /// Phase-2 entity-level parallelism: how many in-flight entities
@@ -150,7 +150,8 @@ struct InteractionOptions {
   TopKOptions topk;
 
   /// Preference model for ranking; null builds occurrence-count weights
-  /// over the session's entity instance (plus masters) once at start.
+  /// over the session's entity instance (plus the service's shared master
+  /// tables) once at start.
   const PreferenceModel* preference = nullptr;
 };
 
@@ -181,6 +182,11 @@ enum class TopKAlgorithm {
 ///     the rules and the masters, grounded and indexed once on first
 ///     per-entity use and shared by every entity's program and engine
 ///     (each entity grounds only its own pair rules);
+///   * the master tables of top-k (MasterDomains): each master column's
+///     distinct values with their master counts, built once on the first
+///     top-k, completion or interaction call and shared by every
+///     entity's preference model and search space, so per-entity top-k
+///     preparation is O(|Ie|) plus the domains it emits;
 ///   * the grounded program and chase engine of the spec's own entity
 ///     instance — and with them the shared all-null *checkpoint* every
 ///     deduction, candidate check and interactive resume starts from
@@ -291,7 +297,7 @@ class AccuracyService {
 
   /// Opens an interactive session over a caller-supplied entity instance
   /// (its pair rules grounded here, its master steps shared from the
-  /// service's master block; the relation is copied into the session).
+  /// service's master block; the session keeps the relation encoded).
   /// kInvalidArgument when the entity's arity differs from the service
   /// schema's.
   Result<std::unique_ptr<InteractionSession>> StartInteraction(
@@ -317,7 +323,7 @@ class AccuracyService {
   /// target is returned (check-verified) as its own sole candidate.
   /// kFailedPrecondition when the spec is not Church-Rosser;
   /// kInvalidArgument for k < 1 or a caller-set topk.checker. `preference` null
-  /// builds occurrence-count weights over (ie, masters).
+  /// builds occurrence-count weights over ie and the shared master tables.
   Result<TopKResult> TopK(int k, TopKAlgorithm algo = TopKAlgorithm::kTopKCT,
                           TopKOptions topk = {},
                           const PreferenceModel* preference = nullptr);
@@ -330,6 +336,13 @@ class AccuracyService {
   Result<std::vector<char>> CheckCandidates(
       const std::vector<Tuple>& candidates);
 
+  /// The service's shared top-k master tables; null until the first
+  /// top-k, completion or interaction call builds them (DeduceEntity
+  /// never does).
+  const MasterDomains* master_domains() const {
+    return master_domains_.has_value() ? &*master_domains_ : nullptr;
+  }
+
  private:
   friend class PipelineSession;
   friend class InteractionSession;
@@ -339,9 +352,9 @@ class AccuracyService {
   /// Shared tail of both StartInteraction overloads: validates options
   /// and wires a session over either the service's own relation and
   /// program (own_ie null: checkpoint adopted from the service engine)
-  /// or a session-owned relation grounded here.
+  /// or `own_ie` encoded into the session and grounded here.
   Result<std::unique_ptr<InteractionSession>> StartInteractionImpl(
-      InteractionOptions options, std::unique_ptr<Relation> own_ie);
+      InteractionOptions options, const Relation* own_ie);
 
   /// The service's shared master block: the form-(2) steps of the
   /// rules over the masters, grounded and indexed once (into dict_) on
@@ -349,6 +362,10 @@ class AccuracyService {
   /// warm deduce needs no grounding at all. Requires row masters
   /// (EnsureMasters on a snapshot service).
   const MasterBlock& EnsureMasterBlock();
+
+  /// The service's shared top-k master tables, built from the row
+  /// masters on first use (the same precondition as EnsureMasterBlock).
+  const MasterDomains& EnsureMasterDomains();
 
   /// Grounds the spec's own entity instance and builds its engine, once.
   /// On a snapshot-loaded service this deserializes the stored program
@@ -420,6 +437,10 @@ class AccuracyService {
 
   // The shared master block (EnsureMasterBlock); null until first use.
   std::shared_ptr<const MasterBlock> master_block_;
+
+  // The shared top-k master tables (EnsureMasterDomains); empty until
+  // first use.
+  std::optional<MasterDomains> master_domains_;
 
   // Lazily-grounded state of the spec's own entity instance; engine_
   // owns the shared all-null checkpoint. cie_ is the dictionary-encoded
@@ -596,14 +617,18 @@ class InteractionSession {
 
   InteractionSession(AccuracyService* service, InteractionOptions options);
 
+  /// The preference model Suggest() ranks with.
+  const PreferenceModel& preference() const {
+    return options_.preference != nullptr ? *options_.preference : own_pref_;
+  }
+
   AccuracyService* service_;
   InteractionOptions options_;
 
   // For sessions over a caller-supplied entity; default-entity sessions
-  // borrow the service's relation and program instead. own_cie_ is the
-  // encoded form the session engine reads (interned into the service
-  // dictionary).
-  std::unique_ptr<Relation> own_ie_;
+  // borrow the service's encoded relation and program instead. own_cie_
+  // is the encoded entity the session engine reads (interned into the
+  // service dictionary).
   std::unique_ptr<ColumnarRelation> own_cie_;
   std::unique_ptr<GroundProgram> own_program_;
 

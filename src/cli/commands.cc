@@ -386,8 +386,6 @@ Status CmdInteractive(const Args& args, std::ostream& out, std::istream& in) {
 
   const Specification& spec = doc.value().spec;
   const Schema& schema = spec.ie.schema();
-  PreferenceModel pref =
-      PreferenceModel::FromOccurrences(spec.ie, spec.masters);
   ConsoleUser user(schema, in, out);
 
   // The console loop is the Fig. 3 oracle over an interactive session:
@@ -400,7 +398,6 @@ Status CmdInteractive(const Args& args, std::ostream& out, std::istream& in) {
   if (!service.ok()) return service.status();
   InteractionOptions session_options;
   session_options.k = static_cast<int>(std::max<int64_t>(1, k.value()));
-  session_options.preference = &pref;
   Result<std::unique_ptr<InteractionSession>> session =
       service.value()->StartInteraction(std::move(session_options));
   if (!session.ok()) return session.status();

@@ -67,7 +67,7 @@ std::vector<char> CandidateChecker::CheckAll(
 }
 
 std::vector<Tuple> EnumerateCandidateProduct(
-    const ColumnarRelation& ie, const std::vector<Relation>& masters,
+    const ColumnarRelation& ie, const MasterDomains& masters,
     const Tuple& te, bool include_default_values, std::size_t limit) {
   std::vector<Tuple> out;
   // Unweighted: the default model scores every value 0.

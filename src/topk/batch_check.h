@@ -10,6 +10,7 @@
 #include "chase/chase_engine.h"
 #include "chase/specification.h"
 #include "rules/grounding.h"
+#include "topk/preference.h"
 #include "util/thread_pool.h"
 
 namespace relacc {
@@ -128,7 +129,7 @@ class CheckerHandle {
 /// (ForEachCompletion over BuildSearchSpace, odometer order); empty if a
 /// domain is empty. Tests and benchmarks build candidate pools from it.
 std::vector<Tuple> EnumerateCandidateProduct(
-    const ColumnarRelation& ie, const std::vector<Relation>& masters,
+    const ColumnarRelation& ie, const MasterDomains& masters,
     const Tuple& te, bool include_default_values, std::size_t limit);
 
 }  // namespace relacc

@@ -8,7 +8,7 @@
 namespace relacc {
 
 TopKResult RankJoinCT(const ChaseEngine& engine,
-                      const std::vector<Relation>& masters,
+                      const MasterDomains& masters,
                       const Tuple& deduced_te, const PreferenceModel& pref,
                       int k, const TopKOptions& opts) {
   TopKResult result;

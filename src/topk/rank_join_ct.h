@@ -15,7 +15,7 @@ namespace relacc {
 /// must sort the domains up front and invokes `check` on every join result
 /// in score order, so TopKCT dominates it in practice (Exp-4).
 TopKResult RankJoinCT(const ChaseEngine& engine,
-                      const std::vector<Relation>& masters,
+                      const MasterDomains& masters,
                       const Tuple& deduced_te, const PreferenceModel& pref,
                       int k, const TopKOptions& opts = {});
 

@@ -180,7 +180,7 @@ TopKResult BestFirstSearch(const ChaseEngine& engine, const SearchSpace& space,
 }  // namespace
 
 TopKResult TopKCT(const ChaseEngine& engine,
-                  const std::vector<Relation>& masters,
+                  const MasterDomains& masters,
                   const Tuple& deduced_te, const PreferenceModel& pref, int k,
                   const TopKOptions& opts) {
   if (k <= 0) return {};
@@ -192,7 +192,7 @@ TopKResult TopKCT(const ChaseEngine& engine,
 }
 
 TopKResult TopKCTh(const ChaseEngine& engine,
-                   const std::vector<Relation>& masters,
+                   const MasterDomains& masters,
                    const Tuple& deduced_te, const PreferenceModel& pref,
                    int k, const TopKOptions& opts) {
   TopKResult result;
@@ -305,7 +305,7 @@ TopKResult TopKCTh(const ChaseEngine& engine,
 }
 
 TopKResult TopKBruteForce(const ChaseEngine& engine,
-                          const std::vector<Relation>& masters,
+                          const MasterDomains& masters,
                           const Tuple& deduced_te, const PreferenceModel& pref,
                           int k, const TopKOptions& opts) {
   TopKResult result;

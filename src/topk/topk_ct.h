@@ -61,11 +61,12 @@ struct TopKResult {
 ///
 /// `engine` supplies the encoded Ie (ChaseEngine::encoded_ie()) and runs
 /// the `check`; `masters` contributes the master portion of the active
-/// domains. The search space comes from BuildSearchSpace
+/// domains (pass a service's shared tables; a row master vector converts
+/// to a private set). The search space comes from BuildSearchSpace
 /// (topk/preference.h), shared by all four algorithms; ties among equal
 /// scores follow its domain order.
 TopKResult TopKCT(const ChaseEngine& engine,
-                  const std::vector<Relation>& masters,
+                  const MasterDomains& masters,
                   const Tuple& deduced_te, const PreferenceModel& pref, int k,
                   const TopKOptions& opts = {});
 
@@ -75,7 +76,7 @@ TopKResult TopKCT(const ChaseEngine& engine,
 /// space. Accepted tuples are guaranteed
 /// candidate targets but not necessarily of maximal score.
 TopKResult TopKCTh(const ChaseEngine& engine,
-                   const std::vector<Relation>& masters,
+                   const MasterDomains& masters,
                    const Tuple& deduced_te, const PreferenceModel& pref,
                    int k, const TopKOptions& opts = {});
 
@@ -104,7 +105,7 @@ void RunBatchedAcceptLoop(const CandidateChecker& checker,
 /// returns the k best.
 /// Exponential; only usable on tiny instances.
 TopKResult TopKBruteForce(const ChaseEngine& engine,
-                          const std::vector<Relation>& masters,
+                          const MasterDomains& masters,
                           const Tuple& deduced_te, const PreferenceModel& pref,
                           int k, const TopKOptions& opts = {});
 

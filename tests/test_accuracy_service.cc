@@ -765,5 +765,54 @@ TEST(InteractionSessionTest, SessionsShareTheServiceCheckpoint) {
   EXPECT_EQ(ranked.value().targets, sa.value().candidates.targets);
 }
 
+TEST(AccuracyServiceTest, PipelineTopKAndInteractionsShareOneMasterTable) {
+  // The top-k master tables are built once, by the first completion, and
+  // every later top-k, interaction and pipeline reads that one set.
+  const EntityDataset ds =
+      MedDataset(/*seed=*/5, /*entities=*/16, /*corruption=*/1.0);
+  auto service = MakeService(ds.SpecFor(0));
+  ASSERT_TRUE(service->DeduceEntity().ok());
+  EXPECT_EQ(service->master_domains(), nullptr) << "deduce built the tables";
+
+  const PipelineReport report = StreamAll(*service, ds.entities, 8);
+  ASSERT_GT(report.num_completed_by_candidates, 0) << "no entity completed";
+  const MasterDomains* tables = service->master_domains();
+  ASSERT_NE(tables, nullptr);
+
+  Result<TopKResult> ranked = service->TopK(2);
+  ASSERT_TRUE(ranked.ok());
+  EXPECT_EQ(service->master_domains(), tables);
+
+  Result<std::unique_ptr<InteractionSession>> own =
+      service->StartInteraction(KOpts(2));
+  Result<std::unique_ptr<InteractionSession>> custom =
+      service->StartInteraction(ds.entities[1], KOpts(2));
+  ASSERT_TRUE(own.ok() && custom.ok());
+  // Ranked over the shared tables, each session agrees with a one-shot
+  // TopK over its entity (a complete deduced target is TopK's only one).
+  Result<Suggestion> own_suggestion = own.value()->Suggest();
+  ASSERT_TRUE(own_suggestion.ok());
+  const Suggestion& s = own_suggestion.value();
+  EXPECT_EQ(own.value()->finished() ? std::vector<Tuple>{s.deduced_target}
+                                    : s.candidates.targets,
+            ranked.value().targets);
+  Result<Suggestion> custom_suggestion = custom.value()->Suggest();
+  ASSERT_TRUE(custom_suggestion.ok());
+  auto cold = MakeService(ds.SpecFor(1));
+  Result<std::unique_ptr<InteractionSession>> cold_session =
+      cold->StartInteraction(KOpts(2));
+  ASSERT_TRUE(cold_session.ok());
+  Result<Suggestion> cold_suggestion = cold_session.value()->Suggest();
+  ASSERT_TRUE(cold_suggestion.ok());
+  EXPECT_EQ(custom_suggestion.value().deduced_target,
+            cold_suggestion.value().deduced_target);
+  EXPECT_EQ(custom_suggestion.value().candidates.targets,
+            cold_suggestion.value().candidates.targets);
+  EXPECT_EQ(service->master_domains(), tables);
+
+  EXPECT_EQ(Serialize(StreamAll(*service, ds.entities, 5)), Serialize(report));
+  EXPECT_EQ(service->master_domains(), tables);
+}
+
 }  // namespace
 }  // namespace relacc

@@ -97,9 +97,8 @@ TEST(CheckCandidates, VerdictsMatchSequentialAcrossThreadCounts) {
 
 struct AlgoCase {
   const char* name;
-  TopKResult (*run)(const ChaseEngine&, const std::vector<Relation>&,
-                    const Tuple&, const PreferenceModel&, int,
-                    const TopKOptions&);
+  TopKResult (*run)(const ChaseEngine&, const MasterDomains&, const Tuple&,
+                    const PreferenceModel&, int, const TopKOptions&);
 };
 
 constexpr AlgoCase kAlgos[] = {

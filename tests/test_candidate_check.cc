@@ -210,9 +210,8 @@ TEST(CandidateCheck, BatchVerdictsMatchFromScratchRunAcrossThreads) {
 
 struct AlgoCase {
   const char* name;
-  TopKResult (*run)(const ChaseEngine&, const std::vector<Relation>&,
-                    const Tuple&, const PreferenceModel&, int,
-                    const TopKOptions&);
+  TopKResult (*run)(const ChaseEngine&, const MasterDomains&, const Tuple&,
+                    const PreferenceModel&, int, const TopKOptions&);
 };
 
 constexpr AlgoCase kAlgos[] = {

@@ -1,9 +1,19 @@
 // Focused tests for ClaimSet semantics, the Rest generator's structural
-// invariants, and PreferenceModel / ActiveDomain edge cases.
+// invariants, PreferenceModel / ActiveDomain edge cases, and the shared
+// master tables (MasterDomains) against a naive per-call reference.
+
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "datagen/profile_generator.h"
 #include "datagen/rest_generator.h"
+#include "datagen/syn_generator.h"
 #include "topk/preference.h"
 #include "truth/claims.h"
 
@@ -230,6 +240,213 @@ TEST(Preference, DefaultValueJoinsInfiniteDomainsWhenRequested) {
     EXPECT_EQ(with_default[i].type(), ValueType::kInt) << i;
   }
   EXPECT_EQ(with_default[3].type(), ValueType::kDouble);
+}
+
+TEST(PreferenceDeathTest, SetWeightRejectsAnOutOfRangeAttribute) {
+  EXPECT_DEATH(PreferenceModel().SetWeight(0, Value::Int(1), 1.0),
+               "attribute 0 out of range \\[0, num_attrs\\(\\) = 0\\)");
+  PreferenceModel two(2);
+  EXPECT_DEATH(two.SetWeight(2, Value::Int(1), 1.0),
+               "attribute 2 out of range \\[0, num_attrs\\(\\) = 2\\)");
+  EXPECT_DEATH(two.SetWeight(-1, Value::Int(1), 1.0),
+               "attribute -1 out of range");
+  two.SetWeight(1, Value::Int(1), 4.0);
+  EXPECT_EQ(two.Weight(1, Value::Int(1)), 4.0);
+  EXPECT_EQ(two.Weight(2, Value::Int(1)), 0.0);  // Weight tolerates it
+}
+
+// --- shared master tables vs the per-call reference ------------------------
+
+using Weights = std::vector<std::unordered_map<Value, double, ValueHash>>;
+
+/// The per-call preparation the shared tables replace, master rows
+/// rescanned on every call: the oracle they must reproduce bit for bit.
+std::vector<Value> ReferenceMasterColumn(const Relation& im,
+                                         const std::string& name) {
+  const auto ma = im.schema().IndexOf(name);
+  return ma.has_value() ? im.ColumnDomain(*ma) : std::vector<Value>{};
+}
+
+Weights ReferenceWeights(const Relation& ie,
+                         const std::vector<Relation>& masters, double bonus) {
+  Weights weights(static_cast<std::size_t>(ie.schema().size()));
+  for (AttrId a = 0; a < ie.schema().size(); ++a) {
+    auto& col = weights[static_cast<std::size_t>(a)];
+    for (const Tuple& t : ie.tuples()) {
+      if (!t.at(a).is_null()) col[t.at(a)] += 1.0;
+    }
+    for (const Relation& im : masters) {
+      for (const Value& v : ReferenceMasterColumn(im, ie.schema().name(a))) {
+        col[v] += bonus;
+      }
+    }
+  }
+  return weights;
+}
+
+std::vector<Value> ReferenceActiveDomain(const ColumnarRelation& ie,
+                                         const std::vector<Relation>& masters,
+                                         AttrId a, bool include_default) {
+  const ValueType type = ie.schema().type(a);
+  if (type == ValueType::kBool) return {Value::Bool(true), Value::Bool(false)};
+  std::vector<Value> domain;
+  std::unordered_set<Value, ValueHash> seen;
+  std::unordered_set<TermId> ids;
+  for (const TermId id : ie.column(a)) {
+    if (id == kNullTermId || !ids.insert(id).second) continue;
+    Value v = MaterializeAs(ie.dict(), id, type);
+    seen.insert(v);
+    domain.push_back(std::move(v));
+  }
+  for (const Relation& im : masters) {
+    for (Value& v : ReferenceMasterColumn(im, ie.schema().name(a))) {
+      if (seen.insert(v).second) domain.push_back(std::move(v));
+    }
+  }
+  Value def = MakeDefaultValue(type);
+  if (include_default && !def.is_null() && seen.insert(def).second) {
+    domain.push_back(std::move(def));
+  }
+  return domain;
+}
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+/// Compares the table path with the reference on one entity for every
+/// bonus: the weights of every Ie and master value (both FromOccurrences
+/// overloads), and the full search space — domain order and weights —
+/// of an all-null target, with and without the default value. Returns
+/// the number of values compared.
+int64_t ExpectTablesMatchReference(const Relation& ie,
+                                   const std::vector<Relation>& masters,
+                                   const MasterDomains& domains,
+                                   const std::string& label) {
+  Dictionary dict;
+  const ColumnarRelation cie = ColumnarRelation::FromRelation(ie, &dict);
+  const Tuple all_null(
+      std::vector<Value>(static_cast<std::size_t>(ie.schema().size())));
+  int64_t compared = 0;
+  for (const double bonus : {1.0, 0.1, 0.3, 2.5}) {
+    const Weights reference = ReferenceWeights(ie, masters, bonus);
+    const PreferenceModel encoded =
+        PreferenceModel::FromOccurrences(cie, domains, bonus);
+    const PreferenceModel rows =
+        PreferenceModel::FromOccurrences(ie, domains, bonus);
+    const auto expect_weight = [&](AttrId a, const Value& v) {
+      const auto& col = reference[static_cast<std::size_t>(a)];
+      const auto it = col.find(v);
+      const double want = it == col.end() ? 0.0 : it->second;
+      EXPECT_EQ(Bits(encoded.Weight(a, v)), Bits(want))
+          << label << " bonus " << bonus << " attr " << a << " " << v.ToString();
+      EXPECT_EQ(Bits(rows.Weight(a, v)), Bits(want))
+          << label << " bonus " << bonus << " attr " << a << " " << v.ToString();
+      ++compared;
+    };
+    for (AttrId a = 0; a < ie.schema().size(); ++a) {
+      for (const auto& [v, w] : reference[static_cast<std::size_t>(a)]) {
+        expect_weight(a, v);
+      }
+      expect_weight(a, Value::Str("\x02 in no table"));
+    }
+    for (const bool with_default : {false, true}) {
+      const SearchSpace got =
+          BuildSearchSpace(cie, domains, all_null, encoded, with_default);
+      EXPECT_EQ(got.z.size(), static_cast<std::size_t>(ie.schema().size()));
+      for (std::size_t i = 0; i < got.z.size(); ++i) {
+        const AttrId a = got.z[i];
+        const std::vector<Value> want =
+            ReferenceActiveDomain(cie, masters, a, with_default);
+        EXPECT_EQ(ActiveDomain(cie, domains, a, with_default), want)
+            << label << " attr " << a;
+        EXPECT_EQ(got.domains[i].size(), want.size()) << label << " " << a;
+        if (got.domains[i].size() != want.size()) continue;
+        for (std::size_t j = 0; j < want.size(); ++j) {
+          const Value& v = got.domains[i][j].first;
+          EXPECT_EQ(v, want[j]) << label << " attr " << a << " #" << j;
+          EXPECT_EQ(v.type(), want[j].type()) << label << " attr " << a;
+          expect_weight(a, v);
+          EXPECT_EQ(Bits(got.domains[i][j].second), Bits(encoded.Weight(a, v)));
+        }
+      }
+    }
+  }
+  return compared;
+}
+
+/// `relacc gen --profile <profile>` generates this dataset (its defaults:
+/// 50 entities, seed 42, 40 master rows).
+EntityDataset GenDefaultProfile(bool med) {
+  ProfileConfig config = med ? MedConfig(42) : CfpConfig(42);
+  config.num_entities = 50;
+  config.master_size = 40;
+  return GenerateProfile(config);
+}
+
+TEST(MasterDomains, MatchReferenceOnEveryGeneratedEntity) {
+  for (const bool med : {true, false}) {
+    const EntityDataset ds = GenDefaultProfile(med);
+    const MasterDomains domains(ds.masters);
+    ASSERT_EQ(domains.num_masters(), static_cast<int>(ds.masters.size()));
+    int64_t compared = 0;
+    for (std::size_t i = 0; i < ds.entities.size(); ++i) {
+      compared += ExpectTablesMatchReference(
+          ds.entities[i], ds.masters, domains,
+          std::string(med ? "med" : "cfp") + " entity " + std::to_string(i));
+    }
+    EXPECT_GT(compared, 10000) << (med ? "med" : "cfp");
+  }
+}
+
+TEST(MasterDomains, MatchReferenceOnASynSpec) {
+  SynConfig config;
+  config.seed = 20260726;
+  config.num_tuples = 40;
+  config.master_size = 20;
+  config.num_mst_attrs = 3;
+  const SynDataset syn = GenerateSyn(config);
+  ASSERT_FALSE(syn.spec.masters.empty());
+  EXPECT_GT(ExpectTablesMatchReference(syn.spec.ie, syn.spec.masters,
+                                       syn.spec.masters, "syn"),
+            0);
+}
+
+TEST(MasterDomains, MatchReferenceOnTheEdgeCases) {
+  // A value in two masters (`v`), a value repeated within one master
+  // (`w`), and m2's double 5.0 equal to Ie's int 5.
+  const EdgeCaseInput edge;
+  const MasterDomains domains(edge.masters);
+  EXPECT_GT(ExpectTablesMatchReference(edge.ie, edge.masters, domains, "edge"),
+            0);
+  // Only the one-bonus-at-a-time summation matches bit for bit: an Ie
+  // value three masters hold weighs 1 + 0.1 + 0.1 + 0.1, not 1 + 0.3, and
+  // a master-only value six masters hold weighs 0.6, not 6 * 0.1.
+  Relation ie_v = edge.ie;
+  ie_v.Add(Tuple({Value::Str("v"), Value::Null(), Value::Null()}));
+  std::vector<Relation> eight = edge.masters;
+  for (int m = 0; m < 6; ++m) {
+    Relation more(Schema({{"name", ValueType::kString}}));
+    more.Add(Tuple({Value::Str("t")}));
+    if (m == 0) more.Add(Tuple({Value::Str("v")}));
+    eight.push_back(std::move(more));
+  }
+  EXPECT_GT(ExpectTablesMatchReference(ie_v, eight, eight, "edge+v"), 0);
+  const MasterDomains::Column* names = domains.Find("name");
+  ASSERT_NE(names, nullptr);
+  const std::vector<Value> order = {Value::Str("w"), Value::Str("y"),
+                                    Value::Str("v"), Value::Str("u")};
+  EXPECT_EQ(names->values, order);
+  EXPECT_EQ(names->holders, (std::vector<int>{1, 1, 2, 1}));
+  const MasterDomains::Column* numbers = domains.Find("n");
+  ASSERT_NE(numbers, nullptr);
+  EXPECT_EQ(numbers->Find(Value::Int(5)), 0);
+  EXPECT_EQ(domains.Find("other")->values, std::vector<Value>{Value::Str("o")});
+  EXPECT_EQ(domains.Find("flag"), nullptr);
+  EXPECT_EQ(MasterDomains().Find("name"), nullptr);
+
+  // Copies share one set of tables; a second build does not.
+  const MasterDomains copy = domains;
+  EXPECT_EQ(copy.Find("name"), names);
+  EXPECT_NE(MasterDomains(edge.masters).Find("name"), names);
 }
 
 }  // namespace

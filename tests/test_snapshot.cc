@@ -349,6 +349,56 @@ TEST(SnapshotServiceTest, WarmAndColdAgreeOnPerEntityPaths) {
   std::filesystem::remove(path);
 }
 
+TEST(SnapshotServiceTest, MasterTablesWaitForTheFirstTopKAndMatchCold) {
+  // A snapshot service answers deduce without building the top-k master
+  // tables; its first top-k builds them, and its TopK and Suggest answer
+  // as a cold service does.
+  const EntityDataset ds = SmallMed(/*seed=*/1, /*entities=*/40);
+  int incomplete = -1;
+  for (int i = 0; i < static_cast<int>(ds.entities.size()); ++i) {
+    std::unique_ptr<AccuracyService> probe = ColdService(ds, ds.SpecFor(i).ie);
+    Result<ChaseOutcome> outcome = probe->DeduceEntity();
+    ASSERT_TRUE(outcome.ok());
+    if (outcome.value().church_rosser && !outcome.value().target.IsComplete()) {
+      incomplete = i;
+      break;
+    }
+  }
+  ASSERT_GE(incomplete, 0) << "fixture drift: every entity is complete";
+  const Relation ie = ds.SpecFor(incomplete).ie;
+  const std::string path = WriteArtifact(ds, ie, "master_tables");
+  std::unique_ptr<AccuracyService> cold = ColdService(ds, ie);
+  std::unique_ptr<AccuracyService> warm = WarmService(path);
+
+  ASSERT_TRUE(warm->DeduceEntity().ok());
+  EXPECT_EQ(warm->master_domains(), nullptr) << "deduce built the tables";
+
+  Result<TopKResult> cold_topk = cold->TopK(3);
+  Result<TopKResult> warm_topk = warm->TopK(3);
+  ASSERT_TRUE(cold_topk.ok() && warm_topk.ok());
+  EXPECT_FALSE(warm_topk.value().targets.empty());
+  EXPECT_EQ(Serialize(cold_topk.value()), Serialize(warm_topk.value()));
+  const MasterDomains* tables = warm->master_domains();
+  ASSERT_NE(tables, nullptr);
+
+  std::string suggested[2];
+  AccuracyService* services[2] = {cold.get(), warm.get()};
+  for (int s = 0; s < 2; ++s) {
+    InteractionOptions options;
+    options.k = 3;
+    Result<std::unique_ptr<InteractionSession>> session =
+        services[s]->StartInteraction(options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    Result<Suggestion> suggestion = session.value()->Suggest();
+    ASSERT_TRUE(suggestion.ok());
+    suggested[s] = suggestion.value().deduced_target.ToString() + "\n" +
+                   Serialize(suggestion.value().candidates);
+  }
+  EXPECT_EQ(suggested[0], suggested[1]);
+  EXPECT_EQ(warm->master_domains(), tables);
+  std::filesystem::remove(path);
+}
+
 TEST(SnapshotServiceTest, FailedCheckpointRoundTrips) {
   // The flat union of every entity's tuples is not Church-Rosser (the
   // same recipe as `relacc gen --flat`); the artifact must carry the
