@@ -118,13 +118,11 @@ int Run() {
     seq = TopKCT(engine, spec.masters, te, syn.pref, 8, opts);
   });
   TopKResult par;
-  // The injected checker's pool and worker engines are built lazily on
-  // its first fan-out, so the timed call pays for them.
+  // The checker's pool and worker engines are built lazily on its first
+  // fan-out, so the timed call pays for them.
   const double par_ms = TimeMs([&] {
     const CandidateChecker checker(engine, 8);
-    opts.checker = &checker;
-    par = TopKCT(engine, spec.masters, te, syn.pref, 8, opts);
-    opts.checker = nullptr;
+    par = TopKCT(checker, spec.masters, te, syn.pref, 8, opts);
   });
   const bool same =
       par.targets == seq.targets && par.scores == seq.scores;

@@ -73,13 +73,12 @@ EntityReport ChaseEntityPhase(const EntityInstance& entity,
 
 /// Phase 2 for one incomplete entity (Sec. 6): top-1 candidate target
 /// over the encoded entity `cie` and the service's shared master tables.
-/// `checker` is already bound to `engine` and runs every check chase.
+/// `checker` is bound to the entity's engine and runs every check chase.
 void CompleteEntityPhase(const ColumnarRelation& cie,
                          const MasterDomains& masters,
                          CompletionPolicy completion,
                          const TopKOptions& topk_options,
                          const PreferenceModel* preference,
-                         const ChaseEngine& engine,
                          const CandidateChecker& checker,
                          EntityReport* report) {
   PreferenceModel local_pref;
@@ -88,30 +87,15 @@ void CompleteEntityPhase(const ColumnarRelation& cie,
     local_pref = PreferenceModel::FromOccurrences(cie, masters);
     pref = &local_pref;
   }
-  TopKOptions topk_opts = topk_options;
-  topk_opts.checker = &checker;
   TopKResult topk =
       completion == CompletionPolicy::kHeuristic
-          ? TopKCTh(engine, masters, report->target, *pref, 1, topk_opts)
-          : TopKCT(engine, masters, report->target, *pref, 1, topk_opts);
+          ? TopKCTh(checker, masters, report->target, *pref, 1, topk_options)
+          : TopKCT(checker, masters, report->target, *pref, 1, topk_options);
   if (!topk.targets.empty()) {
     report->target = topk.targets[0];
     report->used_candidate = true;
   }
   report->complete = report->target.IsComplete();
-}
-
-/// The option-audit gate: top-k check width is owned by the service
-/// plan, which injects its own persistent checker, so a caller-set one
-/// is rejected loudly instead of being silently replaced.
-Status ValidateManagedTopK(const TopKOptions& topk, const char* where) {
-  if (topk.checker != nullptr) {
-    return Status::InvalidArgument(
-        std::string(where) +
-        ": TopKOptions::checker is managed by the service (it injects its "
-        "own persistent checker); leave it null");
-  }
-  return Status::OK();
 }
 
 int ResolveBudget(int num_threads) {
@@ -460,13 +444,12 @@ Result<ChaseOutcome> AccuracyService::DeduceEntity(const Relation& entity) {
 }
 
 Result<TopKResult> AccuracyService::TopK(int k, TopKAlgorithm algo,
-                                         TopKOptions topk,
+                                         const TopKOptions& topk,
                                          const PreferenceModel* preference) {
   if (k < 1) {
     return Status::InvalidArgument("TopK: k must be >= 1, got " +
                                    std::to_string(k));
   }
-  RELACC_RETURN_NOT_OK(ValidateManagedTopK(topk, "AccuracyService::TopK"));
   RELACC_RETURN_NOT_OK(EnsureMasters());
   RELACC_RETURN_NOT_OK(EnsureDefaultEngine());
   const ChaseOutcome outcome = engine_->RunFromCheckpoint();
@@ -482,20 +465,20 @@ Result<TopKResult> AccuracyService::TopK(int k, TopKAlgorithm algo,
     local_pref = PreferenceModel::FromOccurrences(*cie_, masters);
     preference = &local_pref;
   }
-  topk.checker = &AcquireChecker(*engine_, engine_token_);
+  const CandidateChecker& checker = AcquireChecker(*engine_, engine_token_);
   switch (algo) {
     case TopKAlgorithm::kHeuristic:
-      return TopKCTh(*engine_, masters, outcome.target, *preference, k, topk);
+      return TopKCTh(checker, masters, outcome.target, *preference, k, topk);
     case TopKAlgorithm::kRankJoin:
-      return RankJoinCT(*engine_, masters, outcome.target, *preference, k,
+      return RankJoinCT(checker, masters, outcome.target, *preference, k,
                         topk);
     case TopKAlgorithm::kBruteForce:
-      return TopKBruteForce(*engine_, masters, outcome.target, *preference, k,
+      return TopKBruteForce(checker, masters, outcome.target, *preference, k,
                             topk);
     case TopKAlgorithm::kTopKCT:
       break;
   }
-  return TopKCT(*engine_, masters, outcome.target, *preference, k, topk);
+  return TopKCT(checker, masters, outcome.target, *preference, k, topk);
 }
 
 Result<std::vector<char>> AccuracyService::CheckCandidates(
@@ -521,8 +504,6 @@ Result<std::vector<char>> AccuracyService::CheckCandidates(
 
 Result<std::unique_ptr<PipelineSession>> AccuracyService::StartPipeline(
     PipelineSessionOptions options) {
-  RELACC_RETURN_NOT_OK(
-      ValidateManagedTopK(options.topk, "AccuracyService::StartPipeline"));
   RELACC_RETURN_NOT_OK(EnsureMasters());
   if (options.window < 0) {
     return Status::InvalidArgument(
@@ -552,8 +533,6 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
         "InteractionOptions::k must be >= 1, got " +
         std::to_string(options.k));
   }
-  RELACC_RETURN_NOT_OK(
-      ValidateManagedTopK(options.topk, "AccuracyService::StartInteraction"));
   RELACC_RETURN_NOT_OK(EnsureMasters());
   auto session = std::unique_ptr<InteractionSession>(
       new InteractionSession(this, std::move(options)));
@@ -696,12 +675,11 @@ void PipelineSession::ProcessWindow() {
           const std::size_t k =
               static_cast<std::size_t>(todo[static_cast<std::size_t>(t)]);
           std::unique_ptr<PendingCompletion>& p = pending[k];
-          const ChaseEngine& engine = *p->engine;
           const CandidateChecker& checker =
-              service_->AcquireCompletionChecker(slot, check_width, engine);
-          CompleteEntityPhase(*p->cie, masters, completion_,
-                              options_.topk, options_.preference, engine,
-                              checker, &reports[k]);
+              service_->AcquireCompletionChecker(slot, check_width,
+                                                 *p->engine);
+          CompleteEntityPhase(*p->cie, masters, completion_, options_.topk,
+                              options_.preference, checker, &reports[k]);
           p.reset();  // free the checkpoint/probe memory as we go
         });
   }
@@ -797,10 +775,9 @@ Result<Suggestion> InteractionSession::Suggest() {
     last_.reset();
     return s;
   }
-  TopKOptions topk = options_.topk;
-  topk.checker = &service_->AcquireChecker(*engine_, token_);
-  s.candidates = TopKCT(*engine_, service_->EnsureMasterDomains(),
-                        s.deduced_target, preference(), options_.k, topk);
+  s.candidates = TopKCT(service_->AcquireChecker(*engine_, token_),
+                        service_->EnsureMasterDomains(), s.deduced_target,
+                        preference(), options_.k, options_.topk);
   last_ = s;
   return s;
 }

@@ -21,8 +21,7 @@
 
 namespace relacc {
 
-class CandidateChecker;  // topk/batch_check.h
-class ThreadPool;        // util/thread_pool.h
+class ThreadPool;  // util/thread_pool.h
 
 namespace snapshot {
 class SnapshotReader;  // snapshot/reader.h
@@ -117,10 +116,9 @@ struct PipelineSessionOptions {
   /// ServiceOptions::window.
   int64_t window = 0;
 
-  /// Per-entity top-k knobs (max_expansions, include_default_values, ...).
-  /// `checker` is managed by the service thread plan: setting it here is
-  /// rejected with kInvalidArgument instead of being silently replaced
-  /// (set ServiceOptions::num_threads to size the service's checkers).
+  /// Per-entity top-k knobs (max_expansions, include_default_values).
+  /// The checks run through the service's own checkers, sized by
+  /// ServiceOptions::num_threads.
   TopKOptions topk;
 
   /// Occurrence-count preference weights are built per entity (over the
@@ -145,8 +143,8 @@ struct PipelineSessionOptions {
 struct InteractionOptions {
   int k = 15;  ///< candidates per Suggest() (paper default)
 
-  /// Top-k knobs for Suggest(). As with PipelineSessionOptions::topk,
-  /// `checker` is managed by the service and rejected when set.
+  /// Top-k knobs for Suggest(); the checks run through the service's
+  /// shared checker, as for PipelineSessionOptions::topk.
   TopKOptions topk;
 
   /// Preference model for ranking; null builds occurrence-count weights
@@ -284,8 +282,8 @@ class AccuracyService {
   /// service can re-export.
   Status WriteSnapshot(const std::string& path);
 
-  /// Opens a streaming pipeline session. Rejects a caller-set
-  /// TopKOptions::checker and negative windows with kInvalidArgument.
+  /// Opens a streaming pipeline session. Rejects negative windows and
+  /// completion_workers with kInvalidArgument.
   Result<std::unique_ptr<PipelineSession>> StartPipeline(
       PipelineSessionOptions options = {});
 
@@ -322,17 +320,17 @@ class AccuracyService {
   /// the shared checkpoint and checker. An already-complete deduced
   /// target is returned (check-verified) as its own sole candidate.
   /// kFailedPrecondition when the spec is not Church-Rosser;
-  /// kInvalidArgument for k < 1 or a caller-set topk.checker. `preference` null
-  /// builds occurrence-count weights over ie and the shared master tables.
+  /// kInvalidArgument for k < 1. `preference` null builds occurrence-count
+  /// weights over ie and the shared master tables.
   Result<TopKResult> TopK(int k, TopKAlgorithm algo = TopKAlgorithm::kTopKCT,
-                          TopKOptions topk = {},
+                          const TopKOptions& topk = {},
                           const PreferenceModel* preference = nullptr);
 
   /// The candidate-target `check` (Sec. 6) for every candidate against
   /// the spec's own entity instance, fanned out through the shared
   /// checker; verdicts[i] corresponds to candidates[i]. Candidates must
-  /// satisfy the CheckCandidateTarget contract (complete, agreeing with
-  /// the deduced target on its non-null attributes).
+  /// satisfy the ChaseEngine::CheckCandidate contract (complete, agreeing
+  /// with the deduced target on its non-null attributes).
   Result<std::vector<char>> CheckCandidates(
       const std::vector<Tuple>& candidates);
 

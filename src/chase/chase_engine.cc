@@ -792,10 +792,4 @@ ChaseOutcome IsCR(const Specification& spec) {
   return engine.RunFromInitial();
 }
 
-bool CheckCandidateTarget(const ChaseEngine& engine, const Tuple& t) {
-  // All attributes of t are non-null and te attributes are immutable, so a
-  // violation-free continuation necessarily deduces t itself.
-  return engine.CheckCandidate(t);
-}
-
 }  // namespace relacc

@@ -108,12 +108,16 @@ class ChaseEngine {
   /// should use this so the all-null chase runs once, not twice.
   ChaseOutcome RunFromCheckpoint() const;
 
-  /// Candidate-target check for a complete tuple `t` (Sec. 6's `check`).
-  /// Semantically identical to Run(t).church_rosser, but resumes from a
-  /// lazily-prepared checkpoint — the terminal instance of the all-null
-  /// chase — instead of replaying the axiom closure per candidate. Valid
-  /// because orders and te only grow monotonically: every violation the
-  /// from-scratch run would find, the continuation finds too.
+  /// Candidate-target check (Sec. 3 / 6's `check`): `t` must be complete
+  /// and agree with the deduced target on its non-null attributes (callers
+  /// guarantee this). True iff (D0, Σ, Im, t) is Church-Rosser and deduces
+  /// t itself: te attributes are immutable, so a violation-free
+  /// continuation necessarily deduces t. Semantically identical to
+  /// Run(t).church_rosser, but resumes from a lazily-prepared checkpoint —
+  /// the terminal instance of the all-null chase — instead of replaying
+  /// the axiom closure per candidate. Valid because orders and te only
+  /// grow monotonically: every violation the from-scratch run would find,
+  /// the continuation finds too.
   ///
   /// The engine keeps one long-lived probe state, chases forward in place
   /// and rolls every change back in O(changes) — whether the probe
@@ -363,11 +367,6 @@ class ChaseEngine {
 /// Convenience wrapper: grounds `spec` and runs IsCR (Fig. 4), returning
 /// the unique terminal instance when spec is Church-Rosser.
 ChaseOutcome IsCR(const Specification& spec);
-
-/// The candidate-target check (Sec. 3 / 6): `t` must be complete and agree
-/// with the deduced target on its non-null attributes (callers guarantee
-/// this). True iff (D0, Σ, Im, t) is Church-Rosser and deduces t itself.
-bool CheckCandidateTarget(const ChaseEngine& engine, const Tuple& t);
 
 }  // namespace relacc
 

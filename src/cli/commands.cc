@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -189,8 +190,21 @@ Status CmdExplain(const Args& args, std::ostream& out) {
   return Status::OK();
 }
 
-Status CmdTopK(const Args& args, std::ostream& out) {
+/// `--k` (default 5): a value past int's range is rejected, not narrowed
+/// into a different k (4294967297 would otherwise rank 1 candidate).
+Result<int> GetK(const Args& args) {
   Result<int64_t> k = args.GetInt("k", 5);
+  if (!k.ok()) return k.status();
+  if (k.value() < std::numeric_limits<int>::min() ||
+      k.value() > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("--k is out of range, got " +
+                                   std::to_string(k.value()));
+  }
+  return static_cast<int>(k.value());
+}
+
+Status CmdTopK(const Args& args, std::ostream& out) {
+  Result<int> k = GetK(args);
   Result<int64_t> threads = args.GetInt("threads", 1);
   const std::string algo = args.GetString("algo", "topkct");
   const bool as_json = args.Has("json");
@@ -248,7 +262,7 @@ Status CmdTopK(const Args& args, std::ostream& out) {
                                       outcome.value().violation);
   }
   const Tuple& deduced = outcome.value().target;
-  const int kk = static_cast<int>(k.value());
+  const int kk = k.value();
   // Run the ranking even when the deduced target is complete: the
   // algorithms then verify the target and return it as its own sole
   // candidate, which the JSON output has always reported.
@@ -303,6 +317,12 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
   Result<SpecDocument> doc = LoadSpec(args);
   if (!doc.ok()) return doc.status();
   if (!threads.ok()) return threads.status();
+  // Bounded before any service exists: each budget thread is an OS
+  // thread, and the int cast must not wrap.
+  if (threads.value() < 0 || threads.value() > 256) {
+    return Status::InvalidArgument(
+        "--threads must be between 0 and 256 (0 = hardware concurrency)");
+  }
   if (!window.ok()) return window.status();
   if (window.value() < 0) {
     return Status::InvalidArgument(
@@ -378,7 +398,7 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
 }
 
 Status CmdInteractive(const Args& args, std::ostream& out, std::istream& in) {
-  Result<int64_t> k = args.GetInt("k", 5);
+  Result<int> k = GetK(args);
   Result<SpecDocument> doc = LoadSpec(args);
   if (!doc.ok()) return doc.status();
   if (!k.ok()) return k.status();
@@ -397,7 +417,7 @@ Status CmdInteractive(const Args& args, std::ostream& out, std::istream& in) {
       AccuracyService::Create(spec, std::move(service_options));
   if (!service.ok()) return service.status();
   InteractionOptions session_options;
-  session_options.k = static_cast<int>(std::max<int64_t>(1, k.value()));
+  session_options.k = std::max(1, k.value());
   Result<std::unique_ptr<InteractionSession>> session =
       service.value()->StartInteraction(std::move(session_options));
   if (!session.ok()) return session.status();

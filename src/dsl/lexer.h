@@ -16,7 +16,10 @@ namespace relacc {
 /// attribute names may contain any character except `]` and newline.
 class Lexer {
  public:
+  /// `input` is borrowed, not copied: it must outlive the lexer, so a
+  /// temporary is rejected at compile time.
   explicit Lexer(const std::string& input);
+  explicit Lexer(std::string&&) = delete;
 
   /// Lexes the next token, or a ParseError naming line/column on bad input
   /// (unterminated string, stray character, malformed number).

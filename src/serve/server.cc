@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -29,6 +30,19 @@ Result<int64_t> OptInt(const Json& params, const std::string& key,
     return Status::InvalidArgument("param '" + key + "' must be an integer");
   }
   return v->as_int();
+}
+
+/// Optional `k` param: a value past int's range is rejected, not narrowed
+/// into a different k (4294967297 would otherwise rank 1 candidate).
+Result<int> OptK(const Json& params, int dflt) {
+  Result<int64_t> k = OptInt(params, "k", dflt);
+  if (!k.ok()) return k.status();
+  if (k.value() < std::numeric_limits<int>::min() ||
+      k.value() > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("param 'k' is out of range, got " +
+                                   std::to_string(k.value()));
+  }
+  return static_cast<int>(k.value());
 }
 
 Result<std::string> OptString(const Json& params, const std::string& key,
@@ -685,7 +699,7 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn, int64_t id,
   }
 
   if (method == "topk") {
-    Result<int64_t> k = OptInt(params, "k", 5);
+    Result<int> k = OptK(params, 5);
     Result<std::string> algo_name = OptString(params, "algo", "topkct");
     if (!k.ok()) return SendError(conn, id, k.status(), -1, responded);
     if (!algo_name.ok()) {
@@ -702,8 +716,7 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn, int64_t id,
                                      outcome.value().violation),
           -1, responded);
     }
-    Result<TopKResult> ranked =
-        service->TopK(static_cast<int>(k.value()), algo.value());
+    Result<TopKResult> ranked = service->TopK(k.value(), algo.value());
     if (!ranked.ok()) return SendError(conn, id, ranked.status(), -1, responded);
     return SendResult(conn, id,
                       TopKReportToJson(outcome.value().target, ranked.value(),
@@ -712,12 +725,12 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn, int64_t id,
   }
 
   if (method == "interact.start") {
-    Result<int64_t> k = OptInt(params, "k", 15);
+    Result<int> k = OptK(params, 15);
     if (!k.ok()) return SendError(conn, id, k.status(), -1, responded);
     Result<std::optional<EntityInstance>> entity = OptEntity(params, schema_);
     if (!entity.ok()) return SendError(conn, id, entity.status(), -1, responded);
     InteractionOptions options;
-    options.k = static_cast<int>(k.value());
+    options.k = k.value();
     Result<std::unique_ptr<InteractionSession>> session =
         entity.value().has_value()
             ? service->StartInteraction(std::move(*entity.value()),

@@ -53,15 +53,14 @@ std::vector<char> CandidateChecker::CheckAll(
   // batch size, so small batches still fan out.
   if (num_threads_ == 1 || candidates.size() <= 1) {
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      verdicts[i] = CheckCandidateTarget(*prototype_, candidates[i]) ? 1 : 0;
+      verdicts[i] = prototype_->CheckCandidate(candidates[i]) ? 1 : 0;
     }
     return verdicts;
   }
   EnsureWorkers();
   pool_->ParallelForSlots(
       static_cast<int64_t>(candidates.size()), [&](int slot, int64_t i) {
-        verdicts[i] =
-            CheckCandidateTarget(*engines_[slot], candidates[i]) ? 1 : 0;
+        verdicts[i] = engines_[slot]->CheckCandidate(candidates[i]) ? 1 : 0;
       });
   return verdicts;
 }

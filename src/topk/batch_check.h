@@ -2,9 +2,7 @@
 #define RELACC_TOPK_BATCH_CHECK_H_
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "chase/chase_engine.h"
@@ -15,8 +13,9 @@
 
 namespace relacc {
 
-/// Fans the per-candidate `check` chase (CheckCandidateTarget, Sec. 6) out
-/// over a ThreadPool. A ChaseEngine holds mutable run state — the
+/// Runs the per-candidate `check` chase (ChaseEngine::CheckCandidate,
+/// Sec. 6) for the top-k algorithms, fanned out over a ThreadPool when
+/// wider than one. A ChaseEngine holds mutable run state — the
 /// probe state that CheckCandidate chases on and rolls back — so engines
 /// must not be shared between workers: the checker owns one engine per
 /// worker slot, all built over the same (Ie, ground program, config) as
@@ -33,8 +32,11 @@ class CandidateChecker {
   /// `prototype` supplies Ie, the ground program and the chase config; it
   /// must outlive the checker (or be replaced via Rebind before the next
   /// CheckAll). `num_threads <= 1` means check inline on `prototype`
-  /// itself: no pool and no per-worker engines are built.
-  CandidateChecker(const ChaseEngine& prototype, int num_threads);
+  /// itself: no pool and no per-worker engines are built. Implicit, so
+  /// the top-k algorithms keep their engine call sites
+  /// (`TopKCT(engine, masters, ...)` checks through a width-1 temporary).
+  CandidateChecker(const ChaseEngine& prototype,  // NOLINT
+                   int num_threads = 1);
 
   CandidateChecker(const CandidateChecker&) = delete;
   CandidateChecker& operator=(const CandidateChecker&) = delete;
@@ -73,8 +75,8 @@ class CandidateChecker {
     return std::min(batch_size(), std::max(num_threads_, remaining));
   }
 
-  /// CheckCandidateTarget for every candidate; verdicts[i] corresponds to
-  /// candidates[i]. Candidates must satisfy the CheckCandidateTarget
+  /// ChaseEngine::CheckCandidate for every candidate; verdicts[i]
+  /// corresponds to candidates[i]. Candidates must satisfy its
   /// contract (complete, agreeing with the deduced target on its non-null
   /// attributes). Not itself thread-safe: one orchestrating caller at a
   /// time (the top-k search loops are sequential around it).
@@ -91,38 +93,6 @@ class CandidateChecker {
   int num_threads_;
   mutable std::unique_ptr<ThreadPool> pool_;  ///< null until EnsureWorkers
   mutable std::vector<std::unique_ptr<ChaseEngine>> engines_;
-};
-
-/// Resolves which checker a top-k call runs its checks through: the
-/// caller-injected one (TopKOptions::checker) when usable, else a
-/// privately owned inline (width-1) one. skip_check always gets the
-/// private checker — it is never consulted for verdicts, but its RoundCap
-/// shapes batching and the stats counters, which must not depend on
-/// whether an outer caller happened to inject a pool.
-class CheckerHandle {
- public:
-  CheckerHandle(const ChaseEngine& engine, bool skip_check,
-                const CandidateChecker* injected) {
-    if (!skip_check && injected != nullptr &&
-        &injected->prototype() == &engine) {
-      checker_ = injected;
-      return;
-    }
-    // An injected checker bound to some other engine would compute
-    // verdicts against the wrong specification; assert loudly in debug
-    // builds and fall back to a correct private checker in release
-    // (slower, never wrong).
-    assert(injected == nullptr || skip_check ||
-           &injected->prototype() == &engine);
-    owned_.emplace(engine, 1);
-    checker_ = &*owned_;
-  }
-
-  const CandidateChecker& get() const { return *checker_; }
-
- private:
-  std::optional<CandidateChecker> owned_;
-  const CandidateChecker* checker_ = nullptr;
 };
 
 /// The first `limit` completions of `te` over the top-k search space

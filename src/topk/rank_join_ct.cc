@@ -2,12 +2,11 @@
 
 #include <utility>
 
-#include "topk/batch_check.h"
 #include "topk/rank_join.h"
 
 namespace relacc {
 
-TopKResult RankJoinCT(const ChaseEngine& engine,
+TopKResult RankJoinCT(const CandidateChecker& checker,
                       const MasterDomains& masters,
                       const Tuple& deduced_te, const PreferenceModel& pref,
                       int k, const TopKOptions& opts) {
@@ -17,8 +16,8 @@ TopKResult RankJoinCT(const ChaseEngine& engine,
   // Ranked lists Li: the active domains of te's null attributes, sorted
   // up front — the cost RankJoinCT pays that TopKCT avoids.
   SearchSpace space =
-      BuildSearchSpace(engine.encoded_ie(), masters, deduced_te, pref,
-                       opts.include_default_values);
+      BuildSearchSpace(checker.prototype().encoded_ie(), masters, deduced_te,
+                       pref, opts.include_default_values);
   for (WeightedDomain& list : space.domains) {
     if (list.empty()) return result;  // no candidate can exist
     SortByDescendingWeight(&list);
@@ -26,21 +25,20 @@ TopKResult RankJoinCT(const ChaseEngine& engine,
 
   // A complete te is its own sole candidate, which TopKCT checks.
   if (space.z.empty()) {
-    return TopKCT(engine, masters, deduced_te, pref, k, opts);
+    return TopKCT(checker, masters, deduced_te, pref, k, opts);
   }
   const double base_score = pref.Score(deduced_te);
   const std::vector<AttrId>& z = space.z;
 
   // Consume join results in output order; the shared loop batches the
   // checks and keeps the ranked output identical for every thread count.
-  const CheckerHandle checker(engine, opts.skip_check, opts.checker);
   std::unique_ptr<RankedStream> stream =
       BuildRankJoinTree(std::move(space.domains));
   RunBatchedAcceptLoop(
       // RankedStream has no non-consuming peek; the pre-batching loop
       // checked the budget before Next() too, so budget-first is the
       // original semantics here.
-      checker.get(), opts, k, [] { return true; },
+      &checker, opts, k, [] { return true; },
       [&](Tuple* t, double* score) {
         auto row = stream->Next();
         if (!row.has_value()) return false;

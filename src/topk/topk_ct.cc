@@ -4,12 +4,16 @@
 #include <unordered_set>
 #include <utility>
 
-#include "topk/batch_check.h"
 #include "topk/pairing_heap.h"
 #include "topk/value_heap.h"
 
 namespace relacc {
 namespace {
+
+/// TopKCTh's greedy repair tries at most this many replacement values per
+/// attribute per seed (the heuristic trades completeness for time,
+/// Sec. 6.3).
+constexpr int kMaxRepairValues = 4;
 
 /// The search object o of Fig. 5: indices into the per-attribute buffers
 /// Bi, plus the score o.w. The concrete tuple o.t is materialized lazily.
@@ -48,7 +52,7 @@ Tuple Materialize(const Tuple& te, const SearchSpace& space,
 
 }  // namespace
 
-void RunBatchedAcceptLoop(const CandidateChecker& checker,
+void RunBatchedAcceptLoop(const CandidateChecker* checker,
                           const TopKOptions& opts, int k,
                           const std::function<bool()>& has_more,
                           const std::function<bool(Tuple*, double*)>& produce,
@@ -58,7 +62,9 @@ void RunBatchedAcceptLoop(const CandidateChecker& checker,
   bool done = false;
   while (static_cast<int>(result->targets.size()) < k && !done) {
     const int round_cap =
-        checker.RoundCap(k - static_cast<int>(result->targets.size()));
+        checker == nullptr
+            ? 1
+            : checker->RoundCap(k - static_cast<int>(result->targets.size()));
     batch.clear();
     batch_scores.clear();
     bool budget_hit = false;
@@ -84,8 +90,8 @@ void RunBatchedAcceptLoop(const CandidateChecker& checker,
     }
     result->checks += static_cast<int64_t>(batch.size());
     const std::vector<char> verdicts =
-        opts.skip_check ? std::vector<char>(batch.size(), 1)
-                        : checker.CheckAll(batch);
+        checker == nullptr ? std::vector<char>(batch.size(), 1)
+                           : checker->CheckAll(batch);
     for (std::size_t i = 0;
          i < batch.size() && static_cast<int>(result->targets.size()) < k;
          ++i) {
@@ -103,9 +109,9 @@ void RunBatchedAcceptLoop(const CandidateChecker& checker,
 namespace {
 
 /// TopKCT over a built search space (TopKCTh's seed phase reuses the
-/// space it repairs over). k >= 1.
-TopKResult BestFirstSearch(const ChaseEngine& engine, const SearchSpace& space,
-                           const Tuple& deduced_te,
+/// space it repairs over, with a null `checker`: unchecked). k >= 1.
+TopKResult BestFirstSearch(const CandidateChecker* checker,
+                           const SearchSpace& space, const Tuple& deduced_te,
                            const PreferenceModel& pref, int k,
                            const TopKOptions& opts) {
   TopKResult result;
@@ -115,7 +121,7 @@ TopKResult BestFirstSearch(const ChaseEngine& engine, const SearchSpace& space,
   if (m == 0) {
     // te is already complete; it is its own (sole) candidate target.
     ++result.checks;
-    if (opts.skip_check || CheckCandidateTarget(engine, deduced_te)) {
+    if (checker == nullptr || checker->CheckAll({deduced_te})[0] != 0) {
       result.targets.push_back(deduced_te);
       result.scores.push_back(base_score);
     }
@@ -144,14 +150,10 @@ TopKResult BestFirstSearch(const ChaseEngine& engine, const SearchSpace& space,
     queue.Push(std::move(o));
   }
 
-  // Under skip_check the checker is never consulted, so don't build a
-  // pool or per-worker engines (TopKCTh's seed phase lands here); an
-  // injected checker (opts.checker) is reused instead of owned.
-  const CheckerHandle checker(engine, opts.skip_check, opts.checker);
   // Pop and expand in the exact sequential best-first order (Fig. 5 lines
   // 10-15); only the `check` is deferred and batched.
   RunBatchedAcceptLoop(
-      checker.get(), opts, k, [&] { return !queue.empty(); },
+      checker, opts, k, [&] { return !queue.empty(); },
       [&](Tuple* t, double* score) {
         if (queue.empty()) return false;
         const Obj o = queue.Pop();
@@ -179,37 +181,33 @@ TopKResult BestFirstSearch(const ChaseEngine& engine, const SearchSpace& space,
 
 }  // namespace
 
-TopKResult TopKCT(const ChaseEngine& engine,
+TopKResult TopKCT(const CandidateChecker& checker,
                   const MasterDomains& masters,
                   const Tuple& deduced_te, const PreferenceModel& pref, int k,
                   const TopKOptions& opts) {
   if (k <= 0) return {};
   return BestFirstSearch(
-      engine,
-      BuildSearchSpace(engine.encoded_ie(), masters, deduced_te, pref,
-                       opts.include_default_values),
+      &checker,
+      BuildSearchSpace(checker.prototype().encoded_ie(), masters, deduced_te,
+                       pref, opts.include_default_values),
       deduced_te, pref, k, opts);
 }
 
-TopKResult TopKCTh(const ChaseEngine& engine,
+TopKResult TopKCTh(const CandidateChecker& checker,
                    const MasterDomains& masters,
                    const Tuple& deduced_te, const PreferenceModel& pref,
                    int k, const TopKOptions& opts) {
   TopKResult result;
   if (k <= 0) return result;
   const SearchSpace space =
-      BuildSearchSpace(engine.encoded_ie(), masters, deduced_te, pref,
-                       opts.include_default_values);
+      BuildSearchSpace(checker.prototype().encoded_ie(), masters, deduced_te,
+                       pref, opts.include_default_values);
   // Phase 1: k unvalidated seeds (TopKCT without the check step).
-  TopKOptions seed_opts = opts;
-  seed_opts.skip_check = true;
   const TopKResult seeds =
-      BestFirstSearch(engine, space, deduced_te, pref, k, seed_opts);
+      BestFirstSearch(nullptr, space, deduced_te, pref, k, opts);
   result.queue_pops = seeds.queue_pops;
   result.heap_pops = seeds.heap_pops;
 
-  const CheckerHandle handle(engine, /*skip_check=*/false, opts.checker);
-  const CandidateChecker& checker = handle.get();
   // A seed needs exactly one accept, so rounds never speculate past the
   // pool width.
   const int round_cap = checker.RoundCap(1);
@@ -273,10 +271,7 @@ TopKResult TopKCTh(const ChaseEngine& engine,
         batch_scores.clear();
         while (next < dom.size() &&
                static_cast<int>(batch.size()) < round_cap) {
-          if (opts.max_repair_values >= 0 &&
-              tried >= opts.max_repair_values) {
-            break;
-          }
+          if (tried >= kMaxRepairValues) break;
           const auto& [v, w] = dom[next];
           ++next;
           if (v == original) continue;
@@ -304,18 +299,16 @@ TopKResult TopKCTh(const ChaseEngine& engine,
   return result;
 }
 
-TopKResult TopKBruteForce(const ChaseEngine& engine,
+TopKResult TopKBruteForce(const CandidateChecker& checker,
                           const MasterDomains& masters,
                           const Tuple& deduced_te, const PreferenceModel& pref,
                           int k, const TopKOptions& opts) {
   TopKResult result;
   if (k <= 0) return result;
   const SearchSpace space =
-      BuildSearchSpace(engine.encoded_ie(), masters, deduced_te, pref,
-                       opts.include_default_values);
+      BuildSearchSpace(checker.prototype().encoded_ie(), masters, deduced_te,
+                       pref, opts.include_default_values);
 
-  const CheckerHandle handle(engine, /*skip_check=*/false, opts.checker);
-  const CandidateChecker& checker = handle.get();
   // The oracle checks the whole product space anyway, so batches can be
   // large; enumeration order is preserved by indexing.
   const std::size_t batch_cap =

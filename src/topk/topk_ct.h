@@ -7,11 +7,10 @@
 
 #include "chase/chase_engine.h"
 #include "chase/specification.h"
+#include "topk/batch_check.h"
 #include "topk/preference.h"
 
 namespace relacc {
-
-class CandidateChecker;  // topk/batch_check.h
 
 /// Options shared by the top-k algorithms.
 struct TopKOptions {
@@ -23,25 +22,6 @@ struct TopKOptions {
   /// problem is NPO-complete (Thm. 5) so worst cases are exponential.
   /// -1 = unbounded.
   int64_t max_expansions = 1'000'000;
-
-  /// Skip the candidate-target check (used internally by TopKCTh to obtain
-  /// its unvalidated seeds; exposed for ablations).
-  bool skip_check = false;
-
-  /// TopKCTh only: greedy repair tries at most this many replacement values
-  /// per attribute per seed (the heuristic trades completeness for time,
-  /// Sec. 6.3); -1 = unbounded.
-  int max_repair_values = 4;
-
-  /// External candidate checker, bound (ctor / Rebind) to the engine
-  /// passed to the algorithm: the one way to fan the `check` chases out
-  /// over threads (topk/batch_check.h). Checks are batched to its width,
-  /// reusing its pool and warm probe states across calls. Ranked results
-  /// are identical for every width; the stats may count speculative
-  /// checks past the k-th accepted target. Null: checks run inline, in
-  /// the paper's strictly sequential order. TopKCTh's seed phase skips
-  /// the check and never uses it, so its stats do not depend on it.
-  const CandidateChecker* checker = nullptr;
 };
 
 /// Result of a top-k computation.
@@ -59,13 +39,17 @@ struct TopKResult {
 /// target `te`. Does not require ranked lists; instance optimal w.r.t.
 /// ValueHeap pops (Prop. 7), with the early-termination property.
 ///
-/// `engine` supplies the encoded Ie (ChaseEngine::encoded_ie()) and runs
-/// the `check`; `masters` contributes the master portion of the active
+/// `checker` runs every `check`, batched to its width; its prototype
+/// engine supplies the encoded Ie (ChaseEngine::encoded_ie()). An engine
+/// converts to an inline width-1 checker, which checks in the paper's
+/// strictly sequential order. Ranked results are identical for every
+/// width; the stats may count speculative checks past the k-th accepted
+/// target. `masters` contributes the master portion of the active
 /// domains (pass a service's shared tables; a row master vector converts
 /// to a private set). The search space comes from BuildSearchSpace
 /// (topk/preference.h), shared by all four algorithms; ties among equal
 /// scores follow its domain order.
-TopKResult TopKCT(const ChaseEngine& engine,
+TopKResult TopKCT(const CandidateChecker& checker,
                   const MasterDomains& masters,
                   const Tuple& deduced_te, const PreferenceModel& pref, int k,
                   const TopKOptions& opts = {});
@@ -73,9 +57,10 @@ TopKResult TopKCT(const ChaseEngine& engine,
 /// Algorithm TopKCTh (Sec. 6.3): PTIME heuristic — runs TopKCT without the
 /// check to obtain k seeds, then greedily repairs each seed with active-
 /// domain values until the check passes. Both phases share one search
-/// space. Accepted tuples are guaranteed
+/// space. The seeds are never checked, so `queue_pops` and `heap_pops`
+/// do not depend on the checker's width. Accepted tuples are guaranteed
 /// candidate targets but not necessarily of maximal score.
-TopKResult TopKCTh(const ChaseEngine& engine,
+TopKResult TopKCTh(const CandidateChecker& checker,
                    const MasterDomains& masters,
                    const Tuple& deduced_te, const PreferenceModel& pref,
                    int k, const TopKOptions& opts = {});
@@ -93,8 +78,10 @@ TopKResult TopKCTh(const ChaseEngine& engine,
 /// runs out, to decide whether exhausted_budget is honest: a source that
 /// is empty at that exact boundary completed its search and reports
 /// false, matching the pre-batching loops. Sources without a cheap peek
-/// may return true unconditionally (budget-first semantics).
-void RunBatchedAcceptLoop(const CandidateChecker& checker,
+/// may return true unconditionally (budget-first semantics). A null
+/// `checker` accepts every candidate unchecked, one pop per round
+/// (TopKCTh's seeds).
+void RunBatchedAcceptLoop(const CandidateChecker* checker,
                           const TopKOptions& opts, int k,
                           const std::function<bool()>& has_more,
                           const std::function<bool(Tuple*, double*)>& produce,
@@ -104,7 +91,7 @@ void RunBatchedAcceptLoop(const CandidateChecker& checker,
 /// active domains (ForEachCompletion), checks every combination, and
 /// returns the k best.
 /// Exponential; only usable on tiny instances.
-TopKResult TopKBruteForce(const ChaseEngine& engine,
+TopKResult TopKBruteForce(const CandidateChecker& checker,
                           const MasterDomains& masters,
                           const Tuple& deduced_te, const PreferenceModel& pref,
                           int k, const TopKOptions& opts = {});

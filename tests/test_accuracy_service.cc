@@ -2,8 +2,7 @@
 // pipeline sessions (window edge cases, report identity with the
 // one-window serial schedule, the O(window) engine bound), interactive
 // sessions (Suggest/Revise/Accept), one-shot conveniences, and the
-// option audit that rejects managed TopKOptions knobs instead of silently
-// overriding them.
+// option audit.
 
 #include <algorithm>
 #include <memory>
@@ -414,36 +413,6 @@ TEST(AccuracyServiceTest, ChaseOverrideReplacesSpecConfig) {
   EXPECT_EQ(service->specification().config.max_actions, 1000000);
 }
 
-TEST(AccuracyServiceTest, ManagedTopKKnobsAreRejectedNotOverridden) {
-  // The audit satellite: the legacy batch paths silently replaced a
-  // caller-set topk.checker; the service refuses it with an explanatory
-  // kInvalidArgument instead (it would be bound to a foreign engine).
-  auto service = MakeService(MjSpecification());
-  Specification spec = MjSpecification();
-  EncodedEngine encoded(spec);
-  ChaseEngine& engine = encoded.engine;
-  CandidateChecker checker(engine, 1);
-
-  PipelineSessionOptions with_checker;
-  with_checker.topk.checker = &checker;
-  Result<std::unique_ptr<PipelineSession>> rejected =
-      service->StartPipeline(std::move(with_checker));
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().message().find("checker"), std::string::npos);
-
-  InteractionOptions interaction_options;
-  interaction_options.topk.checker = &checker;
-  Result<std::unique_ptr<InteractionSession>> interaction =
-      service->StartInteraction(std::move(interaction_options));
-  EXPECT_EQ(interaction.status().code(), StatusCode::kInvalidArgument);
-
-  TopKOptions bad_topk;
-  bad_topk.checker = &checker;
-  Result<TopKResult> topk =
-      service->TopK(3, TopKAlgorithm::kTopKCT, bad_topk);
-  EXPECT_EQ(topk.status().code(), StatusCode::kInvalidArgument);
-}
-
 // --- one-shot conveniences ---------------------------------------------------
 
 TEST(AccuracyServiceTest, DeduceEntityMatchesIsCR) {
@@ -595,7 +564,7 @@ TEST(AccuracyServiceTest, CheckCandidatesMatchesFreeFunction) {
   ASSERT_FALSE(pool.empty());
   std::vector<char> legacy;
   for (const Tuple& t : pool) {
-    legacy.push_back(CheckCandidateTarget(engine, t) ? 1 : 0);
+    legacy.push_back(engine.CheckCandidate(t) ? 1 : 0);
   }
 
   ServiceOptions options;

@@ -91,14 +91,15 @@ TEST(CheckCandidates, VerdictsMatchSequentialAcrossThreadCounts) {
   }
   // Verdicts agree with the per-candidate check one by one.
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    EXPECT_EQ(seq[i] == 1, CheckCandidateTarget(engine, candidates[i]));
+    EXPECT_EQ(seq[i] == 1, engine.CheckCandidate(candidates[i]));
   }
 }
 
 struct AlgoCase {
   const char* name;
-  TopKResult (*run)(const ChaseEngine&, const MasterDomains&, const Tuple&,
-                    const PreferenceModel&, int, const TopKOptions&);
+  TopKResult (*run)(const CandidateChecker&, const MasterDomains&,
+                    const Tuple&, const PreferenceModel&, int,
+                    const TopKOptions&);
 };
 
 constexpr AlgoCase kAlgos[] = {
@@ -109,9 +110,11 @@ constexpr AlgoCase kAlgos[] = {
 };
 
 /// Runs every algorithm with 1, 2 and 8 threads on the target template
-/// `te` and requires identical ranked results. `expect_accepts` demands
-/// that at least one exact algorithm finds targets, so the comparison is
-/// not vacuous.
+/// `te` and requires identical ranked results, and for TopKCTh identical
+/// queue_pops and heap_pops: its seeds are never checked, so the seed
+/// search must not depend on the checker's width. `expect_accepts`
+/// demands that at least one exact algorithm finds targets, so the
+/// comparison is not vacuous.
 void ExpectIdenticalRankedResults(const Specification& spec,
                                   const PreferenceModel& pref,
                                   const Tuple& te, int k,
@@ -129,15 +132,18 @@ void ExpectIdenticalRankedResults(const Specification& spec,
     max_targets = std::max(max_targets, seq.targets.size());
     for (int threads : {2, 8}) {
       const CandidateChecker checker(engine, threads);
-      opts.checker = &checker;
       const TopKResult par =
-          algo.run(engine, spec.masters, te, pref, k, opts);
+          algo.run(checker, spec.masters, te, pref, k, opts);
       EXPECT_EQ(par.targets, seq.targets)
           << algo.name << " threads=" << threads;
       EXPECT_EQ(par.scores, seq.scores)
           << algo.name << " threads=" << threads;
       EXPECT_EQ(par.exhausted_budget, seq.exhausted_budget)
           << algo.name << " threads=" << threads;
+      if (algo.run == &TopKCTh) {
+        EXPECT_EQ(par.queue_pops, seq.queue_pops) << "threads=" << threads;
+        EXPECT_EQ(par.heap_pops, seq.heap_pops) << "threads=" << threads;
+      }
     }
   }
   if (expect_accepts) {
@@ -206,16 +212,15 @@ TEST(TopKDeterminism, BudgetAtExactSpaceExhaustionIsNotReportedAsExhausted) {
 
   for (int threads : {1, 8}) {
     const CandidateChecker checker(engine, threads);
-    opts.checker = &checker;
     opts.max_expansions = full.queue_pops;  // exactly the space size
     const TopKResult boundary =
-        TopKCT(engine, spec.masters, outcome.target, pref, huge_k, opts);
+        TopKCT(checker, spec.masters, outcome.target, pref, huge_k, opts);
     EXPECT_FALSE(boundary.exhausted_budget) << "threads=" << threads;
     EXPECT_EQ(boundary.targets, full.targets) << "threads=" << threads;
 
     opts.max_expansions = full.queue_pops - 1;  // one pop short
     const TopKResult short_of =
-        TopKCT(engine, spec.masters, outcome.target, pref, huge_k, opts);
+        TopKCT(checker, spec.masters, outcome.target, pref, huge_k, opts);
     EXPECT_TRUE(short_of.exhausted_budget) << "threads=" << threads;
   }
 }

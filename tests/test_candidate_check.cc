@@ -210,8 +210,9 @@ TEST(CandidateCheck, BatchVerdictsMatchFromScratchRunAcrossThreads) {
 
 struct AlgoCase {
   const char* name;
-  TopKResult (*run)(const ChaseEngine&, const MasterDomains&, const Tuple&,
-                    const PreferenceModel&, int, const TopKOptions&);
+  TopKResult (*run)(const CandidateChecker&, const MasterDomains&,
+                    const Tuple&, const PreferenceModel&, int,
+                    const TopKOptions&);
 };
 
 constexpr AlgoCase kAlgos[] = {
@@ -246,8 +247,8 @@ void ExpectRankedOutputVerified(const Specification& spec,
     const ChaseEngine& engine = encoded.engine;
     for (int threads : {1, 4}) {
       const CandidateChecker checker(engine, threads);
-      opts.checker = &checker;
-      const TopKResult got = algo.run(engine, spec.masters, te, pref, k, opts);
+      const TopKResult got =
+          algo.run(checker, spec.masters, te, pref, k, opts);
       EXPECT_EQ(got.targets, reference.targets)
           << algo.name << " threads=" << threads;
       EXPECT_EQ(got.scores, reference.scores)

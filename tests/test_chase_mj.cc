@@ -104,17 +104,17 @@ TEST(ChaseMj, CandidateCheckAcceptsTargetAndRejectsCorruptions) {
   ChaseEngine& engine = encoded.engine;
 
   const Tuple target = MjExpectedTarget();
-  EXPECT_TRUE(CheckCandidateTarget(engine, target));
+  EXPECT_TRUE(engine.CheckCandidate(target));
 
   // A candidate contradicting master data must fail.
   Tuple wrong_league = target;
   wrong_league.set(spec.ie.schema().MustIndexOf("league"), Value::Str("SL"));
-  EXPECT_FALSE(CheckCandidateTarget(engine, wrong_league));
+  EXPECT_FALSE(engine.CheckCandidate(wrong_league));
 
   // A candidate contradicting the deduced currency order must fail.
   Tuple wrong_rnds = target;
   wrong_rnds.set(spec.ie.schema().MustIndexOf("rnds"), Value::Int(16));
-  EXPECT_FALSE(CheckCandidateTarget(engine, wrong_rnds));
+  EXPECT_FALSE(engine.CheckCandidate(wrong_rnds));
 }
 
 TEST(ChaseMj, ChaseIsIdempotentAcrossRuns) {

@@ -177,6 +177,26 @@ TEST_F(CliTest, TopKAlgoValidation) {
   EXPECT_NE(err_.str().find("--algo"), std::string::npos);
 }
 
+TEST_F(CliTest, TopKRejectsKOutsideIntRange) {
+  // Narrowed, 4294967297 would rank 1 candidate and 4294967296 would be
+  // reported as "got 0"; both are rejected naming the value given.
+  for (const char* k : {"4294967297", "4294967296"}) {
+    EXPECT_EQ(Run({"topk", path_, "--k", k}), 2) << k;
+    EXPECT_NE(err_.str().find(k), std::string::npos) << err_.str();
+  }
+}
+
+TEST_F(CliTest, PipelineThreadsIsBounded) {
+  // Rejected before any service (and so any thread) is created.
+  for (const char* threads : {"257", "-1"}) {
+    EXPECT_EQ(Run({"pipeline", path_, "--key", "league", "--threads",
+                   threads}),
+              2)
+        << threads;
+    EXPECT_NE(err_.str().find("--threads"), std::string::npos) << err_.str();
+  }
+}
+
 TEST_F(CliTest, TopKCheckStrategyFlagIsUnknown) {
   // The candidate check has a single rollback path, so the flag that
   // used to pick one is gone and reported like any other unknown flag.

@@ -152,6 +152,11 @@ TEST_F(InteractiveCliTest, AcceptingACandidateFinishes) {
       << out_.str();
 }
 
+TEST_F(InteractiveCliTest, KOutsideIntRangeIsRejected) {
+  EXPECT_EQ(Run({"interactive", path_, "--k", "4294967297"}, "quit\n"), 2);
+  EXPECT_NE(err_.str().find("4294967297"), std::string::npos) << err_.str();
+}
+
 TEST_F(InteractiveCliTest, QuitReturnsPartialTarget) {
   int rc = Run({"interactive", path_}, "quit\n");
   EXPECT_EQ(rc, 0) << err_.str();

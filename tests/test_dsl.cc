@@ -95,7 +95,8 @@ TEST(Lexer, CommentsAreSkipped) {
 }
 
 TEST(Lexer, ErrorUnterminatedString) {
-  Lexer lexer("\"abc");
+  const std::string text = "\"abc";
+  Lexer lexer(text);
   Result<std::vector<Token>> tokens = lexer.Tokenize();
   ASSERT_FALSE(tokens.ok());
   EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
@@ -103,24 +104,28 @@ TEST(Lexer, ErrorUnterminatedString) {
 }
 
 TEST(Lexer, ErrorStrayCharacter) {
-  Lexer lexer("rule $x");
+  const std::string text = "rule $x";
+  Lexer lexer(text);
   Result<std::vector<Token>> tokens = lexer.Tokenize();
   ASSERT_FALSE(tokens.ok());
   EXPECT_NE(tokens.status().message().find("'$'"), std::string::npos);
 }
 
 TEST(Lexer, ErrorStrayDash) {
-  Lexer lexer("a - b");
+  const std::string text = "a - b";
+  Lexer lexer(text);
   ASSERT_FALSE(lexer.Tokenize().ok());
 }
 
 TEST(Lexer, ErrorEmptyAttrRef) {
-  Lexer lexer("t1[  ]");
+  const std::string text = "t1[  ]";
+  Lexer lexer(text);
   ASSERT_FALSE(lexer.Tokenize().ok());
 }
 
 TEST(Lexer, ErrorUnterminatedAttrRef) {
-  Lexer lexer("t1[rnds");
+  const std::string text = "t1[rnds";
+  Lexer lexer(text);
   ASSERT_FALSE(lexer.Tokenize().ok());
 }
 

@@ -127,7 +127,7 @@ TEST(Integration, SynTopKAlgorithmsAgreeOnScores) {
   const TopKResult heur =
       TopKCTh(engine, syn.spec.masters, out.target, syn.pref, k);
   for (const Tuple& t : heur.targets) {
-    EXPECT_TRUE(CheckCandidateTarget(engine, t));
+    EXPECT_TRUE(engine.CheckCandidate(t));
   }
   // The CFD constraints must actually bite: some combination was rejected.
   EXPECT_GT(exact.checks, static_cast<int64_t>(exact.targets.size()));

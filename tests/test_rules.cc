@@ -194,9 +194,8 @@ TEST(Cfd, ViolatingCandidateFailsCheck) {
   ChaseEngine& engine = encoded.engine;
   Tuple bad = testing_fixture::MjExpectedTarget();
   bad.set(spec.ie.schema().MustIndexOf("arena"), Value::Str("Regions Park"));
-  EXPECT_FALSE(CheckCandidateTarget(engine, bad));
-  EXPECT_TRUE(
-      CheckCandidateTarget(engine, testing_fixture::MjExpectedTarget()));
+  EXPECT_FALSE(engine.CheckCandidate(bad));
+  EXPECT_TRUE(engine.CheckCandidate(testing_fixture::MjExpectedTarget()));
 }
 
 TEST(Grounding, TePredicateAgainstNullTupleValueIsDropped) {

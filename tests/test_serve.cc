@@ -869,6 +869,27 @@ TEST_F(ServeServerTest, UnknownMethodAndUnknownSessionAreErrors) {
   EXPECT_TRUE(client->Call("ping", Json::Object()).ok());
 }
 
+TEST_F(ServeServerTest, KOutsideIntRangeIsInvalidArgument) {
+  // A k that does not fit in int is rejected, naming the value sent,
+  // instead of being narrowed (4294967297 would rank 1 candidate and
+  // 4294967296 would be reported as "got 0").
+  std::unique_ptr<ServeClient> client = Connect();
+  ASSERT_NE(client, nullptr);
+  for (const char* method : {"topk", "interact.start"}) {
+    for (int64_t k : {int64_t{4294967297}, int64_t{4294967296}}) {
+      Json params = Json::Object();
+      params.Set("k", Json::Int(k));
+      Result<Json> got = client->Call(method, std::move(params));
+      ASSERT_FALSE(got.ok()) << method << " k=" << k;
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument) << method;
+      EXPECT_NE(got.status().message().find(std::to_string(k)),
+                std::string::npos)
+          << got.status().ToString();
+    }
+  }
+  EXPECT_TRUE(client->Call("ping", Json::Object()).ok());
+}
+
 TEST_F(ServeServerTest, SessionCloseReleasesTheSession) {
   std::unique_ptr<ServeClient> client = Connect();
   ASSERT_NE(client, nullptr);

@@ -100,7 +100,7 @@ TEST(TopK, AllAcceptedTuplesPassTheCheck) {
   EXPECT_GE(r.targets.size(), 2u);
   for (const Tuple& t : r.targets) {
     EXPECT_TRUE(t.IsComplete());
-    EXPECT_TRUE(CheckCandidateTarget(*h.engine, t));
+    EXPECT_TRUE(h.engine->CheckCandidate(t));
     // Candidates preserve the non-null attributes of the deduced target.
     for (AttrId a = 0; a < h.outcome.target.size(); ++a) {
       if (!h.outcome.target.at(a).is_null()) {
@@ -149,7 +149,7 @@ TEST(TopK, HeuristicReturnsOnlyValidCandidates) {
   EXPECT_FALSE(heur.targets.empty());
   double best_heur = -1e300;
   for (std::size_t i = 0; i < heur.targets.size(); ++i) {
-    EXPECT_TRUE(CheckCandidateTarget(*h.engine, heur.targets[i]));
+    EXPECT_TRUE(h.engine->CheckCandidate(heur.targets[i]));
     best_heur = std::max(best_heur, heur.scores[i]);
   }
   // The heuristic cannot beat the exact algorithm's best score.
