@@ -25,6 +25,11 @@
 //    MasterDomains (the service path); the weights must agree bit for
 //    bit.
 //
+// 6. er_scaling: ResolveEntities over `relacc gen --flat`-shaped Med
+//    relations at three sizes; every generated key shares its first 3
+//    characters, so each relation is one block and the pair count grows
+//    quadratically. Timing is only recorded.
+//
 // Exits nonzero only on a report mismatch, a window-bound violation or
 // a preference_prep weight mismatch, so perf noise cannot break CI.
 // Emits BENCH_pipeline_scaling.json.
@@ -51,6 +56,7 @@
 #include "api/accuracy_service.h"
 #include "common.h"
 #include "datagen/profile_generator.h"
+#include "er/resolver.h"
 #include "pipeline/pipeline.h"
 
 namespace relacc {
@@ -182,6 +188,49 @@ void RunGroundScaling(JsonReport* json) {
         .Set("n", n)
         .Set("steps", static_cast<int64_t>(program.size()))
         .Set("ms_per_ground", ms_per);
+    json->Add(std::move(row));
+  }
+}
+
+/// er_scaling rows: ResolveEntities over the flat relation `relacc gen
+/// --profile med --entities N --flat` writes, keyed on `key` (the
+/// resolver the CLI pipeline runs), at three entity counts.
+void RunErScaling(JsonReport* json) {
+  const bool small = SmallScale();
+  const std::vector<int> sizes = small ? std::vector<int>{50, 100, 200}
+                                       : std::vector<int>{300, 600, 1200};
+  std::printf("== er_scaling (ResolveEntities, flat med) ==\n");
+  std::printf("%8s %8s %6s %12s %10s %12s\n", "entities", "tuples", "reps",
+              "pairs", "clusters", "ms/resolve");
+  for (const int n : sizes) {
+    ProfileConfig config = MedConfig(/*seed=*/1);
+    config.num_entities = n;
+    config.master_size = std::max(1, n * 8 / 10);
+    const EntityDataset ds = GenerateProfile(config);
+    Relation flat(ds.schema);
+    for (const EntityInstance& entity : ds.entities) {
+      for (const Tuple& t : entity.tuples()) flat.Add(t);
+    }
+    ResolverConfig resolver;
+    resolver.key_attrs = {ds.schema.MustIndexOf("key")};
+    const int reps = small ? 2 : 3;
+    ResolutionResult resolution;
+    const double ms = TimeMs([&] {
+      for (int r = 0; r < reps; ++r) {
+        resolution = ResolveEntities(flat, resolver);
+      }
+    });
+    const double ms_per = ms / reps;
+    std::printf("%8d %8d %6d %12lld %10zu %12.3f\n", n, flat.size(), reps,
+                static_cast<long long>(resolution.pairs_compared),
+                resolution.entities.size(), ms_per);
+    JsonReport::Row row;
+    row.Set("scenario", "er_scaling")
+        .Set("generated_entities", n)
+        .Set("tuples", flat.size())
+        .Set("pairs", resolution.pairs_compared)
+        .Set("entities", static_cast<int64_t>(resolution.entities.size()))
+        .Set("ms_per_resolve", ms_per);
     json->Add(std::move(row));
   }
 }
@@ -518,6 +567,7 @@ int Run() {
   }
 
   RunGroundScaling(&json);
+  RunErScaling(&json);
   const bool weights_identical = RunPreferencePrep(&json);
 
   json.Write();

@@ -1,5 +1,6 @@
 #include "cli/args.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace relacc {
@@ -65,9 +66,16 @@ Result<int64_t> Args::GetInt(const std::string& name, int64_t fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
   if (it->second.empty() || end == nullptr || *end != '\0') {
     return Status::InvalidArgument("--" + name + " expects an integer, got '" +
+                                   it->second + "'");
+  }
+  // strtoll clamps an overflowing value to INT64_MIN/MAX; it must not run
+  // as if that bound had been given.
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("--" + name + " is out of range, got '" +
                                    it->second + "'");
   }
   return v;

@@ -28,7 +28,8 @@ class Args {
   std::string GetString(const std::string& name,
                         const std::string& fallback = "") const;
 
-  /// Integer value of --name; error if present but non-numeric.
+  /// Integer value of --name; error if present but non-numeric or
+  /// outside int64_t's range.
   Result<int64_t> GetInt(const std::string& name, int64_t fallback) const;
 
   /// Flags consumed by none of the Get*/Has calls above — used to reject

@@ -122,6 +122,22 @@ void PrintTarget(const Tuple& target, const Schema& schema,
   }
 }
 
+/// Integer flag `--name` (default `fallback`) that a command uses as an
+/// int: a value past int's range is rejected naming the value, not
+/// narrowed into a different one (`--k 4294967297` would otherwise rank 1
+/// candidate, `gen --entities 4294967298` generate 2 entities).
+Result<int> GetIntFlag(const Args& args, const std::string& name,
+                       int fallback) {
+  Result<int64_t> v = args.GetInt(name, fallback);
+  if (!v.ok()) return v.status();
+  if (v.value() < std::numeric_limits<int>::min() ||
+      v.value() > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("--" + name + " is out of range, got " +
+                                   std::to_string(v.value()));
+  }
+  return static_cast<int>(v.value());
+}
+
 Status CmdCheck(const Args& args, std::ostream& out) {
   const bool as_json = args.Has("json");
   const bool quiet = args.Has("quiet");
@@ -153,7 +169,7 @@ Status CmdCheck(const Args& args, std::ostream& out) {
 
 Status CmdExplain(const Args& args, std::ostream& out) {
   const std::string attr_name = args.GetString("attr");
-  Result<int64_t> depth = args.GetInt("depth", 12);
+  Result<int> depth = GetIntFlag(args, "depth", 12);
   Result<SpecDocument> doc = LoadSpec(args);
   if (!doc.ok()) return doc.status();
   if (!depth.ok()) return depth.status();
@@ -171,7 +187,7 @@ Status CmdExplain(const Args& args, std::ostream& out) {
     for (AttrId a = 0; a < schema.size(); ++a) {
       if (explained.FindTeDerivation(a).has_value()) {
         out << explained.Explain(*explained.FindTeDerivation(a),
-                                 static_cast<int>(depth.value()));
+                                 depth.value());
         out << "\n";
       }
     }
@@ -186,25 +202,12 @@ Status CmdExplain(const Args& args, std::ostream& out) {
     out << explained.ExplainTarget(*attr);
     return Status::OK();
   }
-  out << explained.Explain(*d, static_cast<int>(depth.value()));
+  out << explained.Explain(*d, depth.value());
   return Status::OK();
 }
 
-/// `--k` (default 5): a value past int's range is rejected, not narrowed
-/// into a different k (4294967297 would otherwise rank 1 candidate).
-Result<int> GetK(const Args& args) {
-  Result<int64_t> k = args.GetInt("k", 5);
-  if (!k.ok()) return k.status();
-  if (k.value() < std::numeric_limits<int>::min() ||
-      k.value() > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument("--k is out of range, got " +
-                                   std::to_string(k.value()));
-  }
-  return static_cast<int>(k.value());
-}
-
 Status CmdTopK(const Args& args, std::ostream& out) {
-  Result<int> k = GetK(args);
+  Result<int> k = GetIntFlag(args, "k", 5);
   Result<int64_t> threads = args.GetInt("threads", 1);
   const std::string algo = args.GetString("algo", "topkct");
   const bool as_json = args.Has("json");
@@ -398,7 +401,7 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
 }
 
 Status CmdInteractive(const Args& args, std::ostream& out, std::istream& in) {
-  Result<int> k = GetK(args);
+  Result<int> k = GetIntFlag(args, "k", 5);
   Result<SpecDocument> doc = LoadSpec(args);
   if (!doc.ok()) return doc.status();
   if (!k.ok()) return k.status();
@@ -641,15 +644,13 @@ Status CmdServe(const Args& args, std::ostream& out) {
 
 Status CmdDiscover(const Args& args, std::ostream& out) {
   const std::string key = args.GetString("key");
-  Result<int64_t> min_support = args.GetInt("min-support", 20);
+  Result<int> min_support = GetIntFlag(args, "min-support", 20);
   const std::string min_conf_text = args.GetString("min-confidence", "0.98");
-  Result<int64_t> max_rules = args.GetInt("max-rules", 50);
+  Result<int> max_rules = GetIntFlag(args, "max-rules", 50);
   Result<SpecDocument> doc = LoadSpec(args);
   if (!doc.ok()) return doc.status();
-  if (!min_support.ok() || !max_rules.ok()) {
-    return Status::InvalidArgument(
-        "--min-support / --max-rules expect integers");
-  }
+  if (!min_support.ok()) return min_support.status();
+  if (!max_rules.ok()) return max_rules.status();
   char* end = nullptr;
   const double min_confidence = std::strtod(min_conf_text.c_str(), &end);
   if (end == nullptr || *end != '\0' || min_confidence < 0.0 ||
@@ -681,9 +682,9 @@ Status CmdDiscover(const Args& args, std::ostream& out) {
     targets[report.row_entity[row]] = report.targets.tuple(row);
   }
   ArMinerConfig miner;
-  miner.min_support = static_cast<int>(min_support.value());
+  miner.min_support = min_support.value();
   miner.min_confidence = min_confidence;
-  miner.max_rules = static_cast<int>(max_rules.value());
+  miner.max_rules = max_rules.value();
   std::vector<MinedRule> mined =
       MineAccuracyRules(resolution.entities, targets, miner);
 
@@ -699,15 +700,14 @@ Status CmdDiscover(const Args& args, std::ostream& out) {
 
 Status CmdGen(const Args& args, std::ostream& out) {
   const std::string profile = args.GetString("profile", "med");
-  Result<int64_t> entities = args.GetInt("entities", 50);
+  Result<int> entities = GetIntFlag(args, "entities", 50);
   Result<int64_t> seed = args.GetInt("seed", 42);
-  Result<int64_t> index = args.GetInt("entity", 0);
+  Result<int> index = GetIntFlag(args, "entity", 0);
   const bool flat = args.Has("flat");
   const std::string output = args.GetString("out");
-  if (!entities.ok() || !seed.ok() || !index.ok()) {
-    return Status::InvalidArgument(
-        "--entities / --seed / --entity expect integers");
-  }
+  if (!entities.ok()) return entities.status();
+  if (!seed.ok()) return seed.status();
+  if (!index.ok()) return index.status();
   if (profile != "med" && profile != "cfp") {
     return Status::InvalidArgument("--profile must be med or cfp");
   }
@@ -716,19 +716,19 @@ Status CmdGen(const Args& args, std::ostream& out) {
   ProfileConfig config = profile == "med"
                              ? MedConfig(static_cast<uint64_t>(seed.value()))
                              : CfpConfig(static_cast<uint64_t>(seed.value()));
-  config.num_entities = static_cast<int>(entities.value());
-  config.master_size =
-      std::max(1, static_cast<int>(entities.value() * 8 / 10));
+  config.num_entities = entities.value();
+  config.master_size = std::max(
+      1, static_cast<int>(static_cast<int64_t>(entities.value()) * 8 / 10));
   EntityDataset dataset = GenerateProfile(config);
   if (index.value() < 0 ||
-      index.value() >= static_cast<int64_t>(dataset.entities.size())) {
+      static_cast<std::size_t>(index.value()) >= dataset.entities.size()) {
     return Status::OutOfRange("--entity out of range (dataset has " +
                               std::to_string(dataset.entities.size()) +
                               " entities)");
   }
 
   SpecDocument doc;
-  doc.spec = dataset.SpecFor(static_cast<int>(index.value()));
+  doc.spec = dataset.SpecFor(index.value());
   if (flat) {
     // One flat relation holding every generated entity's tuples, so the
     // document exercises the full ER + pipeline path (`pipeline --key

@@ -33,14 +33,17 @@ ResolutionResult ResolveEntities(const Relation& flat,
                                  const ResolverConfig& config) {
   const int n = flat.size();
   // Normalized key per tuple: lower-cased concatenation of key attributes
-  // (nulls render as empty).
+  // (nulls render as empty), and its trigram signature, built once since
+  // a tuple is compared with every other member of its block.
   std::vector<std::string> keys(n);
+  std::vector<TrigramSignature> signatures(n);
   for (int i = 0; i < n; ++i) {
     std::string key;
     for (AttrId a : config.key_attrs) {
       key += ToLower(flat.tuple(i).at(a).ToString());
       key.push_back('|');
     }
+    signatures[i] = TrigramSignature(key);
     keys[i] = std::move(key);
   }
 
@@ -54,6 +57,7 @@ ResolutionResult ResolveEntities(const Relation& flat,
         .push_back(i);
   }
 
+  ResolutionResult result;
   UnionFind uf(n);
   for (const auto& [prefix, members] : blocks) {
     (void)prefix;
@@ -62,14 +66,15 @@ ResolutionResult ResolveEntities(const Relation& flat,
         const int i = members[x];
         const int j = members[y];
         if (uf.Find(i) == uf.Find(j)) continue;
-        if (TrigramJaccard(keys[i], keys[j]) >= config.similarity_threshold) {
+        ++result.pairs_compared;
+        if (TrigramJaccard(keys[i], signatures[i], keys[j], signatures[j]) >=
+            config.similarity_threshold) {
           uf.Union(i, j);
         }
       }
     }
   }
 
-  ResolutionResult result;
   result.cluster_of.assign(n, -1);
   std::unordered_map<int, int> root_to_cluster;
   for (int i = 0; i < n; ++i) {

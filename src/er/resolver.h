@@ -1,6 +1,7 @@
 #ifndef RELACC_ER_RESOLVER_H_
 #define RELACC_ER_RESOLVER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,9 @@ struct ResolverConfig {
 struct ResolutionResult {
   std::vector<EntityInstance> entities;
   std::vector<int> cluster_of;
+  /// Intra-block pairs whose similarity was computed (pairs whose tuples
+  /// were already clustered together are skipped).
+  int64_t pairs_compared = 0;
 };
 
 /// Union-find over tuple indices (exposed for tests and reuse).
@@ -45,6 +49,11 @@ class UnionFind {
 
 /// Groups the tuples of `flat` into entity instances: normalize keys,
 /// block, match pairs by similarity, cluster with union-find.
+///
+/// Cost: one TrigramSignature per tuple, then one linear merge of two
+/// signatures per intra-block pair (pairs already in one cluster are
+/// skipped). A block of b tuples costs up to b(b-1)/2 merges, so the
+/// pair count grows quadratically with the largest block.
 ResolutionResult ResolveEntities(const Relation& flat,
                                  const ResolverConfig& config);
 

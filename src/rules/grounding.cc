@@ -187,9 +187,8 @@ bool GroundPairRule(const AccuracyRule& rule,
 /// Grounds every form-(1) rule of `rules` against every ordered pair
 /// (ti, tj), i != j, of `ie`, appending to `out` in serial emission order:
 /// rule, then ti, then tj.
-void GroundRows(const ColumnarRelation& ie,
+void GroundRows(const ColumnarRelation& ie, const MasterBlock& block,
                 const std::vector<AccuracyRule>& rules,
-                const std::vector<std::vector<TermId>>& const_ids,
                 std::vector<GroundStep>* out) {
   const int n = ie.size();
   GroundStep scratch;
@@ -199,7 +198,8 @@ void GroundRows(const ColumnarRelation& ie,
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
         if (i == j) continue;
-        if (GroundPairRule(rule, const_ids[r], ie, i, j, &scratch)) {
+        if (GroundPairRule(rule, block.rule_constants(r), ie, i, j,
+                           &scratch)) {
           scratch.rule_id = r;
           out->push_back(scratch);
         }
@@ -331,6 +331,7 @@ std::shared_ptr<const MasterBlock> MasterBlock::Build(
   for (std::size_t i = 0; i < keyed.size(); ++i) {
     block->watches_[next[slot[i]]++] = keyed[i].watch;
   }
+  block->rule_constants_ = InternRuleConstants(rules, &d);
   return block;
 }
 
@@ -359,9 +360,7 @@ GroundProgram Instantiate(const ColumnarRelation& ie, const MasterBlock& block,
   prog.num_attrs = ie.schema().size();
   prog.rule_names = RuleNames(rules);
   prog.master = block.shared_from_this();
-  const std::vector<std::vector<TermId>> const_ids =
-      InternRuleConstants(rules, ie.mutable_dict());
-  GroundRows(ie, rules, const_ids, &prog.steps);
+  GroundRows(ie, block, rules, &prog.steps);
   return prog;
 }
 

@@ -96,7 +96,9 @@ struct GroundProgram {
 /// into one dictionary, and its te-watchers keyed by (attr, TermId).
 /// GroundMasterRule only emits `te[A] = c` residuals, so a watcher holds
 /// exactly when te[A] is set to its key's value; every other value leaves
-/// it untouched.
+/// it untouched. The block also holds the rule constants the form-(1)
+/// pair loop compares against, interned once here instead of once per
+/// entity.
 ///
 /// Every engine over a block-backed program must intern into the block's
 /// dictionary (ChaseEngine enforces it). Blocks are immutable and only
@@ -112,7 +114,8 @@ class MasterBlock : public std::enable_shared_from_this<MasterBlock> {
   /// Grounds every form-(2) rule of `rules` against its master relation,
   /// on the calling thread, in rule then master-row order. Rules
   /// referencing an absent master contribute no steps. Payloads and
-  /// residual constants are interned in step order, so term ids are a
+  /// residual constants are interned in step order, then every rule's
+  /// kAttrConst constants in rule and conjunct order, so term ids are a
   /// function of the inputs alone.
   static std::shared_ptr<const MasterBlock> Build(
       const std::vector<Relation>& masters,
@@ -130,6 +133,11 @@ class MasterBlock : public std::enable_shared_from_this<MasterBlock> {
   const std::vector<int32_t>& residual_sizes() const { return residual_size_; }
   /// Watchers of te[attr] = v in block-step order (empty when none).
   std::span<const Watch> Watchers(AttrId attr, TermId v) const;
+  /// Interned constants of rule `rule`'s lhs conjuncts: entry k is the
+  /// k-th conjunct's kAttrConst constant, kNullTermId where it has none.
+  const std::vector<TermId>& rule_constants(int rule) const {
+    return rule_constants_[rule];
+  }
 
  private:
   explicit MasterBlock(std::shared_ptr<Dictionary> dict);
@@ -144,6 +152,7 @@ class MasterBlock : public std::enable_shared_from_this<MasterBlock> {
   std::unordered_map<uint64_t, uint32_t> watch_slot_;
   std::vector<uint32_t> watch_begin_;
   std::vector<Watch> watches_;
+  std::vector<std::vector<TermId>> rule_constants_;
 };
 
 template <typename Fn>
@@ -201,7 +210,8 @@ inline bool operator!=(const GroundProgram& a, const GroundProgram& b) {
 /// schema column type, so the program is step-for-step identical
 /// (operator== above) to the naive oracle's Value-level
 /// ReferenceInstantiate (chase/explain.h) — enforced by tests. Rule
-/// constants are pre-interned into ie's dictionary before the pair loop.
+/// constants come pre-interned from the block, so Instantiate interns
+/// nothing.
 ///
 /// Cost. The form-(2) half is O(|Σ₂|·|Im|) and does not depend on the
 /// entity: a service builds its MasterBlock once and pays it once, not

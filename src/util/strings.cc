@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <unordered_set>
 
 namespace relacc {
 
@@ -64,20 +63,49 @@ double EditSimilarity(std::string_view a, std::string_view b) {
   return 1.0 - static_cast<double>(EditDistance(a, b)) / static_cast<double>(m);
 }
 
-double TrigramJaccard(std::string_view a, std::string_view b) {
-  if (a.size() < 3 || b.size() < 3) return EditSimilarity(a, b);
-  auto grams = [](std::string_view s) {
-    std::unordered_set<std::string> g;
-    for (std::size_t i = 0; i + 3 <= s.size(); ++i) g.emplace(s.substr(i, 3));
-    return g;
+TrigramSignature::TrigramSignature(std::string_view s) {
+  if (s.size() < 3) return;
+  const auto byte = [s](std::size_t i) {
+    return static_cast<uint32_t>(static_cast<unsigned char>(s[i]));
   };
-  const auto ga = grams(a);
-  const auto gb = grams(b);
+  grams_.reserve(s.size() - 2);
+  for (std::size_t i = 0; i + 3 <= s.size(); ++i) {
+    grams_.push_back(byte(i) << 16 | byte(i + 1) << 8 | byte(i + 2));
+  }
+  std::sort(grams_.begin(), grams_.end());
+  grams_.erase(std::unique(grams_.begin(), grams_.end()), grams_.end());
+}
+
+double TrigramSignature::Jaccard(const TrigramSignature& other) const {
+  const std::vector<uint32_t>& a = grams_;
+  const std::vector<uint32_t>& b = other.grams_;
   std::size_t inter = 0;
-  for (const auto& g : ga) inter += gb.count(g);
-  const std::size_t uni = ga.size() + gb.size() - inter;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++inter;
+      ++i;
+      ++j;
+    }
+  }
+  const std::size_t uni = a.size() + b.size() - inter;
   if (uni == 0) return 1.0;
   return static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+double TrigramJaccard(std::string_view a, std::string_view b) {
+  return TrigramJaccard(a, TrigramSignature(a), b, TrigramSignature(b));
+}
+
+double TrigramJaccard(std::string_view a, const TrigramSignature& sa,
+                      std::string_view b, const TrigramSignature& sb) {
+  if (a.size() < 3 || b.size() < 3) return EditSimilarity(a, b);
+  return sa.Jaccard(sb);
 }
 
 }  // namespace relacc

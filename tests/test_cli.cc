@@ -52,6 +52,24 @@ TEST(Args, IntFlagValidation) {
   EXPECT_FALSE(args.value().GetInt("k", 0).ok());
 }
 
+TEST(Args, IntFlagOutsideInt64IsRejectedNotClamped) {
+  // strtoll clamps to INT64_MAX/MIN and sets ERANGE; the flag must not
+  // run as if the bound had been given.
+  for (const char* v : {"99999999999999999999", "-99999999999999999999"}) {
+    Result<Args> args =
+        Args::Parse({"pipeline", std::string("--window=") + v});
+    ASSERT_TRUE(args.ok());
+    Result<int64_t> window = args.value().GetInt("window", 0);
+    ASSERT_FALSE(window.ok()) << v;
+    EXPECT_EQ(window.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(window.status().message().find("--window"), std::string::npos);
+    EXPECT_NE(window.status().message().find(v), std::string::npos);
+  }
+  Result<Args> args = Args::Parse({"pipeline", "--window=9223372036854775807"});
+  ASSERT_TRUE(args.ok());
+  EXPECT_EQ(args.value().GetInt("window", 0).value(), INT64_MAX);
+}
+
 TEST(Args, UnreadFlagsAreReported) {
   Result<Args> args = Args::Parse({"check", "--json", "--bogus=1"});
   ASSERT_TRUE(args.ok());
@@ -194,6 +212,47 @@ TEST_F(CliTest, PipelineThreadsIsBounded) {
               2)
         << threads;
     EXPECT_NE(err_.str().find("--threads"), std::string::npos) << err_.str();
+  }
+}
+
+TEST_F(CliTest, PipelineWindowOutsideInt64IsRejected) {
+  const char* window = "99999999999999999999";
+  EXPECT_EQ(Run({"pipeline", path_, "--key", "league", "--window", window}),
+            2);
+  EXPECT_NE(err_.str().find("--window"), std::string::npos) << err_.str();
+  EXPECT_NE(err_.str().find(window), std::string::npos) << err_.str();
+}
+
+TEST_F(CliTest, IntFlagsOutsideIntRangeAreRejected) {
+  // Each would otherwise be narrowed into a different, accepted value:
+  // 4294967298 entities generate 2, depth 4294967296 explains at depth 0,
+  // min-support 4294967296 mines with support 0. Every one is rejected
+  // before any generation, chase or mining starts.
+  struct Case {
+    std::vector<std::string> argv;
+    const char* flag;
+    const char* value;
+  };
+  const std::vector<Case> cases = {
+      {{"gen", "--entities", "4294967298"}, "--entities", "4294967298"},
+      {{"gen", "--entities", "5", "--entity", "4294967296"},
+       "--entity",
+       "4294967296"},
+      {{"explain", path_, "--attr", "totalPts", "--depth", "4294967296"},
+       "--depth",
+       "4294967296"},
+      {{"discover", path_, "--key", "league", "--min-support", "4294967296"},
+       "--min-support",
+       "4294967296"},
+      {{"discover", path_, "--key", "league", "--max-rules=-4294967297"},
+       "--max-rules",
+       "-4294967297"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(Run(c.argv), 2) << c.flag;
+    EXPECT_TRUE(out_.str().empty()) << c.flag << ": " << out_.str();
+    EXPECT_NE(err_.str().find(c.flag), std::string::npos) << err_.str();
+    EXPECT_NE(err_.str().find(c.value), std::string::npos) << err_.str();
   }
 }
 

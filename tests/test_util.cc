@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
+#include "trigram_oracle.h"
 #include "util/csv.h"
 #include "util/dynamic_bitset.h"
 #include "util/rng.h"
@@ -13,6 +16,8 @@
 
 namespace relacc {
 namespace {
+
+using testing_fixture::HashSetTrigramJaccard;
 
 TEST(Status, OkAndErrorRendering) {
   EXPECT_TRUE(Status::OK().ok());
@@ -122,6 +127,59 @@ TEST(Strings, EditDistanceAndSimilarity) {
   EXPECT_DOUBLE_EQ(EditSimilarity("", ""), 1.0);
   EXPECT_GT(TrigramJaccard("chicago bulls", "chicago bulls inc"), 0.5);
   EXPECT_LT(TrigramJaccard("chicago bulls", "birmingham barons"), 0.2);
+}
+
+TEST(Strings, TrigramSignaturePacksUnsignedBytesSortedAndDistinct) {
+  using namespace std::string_literals;
+  EXPECT_TRUE(TrigramSignature("").grams().empty());
+  EXPECT_TRUE(TrigramSignature("ab").grams().empty());
+  EXPECT_EQ(TrigramSignature("abc").grams(),
+            (std::vector<uint32_t>{0x616263}));
+  // Repeated grams are kept once.
+  EXPECT_EQ(TrigramSignature("aaaaaa").grams(),
+            (std::vector<uint32_t>{0x616161}));
+  EXPECT_EQ(TrigramSignature("abcabc").grams(),
+            (std::vector<uint32_t>{0x616263, 0x626361, 0x636162}));
+  // NUL and bytes >= 0x80 are grams like any other, read as unsigned.
+  EXPECT_EQ(TrigramSignature("\x80\x00\xff"s).grams(),
+            (std::vector<uint32_t>{0x8000ff}));
+  EXPECT_EQ(TrigramSignature("\xff\xfe\x80\x01"s).grams(),
+            (std::vector<uint32_t>{0xfe8001, 0xfffe80}));
+}
+
+TEST(Strings, TrigramJaccardMatchesHashSetOracleBitForBit) {
+  // A small alphabet makes repeated grams common; NUL and high bytes
+  // catch a sign-extending or truncating packer.
+  const std::string alphabet("ab\0\x7f\x80\xff", 6);
+  Rng rng(2007);
+  int compared = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string s[2];
+    for (std::string& str : s) {
+      const int len = static_cast<int>(rng.UniformInt(0, 14));
+      for (int c = 0; c < len; ++c) {
+        str.push_back(alphabet[rng.NextBelow(alphabet.size())]);
+      }
+    }
+    const double want = HashSetTrigramJaccard(s[0], s[1]);
+    const TrigramSignature a(s[0]);
+    const TrigramSignature b(s[1]);
+    ASSERT_EQ(TrigramJaccard(s[0], s[1]), want) << round;
+    ASSERT_EQ(TrigramJaccard(s[0], a, s[1], b), want) << round;
+    ASSERT_EQ(TrigramJaccard(s[1], b, s[0], a), want) << round;
+    if (s[0].size() >= 3 && s[1].size() >= 3) {
+      ASSERT_EQ(a.Jaccard(b), want) << round;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 2000);
+  // Every length from 0 to 3 against itself and its neighbours.
+  for (const char* x : {"", "a", "ab", "abc", "aba"}) {
+    for (const char* y : {"", "a", "ab", "abc", "aba"}) {
+      EXPECT_EQ(TrigramJaccard(x, y), HashSetTrigramJaccard(x, y))
+          << x << " / " << y;
+    }
+  }
 }
 
 TEST(Csv, RoundTripWithQuoting) {
