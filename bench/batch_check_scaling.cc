@@ -1,9 +1,10 @@
-// Scaling of the parallel candidate-check layer (topk/batch_check.h): a
-// fixed pool of candidate targets over a Syn workload is checked with 1,
-// 2, 4 and 8 worker threads. Reports wall-clock per thread count, the
-// speedup over the sequential run (expect >= 2x at 8 threads on hardware
-// with >= 4 cores; a 1-core machine shows ~1x), and verifies that the
-// verdicts — and a full TopKCT run — are identical across thread counts.
+// Scaling of the batch candidate check (AccuracyService::CheckCandidates
+// over topk/batch_check.h): a fixed pool of candidate targets over a Syn
+// workload is checked with 1, 2, 4 and 8 worker threads. Reports
+// wall-clock per thread count, the speedup over the sequential run
+// (expect >= 2x at 8 threads on hardware with >= 4 cores; a 1-core
+// machine shows ~1x), and verifies that the verdicts are identical across
+// thread counts.
 // Emits BENCH_batch_check_scaling.json
 // (bench::JsonReport); RELACC_BENCH_SMALL shrinks the workload for CI.
 
@@ -18,7 +19,6 @@
 #include "datagen/syn_generator.h"
 #include "rules/grounding.h"
 #include "topk/batch_check.h"
-#include "topk/topk_ct.h"
 
 namespace relacc {
 namespace bench {
@@ -108,38 +108,8 @@ int Run() {
   std::printf("verdicts identical across thread counts: %s\n",
               all_identical ? "yes" : "NO (BUG)");
 
-  // End to end: TopKCT with a parallel checker returns the same ranked
-  // candidates as the sequential run. The pop budget bounds the run when
-  // passing candidates are sparse.
-  TopKOptions opts;
-  opts.max_expansions = 2000;
-  TopKResult seq;
-  const double seq_ms = TimeMs([&] {
-    seq = TopKCT(engine, spec.masters, te, syn.pref, 8, opts);
-  });
-  TopKResult par;
-  // The checker's pool and worker engines are built lazily on its first
-  // fan-out, so the timed call pays for them.
-  const double par_ms = TimeMs([&] {
-    const CandidateChecker checker(engine, 8);
-    par = TopKCT(checker, spec.masters, te, syn.pref, 8, opts);
-  });
-  const bool same =
-      par.targets == seq.targets && par.scores == seq.scores;
-  std::printf("\nTopKCT k=8: sequential %.1f ms, 8 threads %.1f ms "
-              "(%.2fx); ranked output identical: %s\n",
-              seq_ms, par_ms, par_ms > 0.0 ? seq_ms / par_ms : 0.0,
-              same ? "yes" : "NO (BUG)");
-  JsonReport::Row topk_row;
-  topk_row.Set("name", "topkct_end_to_end")
-      .Set("n", config.num_tuples)
-      .Set("k", 8)
-      .Set("seq_ms", seq_ms)
-      .Set("par8_ms", par_ms)
-      .Set("speedup", par_ms > 0.0 ? seq_ms / par_ms : 0.0);
-  report.Add(std::move(topk_row));
   report.Write();
-  return all_identical && same ? 0 : 1;
+  return all_identical ? 0 : 1;
 }
 
 }  // namespace

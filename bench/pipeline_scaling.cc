@@ -11,10 +11,10 @@
 //    stats().peak_in_flight_engines stays <= window — memory is
 //    O(window), not O(entities).
 //
-// 3. Completion A/B (many_entities_completion scenario): phase-2
-//    entity-parallel completion (the 2-D thread plan) vs the one-entity-
-//    at-a-time schedule at the same budget, identical reports enforced;
-//    the parallel row carries speedup_vs_serial for the CI gate.
+// 3. Completion budget scaling (many_entities_completion scenario): the
+//    completion-heavy stream at budget B against the same stream at
+//    budget 1, identical reports enforced; each row carries
+//    speedup_vs_budget_1 for the CI gate.
 //
 // 4. ground_scaling: Instantiate at several |Ie| points, timing
 //    recorded.
@@ -64,9 +64,8 @@ namespace bench {
 namespace {
 
 /// Canonical form of a report for cross-run comparison: per-entity CR
-/// flag and final target, plus the aggregate counters. The thread plan is
-/// deliberately excluded — it varies with the budget by design while
-/// everything else must not.
+/// flag and final target, plus the aggregate counters, which must not
+/// vary with the budget or the window.
 std::string ReportKey(const PipelineReport& report) {
   std::string key;
   for (const EntityReport& e : report.entities) {
@@ -95,13 +94,11 @@ int64_t PeakRssKb() {
 }
 
 /// One streaming run: `entities` submitted in batches of `batch`,
-/// through a session with the given window (and, when
-/// `completion_workers` > 0, a forced phase-2 entity-parallel width).
-/// Returns the final report; peak/ok flow out through the out-params.
+/// through a session with the given window. Returns the final report;
+/// peak/ok flow out through the out-params.
 PipelineReport RunStreaming(const EntityDataset& dataset, int budget,
                             int64_t window, std::size_t batch,
-                            int64_t* peak_in_flight, bool* ok,
-                            int completion_workers = 0) {
+                            int64_t* peak_in_flight, bool* ok) {
   Specification spec;
   spec.ie = Relation(dataset.schema);
   spec.masters = dataset.masters;
@@ -116,10 +113,8 @@ PipelineReport RunStreaming(const EntityDataset& dataset, int budget,
     *ok = false;
     return {};
   }
-  PipelineSessionOptions session_options;
-  session_options.completion_workers = completion_workers;
   Result<std::unique_ptr<PipelineSession>> session =
-      service.value()->StartPipeline(std::move(session_options));
+      service.value()->StartPipeline();
   if (!session.ok()) {
     *ok = false;
     return {};
@@ -150,9 +145,9 @@ struct Scenario {
   EntityDataset dataset;
   std::vector<int> budgets;
   int reps;
-  /// Emit the completion-serial vs completion-parallel A/B rows (the
-  /// phase-2 entity-parallelism satellite) for this scenario.
-  bool completion_ab = false;
+  /// Emit the completion-budget-scaling rows (each budget against
+  /// budget 1) for this scenario.
+  bool completion_scaling = false;
 };
 
 /// Grounding rows: Instantiate one med-shaped entity of exactly `n`
@@ -395,7 +390,7 @@ int Run() {
   {
     // Few large entities with every free attribute corrupted: targets
     // stay incomplete and the per-entity top-1 candidate search (checks
-    // included) dominates, exercising the wide shared checker.
+    // included) dominates, one entity per pool thread.
     ProfileConfig config = MedConfig(/*seed=*/17);
     config.num_entities = 4;
     config.min_tuples = small ? 24 : 48;
@@ -409,20 +404,18 @@ int Run() {
   {
     // Many entities, every target incomplete: phase 2 dominates and is
     // embarrassingly parallel across entities — the scenario behind the
-    // completion-serial vs completion-parallel A/B rows and the
-    // budget-8-vs-1 end-to-end acceptance number.
+    // completion-budget-scaling rows.
     ProfileConfig config = MedConfig(/*seed=*/31);
     config.num_entities = small ? 16 : 64;
     config.min_tuples = 12;
     config.max_tuples = 12;
     config.master_size = 60;
     config.free_corruption_prob = 1.0;
-    // Budget 8 in small mode too: the CI gate reads the top-budget
-    // completion-parallel row, and the acceptance number is budget 8 vs
-    // budget 1.
+    // Budget 8 in small mode too: the CI gate reads the budget-8
+    // completion-budget-scaling row.
     scenarios.push_back({"many_entities_completion", GenerateProfile(config),
                          std::vector<int>{1, 8},
-                         small ? 2 : 3, /*completion_ab=*/true});
+                         small ? 2 : 3, /*completion_scaling=*/true});
   }
 
   bool all_identical = true;
@@ -431,9 +424,10 @@ int Run() {
     std::printf("== pipeline %s (%zu entities%s) ==\n", scenario.name,
                 scenario.dataset.entities.size(),
                 small ? "; RELACC_BENCH_SMALL" : "");
-    std::printf("%8s %10s %6s %6s %12s %14s\n", "budget", "mode", "chase",
-                "check", "ms/run", "entities/s");
+    std::printf("%8s %10s %12s %14s\n", "budget", "mode", "ms/run",
+                "entities/s");
     std::string reference_key;
+    double budget1_ms = 0.0;
     const std::size_t all = scenario.dataset.entities.size();
     {
       // Untimed warm-up: faults in the dataset and allocator so the first
@@ -467,16 +461,12 @@ int Run() {
         } else if (key != reference_key) {
           all_identical = false;
         }
-        std::printf("%8d %10s %6d %6d %12.2f %14.0f\n", budget, "batch",
-                    report.plan.chase_threads, report.plan.check_threads,
-                    ms_per_run, entities_per_s);
+        std::printf("%8d %10s %12.2f %14.0f\n", budget, "batch", ms_per_run,
+                    entities_per_s);
         JsonReport::Row row;
         row.Set("scenario", scenario.name)
             .Set("mode", "batch")
             .Set("budget", budget)
-            .Set("chase_threads", report.plan.chase_threads)
-            .Set("completion_workers", report.plan.completion_workers)
-            .Set("check_threads", report.plan.check_threads)
             .Set("entities",
                  static_cast<int64_t>(scenario.dataset.entities.size()))
             .Set("ms_per_run", ms_per_run)
@@ -505,8 +495,8 @@ int Run() {
         const std::string key = ReportKey(report);
         if (key != reference_key) all_identical = false;
         std::string mode = "stream/w" + std::to_string(window);
-        std::printf("%8d %10s %6s %6s %12.2f %14.0f  peak=%lld\n", budget,
-                    mode.c_str(), "-", "-", ms_per_run,
+        std::printf("%8d %10s %12.2f %14.0f  peak=%lld\n", budget,
+                    mode.c_str(), ms_per_run,
                     ms_per_run > 0.0
                         ? scenario.dataset.entities.size() /
                               (ms_per_run / 1e3)
@@ -524,44 +514,37 @@ int Run() {
         json.Add(std::move(row));
       }
 
-      // Completion A/B at this budget: one entity at a time through a
-      // budget-wide checker (workers=1, the pre-2-D schedule) vs the
-      // plan's entity-parallel completion (workers=0, auto). Identical
-      // reports enforced; the parallel row records its speedup — the
-      // bench-json CI job gates on it at the highest budget.
-      if (scenario.completion_ab) {
-        double serial_ms = 0.0;
-        for (const int workers : {1, 0}) {
-          int64_t peak = 0;
-          bool ok = true;
-          PipelineReport report;
-          const double ms = TimeMs([&] {
-            for (int r = 0; r < scenario.reps; ++r) {
-              report = RunStreaming(scenario.dataset, budget, /*window=*/64,
-                                    /*batch=*/16, &peak, &ok, workers);
-            }
-          });
-          const double ms_per_run = ms / scenario.reps;
-          if (!ok) window_bound_held = false;
-          if (ReportKey(report) != reference_key) all_identical = false;
-          if (workers == 1) serial_ms = ms_per_run;
-          const double speedup =
-              ms_per_run > 0.0 ? serial_ms / ms_per_run : 0.0;
-          const std::string mode = workers == 1 ? "completion-serial"
-                                                : "completion-parallel";
-          std::printf("%8d %18s %12.2f  speedup=%.2fx\n", budget,
-                      mode.c_str(), ms_per_run, speedup);
-          JsonReport::Row row;
-          row.Set("scenario", scenario.name)
-              .Set("mode", mode)
-              .Set("budget", budget)
-              .Set("completion_workers", workers)
-              .Set("entities",
-                   static_cast<int64_t>(scenario.dataset.entities.size()))
-              .Set("ms_per_run", ms_per_run)
-              .Set("speedup_vs_serial", speedup);
-          json.Add(std::move(row));
-        }
+      // Completion budget scaling: the completion-heavy stream at this
+      // budget against the same stream at budget 1 (the first budget, so
+      // its row is the baseline). Identical reports enforced; the
+      // bench-json CI job gates on the top budget's speedup.
+      if (scenario.completion_scaling) {
+        int64_t peak = 0;
+        bool ok = true;
+        PipelineReport report;
+        const double ms = TimeMs([&] {
+          for (int r = 0; r < scenario.reps; ++r) {
+            report = RunStreaming(scenario.dataset, budget, /*window=*/64,
+                                  /*batch=*/16, &peak, &ok);
+          }
+        });
+        const double ms_per_run = ms / scenario.reps;
+        if (!ok) window_bound_held = false;
+        if (ReportKey(report) != reference_key) all_identical = false;
+        if (budget == 1) budget1_ms = ms_per_run;
+        const double speedup =
+            ms_per_run > 0.0 ? budget1_ms / ms_per_run : 0.0;
+        std::printf("%8d %26s %12.2f  speedup=%.2fx\n", budget,
+                    "completion-budget-scaling", ms_per_run, speedup);
+        JsonReport::Row row;
+        row.Set("scenario", scenario.name)
+            .Set("mode", "completion-budget-scaling")
+            .Set("budget", budget)
+            .Set("entities",
+                 static_cast<int64_t>(scenario.dataset.entities.size()))
+            .Set("ms_per_run", ms_per_run)
+            .Set("speedup_vs_budget_1", speedup);
+        json.Add(std::move(row));
       }
     }
   }

@@ -2,14 +2,14 @@
 //
 // A medicine distributor holds noisy sale records from many stores plus a
 // curated reference list (master data). One AccuracyService holds the
-// reference data, rules and thread plan; for each medicine (entity) an
+// reference data, rules and master tables; for each medicine (entity) an
 // interaction session
 //   1. deduces the target tuple automatically (Suggest / IsCR),
 //   2. when incomplete, suggests top-k candidates,
 //   3. loops in a (simulated) data steward until the record is complete,
-// and finally the cleaned catalog is exported as CSV. Every session runs
-// through the service's persistent candidate checker instead of building
-// its own.
+// and finally the cleaned catalog is exported as CSV. Every session
+// shares the service's master block and master tables instead of
+// building its own.
 
 #include <cstdio>
 #include <map>
@@ -42,8 +42,8 @@ int main() {
     catalog.WriteRow(header);
   }
 
-  // One service for the whole catalog: masters, rules and the candidate
-  // checker persist; each medicine gets its own interaction session.
+  // One service for the whole catalog: masters, rules and the master
+  // tables persist; each medicine gets its own interaction session.
   Specification shared;
   shared.ie = Relation(ds.schema);
   shared.masters = ds.masters;

@@ -72,25 +72,25 @@ EntityReport ChaseEntityPhase(const EntityInstance& entity,
 }
 
 /// Phase 2 for one incomplete entity (Sec. 6): top-1 candidate target
-/// over the encoded entity `cie` and the service's shared master tables.
-/// `checker` is bound to the entity's engine and runs every check chase.
-void CompleteEntityPhase(const ColumnarRelation& cie,
+/// over the entity's encoded relation and the service's shared master
+/// tables, every check run on the entity's own engine.
+void CompleteEntityPhase(const PendingCompletion& pending,
                          const MasterDomains& masters,
                          CompletionPolicy completion,
                          const TopKOptions& topk_options,
                          const PreferenceModel* preference,
-                         const CandidateChecker& checker,
                          EntityReport* report) {
   PreferenceModel local_pref;
   const PreferenceModel* pref = preference;
   if (pref == nullptr) {
-    local_pref = PreferenceModel::FromOccurrences(cie, masters);
+    local_pref = PreferenceModel::FromOccurrences(*pending.cie, masters);
     pref = &local_pref;
   }
+  const ChaseEngine& engine = *pending.engine;
   TopKResult topk =
       completion == CompletionPolicy::kHeuristic
-          ? TopKCTh(checker, masters, report->target, *pref, 1, topk_options)
-          : TopKCT(checker, masters, report->target, *pref, 1, topk_options);
+          ? TopKCTh(engine, masters, report->target, *pref, 1, topk_options)
+          : TopKCT(engine, masters, report->target, *pref, 1, topk_options);
   if (!topk.targets.empty()) {
     report->target = topk.targets[0];
     report->used_candidate = true;
@@ -330,7 +330,6 @@ Status AccuracyService::EnsureDefaultEngine() {
       program_.reset();
       return imported;
     }
-    engine_token_ = NewBindingToken();
     return Status::OK();
   }
   const MasterBlock& block = EnsureMasterBlock();
@@ -339,7 +338,6 @@ Status AccuracyService::EnsureDefaultEngine() {
   program_ =
       std::make_unique<GroundProgram>(Instantiate(*cie_, block, spec_.rules));
   engine_ = std::make_unique<ChaseEngine>(*cie_, program_.get(), spec_.config);
-  engine_token_ = NewBindingToken();
   return Status::OK();
 }
 
@@ -367,40 +365,6 @@ Status AccuracyService::CheckEntityArity(const std::string& what,
 ThreadPool& AccuracyService::ChasePool() {
   if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(budget_);
   return *pool_;
-}
-
-const CandidateChecker& AccuracyService::AcquireChecker(
-    const ChaseEngine& engine, uint64_t token) {
-  if (checker_ == nullptr) {
-    checker_ = std::make_unique<CandidateChecker>(engine, budget_);
-    bound_token_ = token;
-  } else if (bound_token_ != token) {
-    checker_->Rebind(engine);
-    bound_token_ = token;
-  }
-  return *checker_;
-}
-
-void AccuracyService::EnsureCompletionSlots(int workers) {
-  if (static_cast<int>(completion_checkers_.size()) < workers) {
-    completion_checkers_.resize(static_cast<std::size_t>(workers));
-  }
-}
-
-const CandidateChecker& AccuracyService::AcquireCompletionChecker(
-    int slot, int width, const ChaseEngine& engine) {
-  std::unique_ptr<CandidateChecker>& holder =
-      completion_checkers_[static_cast<std::size_t>(slot)];
-  if (holder == nullptr || holder->num_threads() != width) {
-    // First use of the slot, or a session with a different per-worker
-    // width: (re)spawn the slot's pool at the right width.
-    holder = std::make_unique<CandidateChecker>(engine, width);
-  } else {
-    // The common case: the pool survives, only the worker engines are
-    // dropped and lazily rebuilt over the new entity.
-    holder->Rebind(engine);
-  }
-  return *holder;
 }
 
 Result<ChaseOutcome> AccuracyService::DeduceEntity() {
@@ -465,20 +429,20 @@ Result<TopKResult> AccuracyService::TopK(int k, TopKAlgorithm algo,
     local_pref = PreferenceModel::FromOccurrences(*cie_, masters);
     preference = &local_pref;
   }
-  const CandidateChecker& checker = AcquireChecker(*engine_, engine_token_);
+  const ChaseEngine& engine = *engine_;
   switch (algo) {
     case TopKAlgorithm::kHeuristic:
-      return TopKCTh(checker, masters, outcome.target, *preference, k, topk);
+      return TopKCTh(engine, masters, outcome.target, *preference, k, topk);
     case TopKAlgorithm::kRankJoin:
-      return RankJoinCT(checker, masters, outcome.target, *preference, k,
+      return RankJoinCT(engine, masters, outcome.target, *preference, k,
                         topk);
     case TopKAlgorithm::kBruteForce:
-      return TopKBruteForce(checker, masters, outcome.target, *preference, k,
+      return TopKBruteForce(engine, masters, outcome.target, *preference, k,
                             topk);
     case TopKAlgorithm::kTopKCT:
       break;
   }
-  return TopKCT(checker, masters, outcome.target, *preference, k, topk);
+  return TopKCT(engine, masters, outcome.target, *preference, k, topk);
 }
 
 Result<std::vector<char>> AccuracyService::CheckCandidates(
@@ -492,8 +456,10 @@ Result<std::vector<char>> AccuracyService::CheckCandidates(
     if (auto hit = memo_->Lookup(key)) return hit->verdicts;
   }
   RELACC_RETURN_NOT_OK(EnsureDefaultEngine());
-  std::vector<char> verdicts =
-      AcquireChecker(*engine_, engine_token_).CheckAll(candidates);
+  if (checker_ == nullptr) {
+    checker_ = std::make_unique<CandidateChecker>(*engine_, budget_);
+  }
+  std::vector<char> verdicts = checker_->CheckAll(candidates);
   if (memoize) {
     auto entry = std::make_shared<snapshot::MemoEntry>();
     entry->verdicts = verdicts;
@@ -510,12 +476,6 @@ Result<std::unique_ptr<PipelineSession>> AccuracyService::StartPipeline(
         "PipelineSessionOptions::window must be >= 0 (0 = service default), "
         "got " +
         std::to_string(options.window));
-  }
-  if (options.completion_workers < 0) {
-    return Status::InvalidArgument(
-        "PipelineSessionOptions::completion_workers must be >= 0 "
-        "(0 = thread plan), got " +
-        std::to_string(options.completion_workers));
   }
   const int64_t window =
       options.window == 0 ? options_.window : options.window;
@@ -560,7 +520,6 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
   if (session->own_cie_ == nullptr) {
     session->engine_->AdoptCheckpointFrom(*engine_);
   }
-  session->token_ = NewBindingToken();
   session->template_ =
       Tuple(std::vector<Value>(cie->schema().size(), Value::Null()));
   const MasterDomains& masters = EnsureMasterDomains();
@@ -643,44 +602,18 @@ void PipelineSession::ProcessWindow() {
   }
   if (!todo.empty()) {
     const MasterDomains& masters = service_->EnsureMasterDomains();
-    // The two-dimensional completion split, resolved against what this
-    // window actually carries into phase 2: entity-level workers up to
-    // the pending count, the rest of the budget as per-worker check
-    // width. A window with a single incomplete entity therefore hands
-    // that entity's checker the whole budget — exactly the pre-plan
-    // one-wide-checker schedule — while a full window goes maximally
-    // entity-parallel. A forced worker count (the serial baseline and the
-    // determinism matrix) keeps the product invariant by shrinking the
-    // width instead.
-    const int workers =
-        options_.completion_workers > 0
-            ? std::min(options_.completion_workers, service_->budget_)
-            : ComputePipelineThreadPlan(service_->budget_,
-                                        static_cast<int64_t>(todo.size()))
-                  .completion_workers;
-    const int check_width = std::max(1, service_->budget_ / workers);
-
-    // Entity-parallel across the completion-worker slots: each slot
-    // completes whole entities through its own persistent checker
-    // (Rebind-reused across entities; a slot checker may still be bound
-    // to an engine that is already gone — Rebind is documented safe for
-    // that). Every per-entity completion is a pure function of the
-    // entity and its engine, and results land at the entity's input
-    // index, so the reduction is byte-identical to the serial loop for
-    // every worker count and check width.
-    service_->EnsureCompletionSlots(workers);
-    service_->ChasePool().ParallelForSlots(
-        static_cast<int64_t>(todo.size()), workers,
-        [&](int slot, int64_t t) {
+    // Phase 2, entity-parallel like phase 1: every completion is a pure
+    // function of its entity and checks on that entity's own engine, and
+    // results land at the entity's input index, so the reduction is
+    // byte-identical to the serial loop for every budget.
+    service_->ChasePool().ParallelFor(
+        static_cast<int64_t>(todo.size()), [&](int64_t t) {
           const std::size_t k =
               static_cast<std::size_t>(todo[static_cast<std::size_t>(t)]);
-          std::unique_ptr<PendingCompletion>& p = pending[k];
-          const CandidateChecker& checker =
-              service_->AcquireCompletionChecker(slot, check_width,
-                                                 *p->engine);
-          CompleteEntityPhase(*p->cie, masters, completion_, options_.topk,
-                              options_.preference, checker, &reports[k]);
-          p.reset();  // free the checkpoint/probe memory as we go
+          CompleteEntityPhase(*pending[k], masters, completion_,
+                              options_.topk, options_.preference,
+                              &reports[k]);
+          pending[k].reset();  // free the checkpoint/probe memory as we go
         });
   }
 
@@ -713,12 +646,9 @@ Result<PipelineReport> PipelineSession::Finish() {
   if (!buffer_.empty()) ProcessWindow();
   finished_ = true;
 
-  // Deterministic aggregation in input order, with the thread plan of
-  // the whole stream's entity count.
+  // Deterministic aggregation in input order.
   PipelineReport report;
   report.entities = reports_;
-  report.plan =
-      ComputePipelineThreadPlan(service_->budget_, stats_.submitted);
   const Schema schema = have_schema_ ? schema_ : Schema();
   report.targets = Relation(schema);
   int64_t attrs_total = 0;
@@ -775,9 +705,9 @@ Result<Suggestion> InteractionSession::Suggest() {
     last_.reset();
     return s;
   }
-  s.candidates = TopKCT(service_->AcquireChecker(*engine_, token_),
-                        service_->EnsureMasterDomains(), s.deduced_target,
-                        preference(), options_.k, options_.topk);
+  s.candidates = TopKCT(*engine_, service_->EnsureMasterDomains(),
+                        s.deduced_target, preference(), options_.k,
+                        options_.topk);
   last_ = s;
   return s;
 }

@@ -21,7 +21,8 @@
 
 namespace relacc {
 
-class ThreadPool;  // util/thread_pool.h
+class CandidateChecker;  // topk/batch_check.h
+class ThreadPool;        // util/thread_pool.h
 
 namespace snapshot {
 class SnapshotReader;  // snapshot/reader.h
@@ -32,9 +33,11 @@ class InteractionSession;
 
 /// Options fixed for the lifetime of an AccuracyService.
 struct ServiceOptions {
-  /// Total worker-thread budget shared by everything the service runs —
-  /// entity-parallel chasing and the candidate-check fan-out time-multiplex
-  /// it, never multiply it. <= 0 selects the hardware concurrency.
+  /// Worker-thread budget: the width of the pool a pipeline window's
+  /// entities are chased and completed on (one entity per task), and of
+  /// the CheckCandidates fan-out. Every top-k search runs on its caller's
+  /// thread, checking one candidate at a time. <= 0 selects the hardware
+  /// concurrency.
   int num_threads = 0;
 
   /// Chase configuration override. When set it replaces the `config`
@@ -117,34 +120,19 @@ struct PipelineSessionOptions {
   int64_t window = 0;
 
   /// Per-entity top-k knobs (max_expansions, include_default_values).
-  /// The checks run through the service's own checkers, sized by
-  /// ServiceOptions::num_threads.
+  /// Each entity's checks run on that entity's own engine.
   TopKOptions topk;
 
   /// Occurrence-count preference weights are built per entity (over the
   /// service's shared master tables) unless a model is supplied here.
   const PreferenceModel* preference = nullptr;
-
-  /// Phase-2 entity-level parallelism: how many in-flight entities
-  /// complete concurrently, each through its own slot-pooled checker of
-  /// width budget/workers (see PipelineThreadPlan). 0 derives
-  /// `completion_workers` from the thread plan per window — one worker
-  /// per pending incomplete entity up to the budget, so a window with a
-  /// single incomplete entity hands that entity's checker the whole
-  /// budget; 1 forces the one-entity-at-a-time completion loop (whose
-  /// single checker then gets the whole budget) for every window.
-  /// Reports are byte-identical for every value — the reduction is by
-  /// input index, and per-entity completion is a pure function of the
-  /// entity.
-  int completion_workers = 0;
 };
 
 /// Options of an interactive session (the Fig. 3 loop).
 struct InteractionOptions {
   int k = 15;  ///< candidates per Suggest() (paper default)
 
-  /// Top-k knobs for Suggest(); the checks run through the service's
-  /// shared checker, as for PipelineSessionOptions::topk.
+  /// Top-k knobs for Suggest(); the checks run on the session's engine.
   TopKOptions topk;
 
   /// Preference model for ranking; null builds occurrence-count weights
@@ -190,16 +178,17 @@ enum class TopKAlgorithm {
 ///     deduction, candidate check and interactive resume starts from
 ///     (built lazily on first use, so pipeline-only services over a
 ///     placeholder instance never pay for it);
-///   * the persistent CandidateCheckers (and their thread pools): one
-///     service-wide checker for one-shot calls and interactive sessions,
-///     plus a slot pool of completion checkers — one per completion
-///     worker — all rebound across entities, sessions and one-shot calls
-///     instead of being rebuilt per call; and
-///   * the thread plan: ServiceOptions::num_threads is the single budget
-///     that entity-parallel chasing, entity-parallel completion and
-///     candidate-check fan-out time-multiplex (see PipelineThreadPlan in
-///     pipeline/pipeline.h; completion_workers × check_threads never
-///     exceeds the budget).
+///   * the thread pool of ServiceOptions::num_threads: a pipeline window
+///     chases its entities on it and then completes the incomplete ones
+///     on it, one entity per task, each on its own engine; and
+///   * the CandidateChecker behind CheckCandidates, built once over the
+///     spec's own engine, which fans a candidate batch out over its own
+///     pool of the same width.
+///
+/// Every top-k search (TopK, Suggest, pipeline completion) checks one
+/// candidate at a time, in the search's order, on one engine: the
+/// service's, the session's or the entity's. So rankings and their
+/// counters are the same for every budget.
 ///
 /// Work is exposed as sessions:
 ///
@@ -214,7 +203,7 @@ enum class TopKAlgorithm {
 ///     (ChaseEngine::ResumeWith), so each accumulating revision costs
 ///     O(its own changes).
 ///   * DeduceEntity()/TopK() — one-shot conveniences routed through the
-///     same shared checkpoint and checker.
+///     same shared checkpoint.
 ///
 /// Error handling: every fallible path returns Status / Result<T>; the
 /// service never writes to stderr or exits the process. Domain outcomes
@@ -224,7 +213,8 @@ enum class TopKAlgorithm {
 ///
 /// Threading and ownership: the service and its sessions are not
 /// internally synchronized — drive them from one thread at a time (the
-/// parallelism lives *inside*, governed by the budget). Sessions hold
+/// pipeline windows and the batch check run on the budget's pool
+/// inside). Sessions hold
 /// pointers into the service and must not outlive it. The service is
 /// immovable; the Specification is copied in and owned.
 class AccuracyService {
@@ -250,7 +240,7 @@ class AccuracyService {
   /// The service-wide term dictionary (ServiceOptions::dictionary or
   /// service-created): every engine the service builds interns into it,
   /// so TermId-encoded checkpoints stay portable across the default
-  /// engine, checker worker engines, completion slots and sessions.
+  /// engine, checker worker engines and sessions.
   Dictionary* dictionary() const { return dict_.get(); }
 
   /// How this service stores its data: "columnar" (built from the
@@ -282,8 +272,8 @@ class AccuracyService {
   /// service can re-export.
   Status WriteSnapshot(const std::string& path);
 
-  /// Opens a streaming pipeline session. Rejects negative windows and
-  /// completion_workers with kInvalidArgument.
+  /// Opens a streaming pipeline session. Rejects a negative window with
+  /// kInvalidArgument.
   Result<std::unique_ptr<PipelineSession>> StartPipeline(
       PipelineSessionOptions options = {});
 
@@ -316,8 +306,9 @@ class AccuracyService {
   /// schema's.
   Result<ChaseOutcome> DeduceEntity(const Relation& entity);
 
-  /// Top-k candidate targets for the spec's own deduced target, through
-  /// the shared checkpoint and checker. An already-complete deduced
+  /// Top-k candidate targets for the spec's own deduced target, checked
+  /// on the service engine (its shared checkpoint). An already-complete
+  /// deduced
   /// target is returned (check-verified) as its own sole candidate.
   /// kFailedPrecondition when the spec is not Church-Rosser;
   /// kInvalidArgument for k < 1. `preference` null builds occurrence-count
@@ -327,8 +318,8 @@ class AccuracyService {
                           const PreferenceModel* preference = nullptr);
 
   /// The candidate-target `check` (Sec. 6) for every candidate against
-  /// the spec's own entity instance, fanned out through the shared
-  /// checker; verdicts[i] corresponds to candidates[i]. Candidates must
+  /// the spec's own entity instance, fanned out over the budget's width;
+  /// verdicts[i] corresponds to candidates[i]. Candidates must
   /// satisfy the ChaseEngine::CheckCandidate contract (complete, agreeing
   /// with the deduced target on its non-null attributes).
   Result<std::vector<char>> CheckCandidates(
@@ -388,31 +379,6 @@ class AccuracyService {
   /// The shared chase pool (width = budget), built on first use.
   ThreadPool& ChasePool();
 
-  /// Hands out the persistent CandidateChecker bound to `engine`,
-  /// rebinding only when the binding token changed. Tokens are unique per
-  /// engine binding (NewBindingToken), never reused, so a token match
-  /// guarantees the checker is still bound to this very engine — pointer
-  /// equality alone could be fooled by a new engine reusing a freed
-  /// address.
-  const CandidateChecker& AcquireChecker(const ChaseEngine& engine,
-                                         uint64_t token);
-  uint64_t NewBindingToken() { return next_token_++; }
-
-  /// Grows the completion-checker slot pool to at least `workers` slots.
-  /// Called single-threaded (by a pipeline session) before a parallel
-  /// completion fan-out.
-  void EnsureCompletionSlots(int workers);
-
-  /// Hands out slot `slot`'s persistent completion checker, rebound to
-  /// `engine` (a fresh engine every call, so no token bookkeeping: the
-  /// pool survives the rebind, which is the reuse win). Recreates the
-  /// checker when `width` changed since the slot was built. Distinct
-  /// slots are called concurrently — each call touches only its own
-  /// slot, and the vector itself is only grown by EnsureCompletionSlots
-  /// between fan-outs.
-  const CandidateChecker& AcquireCompletionChecker(int slot, int width,
-                                                   const ChaseEngine& engine);
-
   /// kInvalidArgument, prefixed by `what`, when `schema`'s arity differs
   /// from the service schema's. Grounding and the chase index read every
   /// attribute of the service schema, so every per-entity entry point
@@ -447,7 +413,6 @@ class AccuracyService {
   std::unique_ptr<ColumnarRelation> cie_;
   std::unique_ptr<GroundProgram> program_;
   std::unique_ptr<ChaseEngine> engine_;
-  uint64_t engine_token_ = 0;
 
   // Snapshot mode (reader_ != nullptr): the open artifact — it owns
   // the mapping the borrowed master columns alias, so it outlives
@@ -467,23 +432,17 @@ class AccuracyService {
   uint64_t own_entity_fp_ = 0;
   bool own_entity_fp_set_ = false;
 
+  // The CheckCandidates fan-out over engine_; null until first use.
   std::unique_ptr<CandidateChecker> checker_;
-  uint64_t bound_token_ = 0;   ///< token of the engine checker_ is bound to
-  uint64_t next_token_ = 1;  ///< 0 is never handed out
-
-  /// Phase-2 completion slot pool: one persistent CandidateChecker (and
-  /// thread pool) per completion worker, rebound across entities,
-  /// sessions and windows.
-  std::vector<std::unique_ptr<CandidateChecker>> completion_checkers_;
 };
 
 /// A streaming whole-database run: submit entity batches as they
 /// arrive, poll per-entity reports as they complete, finish for the
-/// aggregate. Entities are processed in windows — phase-1
-/// entity-parallel chase, then phase-2 completion across the plan's
-/// completion-worker slots with an input-order reduction — so at most
-/// `window` completion engines are ever alive
-/// (stats().peak_in_flight_engines proves it).
+/// aggregate. Entities are processed in windows — phase 1 chases every
+/// entity of the window on the service pool, phase 2 completes the
+/// incomplete ones on the same pool, each on its own engine, and reports
+/// are reduced in input order — so at most `window` completion engines
+/// are ever alive (stats().peak_in_flight_engines proves it).
 ///
 /// Windows run on the caller's thread: Submit processes every window its
 /// entities fill before it returns, and Finish processes the partial
@@ -499,7 +458,7 @@ class AccuracyService {
 /// on its service while a Submit or Finish is running.
 ///
 /// Reports come back in input order and are byte-identical for every
-/// window size, thread budget and completion-worker count (enforced by
+/// window size and thread budget (enforced by
 /// tests/test_accuracy_service.cc and bench/pipeline_scaling.cc).
 class PipelineSession {
  public:
@@ -547,11 +506,10 @@ class PipelineSession {
                   CompletionPolicy completion, int64_t window);
 
   /// Processes the buffered entities as one window, start to finish:
-  /// entity-parallel chase, then completion of the incomplete entities
-  /// across the completion-worker slots. Reports are reduced by input
-  /// index, so they are byte-identical to the serial loop for every
-  /// worker count. Appends them to reports_, updates stats_ and empties
-  /// the buffer.
+  /// entity-parallel chase, then entity-parallel completion of the
+  /// incomplete entities. Reports are reduced by input index, so they
+  /// are byte-identical to the serial loop for every budget. Appends
+  /// them to reports_, updates stats_ and empties the buffer.
   void ProcessWindow();
 
   AccuracyService* service_;
@@ -631,7 +589,6 @@ class InteractionSession {
   std::unique_ptr<GroundProgram> own_program_;
 
   std::unique_ptr<ChaseEngine> engine_;  ///< always session-owned
-  uint64_t token_ = 0;
   PreferenceModel own_pref_;             ///< used when options_.preference null
 
   Tuple template_;

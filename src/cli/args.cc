@@ -4,6 +4,15 @@
 #include <cstdlib>
 
 namespace relacc {
+namespace {
+
+/// '-' followed by one or more decimal digits.
+bool IsNegativeInteger(const std::string& token) {
+  return token.size() > 1 && token[0] == '-' &&
+         token.find_first_not_of("0123456789", 1) == std::string::npos;
+}
+
+}  // namespace
 
 Result<Args> Args::Parse(const std::vector<std::string>& argv) {
   Args args;
@@ -36,8 +45,11 @@ Result<Args> Args::Parse(const std::vector<std::string>& argv) {
     } else {
       key = body;
       // `--key value` form: consume the next token iff it is not a flag.
+      // A negative integer (`--port -1`) is a value, so it reaches the
+      // flag's own range check.
       if (i + 1 < argv.size() &&
-          (argv[i + 1].empty() || argv[i + 1][0] != '-')) {
+          (argv[i + 1].empty() || argv[i + 1][0] != '-' ||
+           IsNegativeInteger(argv[i + 1]))) {
         value = argv[++i];
       }
     }

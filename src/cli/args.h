@@ -13,6 +13,8 @@ namespace relacc {
 /// Minimal command-line parser for the relacc tool. Grammar:
 ///   relacc <command> [positionals...] [--flag] [--key=value] [--key value]
 /// Flags may appear anywhere after the command. `--` ends flag parsing.
+/// In the `--key value` form, a value may be a negative integer (`--k -5`);
+/// any other token starting with '-' is not taken as a value.
 class Args {
  public:
   /// Parses argv[1..). argv[0] (the program name) must be excluded.

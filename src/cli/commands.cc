@@ -208,17 +208,10 @@ Status CmdExplain(const Args& args, std::ostream& out) {
 
 Status CmdTopK(const Args& args, std::ostream& out) {
   Result<int> k = GetIntFlag(args, "k", 5);
-  Result<int64_t> threads = args.GetInt("threads", 1);
   const std::string algo = args.GetString("algo", "topkct");
   const bool as_json = args.Has("json");
   const std::string snapshot = args.GetString("snapshot");
   if (!k.ok()) return k.status();
-  if (!threads.ok()) return threads.status();
-  // Bounded before the int cast: each worker is an OS thread plus its own
-  // chase engine, so absurd values would abort in std::thread or OOM.
-  if (threads.value() < 1 || threads.value() > 256) {
-    return Status::InvalidArgument("--threads must be between 1 and 256");
-  }
   TopKAlgorithm algorithm = TopKAlgorithm::kTopKCT;
   if (algo == "heuristic") {
     algorithm = TopKAlgorithm::kHeuristic;
@@ -232,8 +225,9 @@ Status CmdTopK(const Args& args, std::ostream& out) {
   }
   RELACC_RETURN_NOT_OK(CheckUnread(args));
 
+  // The ranking checks its candidates on the caller's thread.
   ServiceOptions service_options;
-  service_options.num_threads = static_cast<int>(threads.value());
+  service_options.num_threads = 1;
   std::unique_ptr<AccuracyService> service;
   Schema schema;
   if (!snapshot.empty()) {
@@ -382,13 +376,7 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
     out << serve::PipelineReportToJson(report, schema).Dump(2) << "\n";
     return Status::OK();
   }
-  // The plan echo (budget-dependent by design, so it stays out of the
-  // --json document that CI diffs across budgets): phase-1 chase slots
-  // and the phase-2 completion_workers × check_threads split.
-  out << "thread plan:                chase=" << report.plan.chase_threads
-      << " completion=" << report.plan.completion_workers << "x"
-      << report.plan.check_threads << "\n"
-      << "entities resolved:          " << report.entities.size() << "\n"
+  out << "entities resolved:          " << report.entities.size() << "\n"
       << "input tuples:               " << report.total_tuples << "\n"
       << "Church-Rosser:              " << report.num_church_rosser << "\n"
       << "complete via chase:         " << report.num_complete_by_chase << "\n"
@@ -412,15 +400,15 @@ Status CmdInteractive(const Args& args, std::ostream& out, std::istream& in) {
   ConsoleUser user(schema, in, out);
 
   // The console loop is the Fig. 3 oracle over an interactive session:
-  // the session keeps the chase trail and candidate checker warm across
-  // the user's revisions.
+  // the session keeps its engine's chase trail warm across the user's
+  // revisions.
   ServiceOptions service_options;
   service_options.num_threads = 1;
   Result<std::unique_ptr<AccuracyService>> service =
       AccuracyService::Create(spec, std::move(service_options));
   if (!service.ok()) return service.status();
   InteractionOptions session_options;
-  session_options.k = std::max(1, k.value());
+  session_options.k = k.value();
   Result<std::unique_ptr<InteractionSession>> session =
       service.value()->StartInteraction(std::move(session_options));
   if (!session.ok()) return session.status();
@@ -1024,7 +1012,7 @@ std::string CliUsage() {
       "            [--attr <name>] [--depth N]\n"
       "  topk      top-k candidate targets for an incomplete target\n"
       "            [--k N] [--algo topkct|heuristic|rankjoin|brute]\n"
-      "            [--threads N] [--json] [--snapshot FILE]\n"
+      "            [--json] [--snapshot FILE]\n"
       "  fmt       normalize a spec document / its rule program\n"
       "            [--rules-only]\n"
       "  lint      static analysis of the spec (schema, dead rules,\n"

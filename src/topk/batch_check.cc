@@ -1,5 +1,7 @@
 #include "topk/batch_check.h"
 
+#include <algorithm>
+
 #include "topk/preference.h"
 
 namespace relacc {
@@ -10,21 +12,9 @@ CandidateChecker::CandidateChecker(const ChaseEngine& prototype,
 
 CandidateChecker::~CandidateChecker() = default;
 
-void CandidateChecker::Rebind(const ChaseEngine& prototype) {
-  // Unconditionally drop the workers — no address-identity shortcut: a
-  // new engine allocated where a destroyed one lived would alias it, and
-  // keeping workers bound to the old engine's freed program would be a
-  // use-after-free on the next fan-out. The stale workers reference the
-  // previous prototype's Ie and program but own every byte they free, so
-  // clearing is safe even when that prototype is already gone. The pool
-  // survives: its threads are the reuse win.
-  engines_.clear();
-  prototype_ = &prototype;
-}
-
 void CandidateChecker::EnsureWorkers() const {
-  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
-  if (!engines_.empty()) return;
+  if (pool_ != nullptr) return;
+  pool_ = std::make_unique<ThreadPool>(num_threads_);
   engines_.reserve(num_threads_);
   for (int w = 0; w < num_threads_; ++w) {
     // Workers read the prototype's encoded Ie, so they share its
@@ -49,8 +39,8 @@ std::vector<char> CandidateChecker::CheckAll(
   std::vector<char> verdicts(candidates.size(), 0);
   // Checks are pure per candidate, so the inline path and the pooled path
   // produce identical verdict vectors. Only single-candidate batches skip
-  // the pool (nothing to overlap); ParallelForSlots caps the slots at the
-  // batch size, so small batches still fan out.
+  // the pool (nothing to overlap); ParallelForSlots never hands out more
+  // slots than candidates, so small batches still fan out.
   if (num_threads_ == 1 || candidates.size() <= 1) {
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       verdicts[i] = prototype_->CheckCandidate(candidates[i]) ? 1 : 0;

@@ -6,8 +6,7 @@
 
 namespace relacc {
 
-TopKResult RankJoinCT(const CandidateChecker& checker,
-                      const MasterDomains& masters,
+TopKResult RankJoinCT(const ChaseEngine& engine, const MasterDomains& masters,
                       const Tuple& deduced_te, const PreferenceModel& pref,
                       int k, const TopKOptions& opts) {
   TopKResult result;
@@ -16,8 +15,8 @@ TopKResult RankJoinCT(const CandidateChecker& checker,
   // Ranked lists Li: the active domains of te's null attributes, sorted
   // up front — the cost RankJoinCT pays that TopKCT avoids.
   SearchSpace space =
-      BuildSearchSpace(checker.prototype().encoded_ie(), masters, deduced_te,
-                       pref, opts.include_default_values);
+      BuildSearchSpace(engine.encoded_ie(), masters, deduced_te, pref,
+                       opts.include_default_values);
   for (WeightedDomain& list : space.domains) {
     if (list.empty()) return result;  // no candidate can exist
     SortByDescendingWeight(&list);
@@ -25,20 +24,18 @@ TopKResult RankJoinCT(const CandidateChecker& checker,
 
   // A complete te is its own sole candidate, which TopKCT checks.
   if (space.z.empty()) {
-    return TopKCT(checker, masters, deduced_te, pref, k, opts);
+    return TopKCT(engine, masters, deduced_te, pref, k, opts);
   }
   const double base_score = pref.Score(deduced_te);
   const std::vector<AttrId>& z = space.z;
 
-  // Consume join results in output order; the shared loop batches the
-  // checks and keeps the ranked output identical for every thread count.
+  // Consume join results in output order, checking each one.
   std::unique_ptr<RankedStream> stream =
       BuildRankJoinTree(std::move(space.domains));
-  RunBatchedAcceptLoop(
-      // RankedStream has no non-consuming peek; the pre-batching loop
-      // checked the budget before Next() too, so budget-first is the
-      // original semantics here.
-      &checker, opts, k, [] { return true; },
+  RunAcceptLoop(
+      // RankedStream has no non-consuming peek: the budget is checked
+      // before Next(), so budget-first semantics.
+      &engine, opts, k, [] { return true; },
       [&](Tuple* t, double* score) {
         auto row = stream->Next();
         if (!row.has_value()) return false;

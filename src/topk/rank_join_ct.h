@@ -14,8 +14,7 @@ namespace relacc {
 /// Exact, early-terminating (Prop. 6), but — as the paper observes — it
 /// must sort the domains up front and invokes `check` on every join result
 /// in score order, so TopKCT dominates it in practice (Exp-4).
-TopKResult RankJoinCT(const CandidateChecker& checker,
-                      const MasterDomains& masters,
+TopKResult RankJoinCT(const ChaseEngine& engine, const MasterDomains& masters,
                       const Tuple& deduced_te, const PreferenceModel& pref,
                       int k, const TopKOptions& opts = {});
 

@@ -7,7 +7,6 @@
 
 #include "chase/chase_engine.h"
 #include "chase/specification.h"
-#include "topk/batch_check.h"
 #include "topk/preference.h"
 
 namespace relacc {
@@ -39,59 +38,51 @@ struct TopKResult {
 /// target `te`. Does not require ranked lists; instance optimal w.r.t.
 /// ValueHeap pops (Prop. 7), with the early-termination property.
 ///
-/// `checker` runs every `check`, batched to its width; its prototype
-/// engine supplies the encoded Ie (ChaseEngine::encoded_ie()). An engine
-/// converts to an inline width-1 checker, which checks in the paper's
-/// strictly sequential order. Ranked results are identical for every
-/// width; the stats may count speculative checks past the k-th accepted
-/// target. `masters` contributes the master portion of the active
+/// `engine` supplies the encoded Ie (ChaseEngine::encoded_ie()) and runs
+/// every `check` (ChaseEngine::CheckCandidate), one candidate per pop in
+/// the search's order, so `checks` counts exactly the candidates
+/// examined. `masters` contributes the master portion of the active
 /// domains (pass a service's shared tables; a row master vector converts
 /// to a private set). The search space comes from BuildSearchSpace
 /// (topk/preference.h), shared by all four algorithms; ties among equal
 /// scores follow its domain order.
-TopKResult TopKCT(const CandidateChecker& checker,
-                  const MasterDomains& masters,
+TopKResult TopKCT(const ChaseEngine& engine, const MasterDomains& masters,
                   const Tuple& deduced_te, const PreferenceModel& pref, int k,
                   const TopKOptions& opts = {});
 
 /// Algorithm TopKCTh (Sec. 6.3): PTIME heuristic — runs TopKCT without the
-/// check to obtain k seeds, then greedily repairs each seed with active-
-/// domain values until the check passes. Both phases share one search
-/// space. The seeds are never checked, so `queue_pops` and `heap_pops`
-/// do not depend on the checker's width. Accepted tuples are guaranteed
+/// check to obtain k seeds, then checks each seed in order and greedily
+/// repairs a failing one with active-domain values until the check
+/// passes. Both phases share one search space; `queue_pops` and
+/// `heap_pops` count the seed search. Accepted tuples are guaranteed
 /// candidate targets but not necessarily of maximal score.
-TopKResult TopKCTh(const CandidateChecker& checker,
-                   const MasterDomains& masters,
+TopKResult TopKCTh(const ChaseEngine& engine, const MasterDomains& masters,
                    const Tuple& deduced_te, const PreferenceModel& pref,
                    int k, const TopKOptions& opts = {});
 
-/// Shared by TopKCT and RankJoinCT: the deterministic gather-check-accept
-/// loop around a CandidateChecker. `produce` yields the next candidate
-/// (tuple + score) in the algorithm's sequential inspection order, false
-/// when the search space is exhausted; each produced candidate counts one
-/// queue_pop against opts.max_expansions. Candidates are checked in
-/// RoundCap-sized batches and accepted in production order until k pass,
-/// so the ranked result is identical for every thread count — batch
-/// members past the k-th acceptance are speculative and discarded.
+/// Shared by TopKCT and RankJoinCT: the pop-check-accept loop. `produce`
+/// yields the next candidate (tuple + score) in the algorithm's
+/// inspection order, false when the search space is exhausted; each
+/// produced candidate counts one queue_pop against opts.max_expansions
+/// and one check on `engine`, and is accepted when the check passes,
+/// until k are accepted. A null `engine` accepts every candidate
+/// unchecked (TopKCTh's seeds).
 ///
 /// `has_more` is consulted (without consuming) only when the pop budget
 /// runs out, to decide whether exhausted_budget is honest: a source that
 /// is empty at that exact boundary completed its search and reports
-/// false, matching the pre-batching loops. Sources without a cheap peek
-/// may return true unconditionally (budget-first semantics). A null
-/// `checker` accepts every candidate unchecked, one pop per round
-/// (TopKCTh's seeds).
-void RunBatchedAcceptLoop(const CandidateChecker* checker,
-                          const TopKOptions& opts, int k,
-                          const std::function<bool()>& has_more,
-                          const std::function<bool(Tuple*, double*)>& produce,
-                          TopKResult* result);
+/// false. Sources without a cheap peek may return true unconditionally
+/// (budget-first semantics).
+void RunAcceptLoop(const ChaseEngine* engine, const TopKOptions& opts, int k,
+                   const std::function<bool()>& has_more,
+                   const std::function<bool(Tuple*, double*)>& produce,
+                   TopKResult* result);
 
 /// Exhaustive reference oracle for tests: enumerates the full product of
-/// active domains (ForEachCompletion), checks every combination, and
-/// returns the k best.
+/// active domains (ForEachCompletion), checks every combination in
+/// enumeration order, and returns the k best.
 /// Exponential; only usable on tiny instances.
-TopKResult TopKBruteForce(const CandidateChecker& checker,
+TopKResult TopKBruteForce(const ChaseEngine& engine,
                           const MasterDomains& masters,
                           const Tuple& deduced_te, const PreferenceModel& pref,
                           int k, const TopKOptions& opts = {});

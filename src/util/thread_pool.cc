@@ -55,15 +55,9 @@ void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) 
 
 void ThreadPool::ParallelForSlots(
     int64_t n, const std::function<void(int, int64_t)>& fn) {
-  ParallelForSlots(n, num_threads(), fn);
-}
-
-void ThreadPool::ParallelForSlots(
-    int64_t n, int max_slots, const std::function<void(int, int64_t)>& fn) {
   if (n <= 0) return;
-  const int64_t slots = std::min<int64_t>(
-      n, std::min<int64_t>(std::max(1, max_slots),
-                           static_cast<int64_t>(num_threads())));
+  const int64_t slots =
+      std::min<int64_t>(n, static_cast<int64_t>(num_threads()));
   const int64_t chunk = (n + slots - 1) / slots;
   for (int64_t slot = 0; slot < slots; ++slot) {
     const int64_t begin = slot * chunk;

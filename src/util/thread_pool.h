@@ -11,10 +11,13 @@
 
 namespace relacc {
 
-/// A fixed-size worker pool for the multi-entity pipeline. Deliberately
-/// minimal: fire-and-forget tasks plus a blocking Wait(); result ordering
-/// is the caller's concern (the pipeline writes results by index, so
-/// output is deterministic regardless of scheduling).
+/// A fixed-size worker pool: an AccuracyService's pool runs a pipeline
+/// window's entities (phase-1 chase and phase-2 completion, one entity
+/// per task) and the batch `check` fans candidates out over a
+/// CandidateChecker's own pool. Deliberately minimal: fire-and-forget
+/// tasks plus a blocking Wait(); result ordering is the caller's concern
+/// (callers write results by index, so output is deterministic
+/// regardless of scheduling).
 class ThreadPool {
  public:
   /// `num_threads` <= 0 selects the hardware concurrency (at least 1).
@@ -44,15 +47,6 @@ class ThreadPool {
   /// argument. At most one task runs per slot at any time, so fn may use
   /// per-slot scratch state (e.g. a ChaseEngine per worker) without locks.
   void ParallelForSlots(int64_t n,
-                        const std::function<void(int, int64_t)>& fn);
-
-  /// ParallelForSlots with the slot count additionally capped at
-  /// `max_slots` (>= 1). The pipeline's two-dimensional thread plan uses
-  /// this to run `completion_workers` concurrent entity completions on a
-  /// budget-wide pool while each slot's candidate checker fans out over
-  /// the budget's remaining width — the product, not the pool size, is
-  /// what must respect the thread budget.
-  void ParallelForSlots(int64_t n, int max_slots,
                         const std::function<void(int, int64_t)>& fn);
 
  private:

@@ -34,8 +34,6 @@ using testing_fixture::Phi12;
 /// identical" in the acceptance criteria means these strings match.
 std::string Serialize(const PipelineReport& r) {
   std::ostringstream os;
-  os << "plan " << r.plan.chase_threads << '/' << r.plan.completion_workers
-     << 'x' << r.plan.check_threads << '\n';
   for (const EntityReport& e : r.entities) {
     os << e.entity_id << '|' << e.num_tuples << '|' << e.church_rosser
        << '|' << e.complete << '|' << e.used_candidate << '|'
@@ -106,26 +104,20 @@ PipelineReport StreamAll(AccuracyService& service,
 }
 
 /// The report every streamed run must reproduce: the same entities in
-/// one window on a budget-1 service — the serial schedule. Only the
-/// reported thread plan depends on the budget, so it is set to the plan
-/// of the budget under test.
+/// one window on a budget-1 service — the serial schedule.
 PipelineReport Reference(
-    const EntityDataset& ds, int budget,
+    const EntityDataset& ds,
     CompletionPolicy completion = CompletionPolicy::kBestCandidate) {
-  PipelineReport report =
-      OneWindowPipeline(ds.entities, ds.masters, ds.rules, /*budget=*/1,
-                        completion, nullptr, ds.chase_config);
-  report.plan = ComputePipelineThreadPlan(
-      budget, static_cast<int64_t>(ds.entities.size()));
-  return report;
+  return OneWindowPipeline(ds.entities, ds.masters, ds.rules, /*budget=*/1,
+                           completion, nullptr, ds.chase_config);
 }
 
 // --- streaming pipeline: identity with the serial schedule -----------------
 
 TEST(PipelineSessionTest, IdenticalToLegacyAcrossBudgetsAndStrategies) {
   const EntityDataset ds = MedDataset();
+  const PipelineReport legacy = Reference(ds);
   for (const int budget : {1, 4, 8}) {
-    const PipelineReport legacy = Reference(ds, budget);
     for (const int64_t window : {int64_t{1}, int64_t{3}, int64_t{64}}) {
       ServiceOptions service_options;
       service_options.num_threads = budget;
@@ -143,7 +135,7 @@ TEST(PipelineSessionTest, BothCompletionPoliciesMatchLegacy) {
   const EntityDataset ds = MedDataset(/*seed=*/7, /*entities=*/24);
   for (const CompletionPolicy policy :
        {CompletionPolicy::kLeaveNull, CompletionPolicy::kHeuristic}) {
-    const PipelineReport legacy = Reference(ds, /*budget=*/2, policy);
+    const PipelineReport legacy = Reference(ds, policy);
     ServiceOptions service_options;
     service_options.num_threads = 2;
     service_options.window = 5;
@@ -173,7 +165,7 @@ TEST(PipelineSessionTest, WindowOneBoundsInFlightEnginesToOne) {
   EXPECT_EQ(stats.processed, 12);
   EXPECT_EQ(stats.peak_in_flight_engines, 1);
   EXPECT_GT(streamed.num_completed_by_candidates, 0);
-  EXPECT_EQ(Serialize(streamed), Serialize(Reference(ds, /*budget=*/4)));
+  EXPECT_EQ(Serialize(streamed), Serialize(Reference(ds)));
 }
 
 TEST(PipelineSessionTest, PeakInFlightNeverExceedsWindow) {
@@ -206,7 +198,7 @@ TEST(PipelineSessionTest, WindowLargerThanStreamProcessesAtFinish) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().entities.size(), ds.entities.size());
   EXPECT_EQ(Serialize(report.value()),
-            Serialize(Reference(ds, service->thread_budget())));
+            Serialize(Reference(ds)));
 }
 
 TEST(PipelineSessionTest, SubmitAfterFinishIsFailedPrecondition) {
@@ -299,43 +291,31 @@ TEST(PipelineSessionTest, SubmitProcessesEveryWindowItFills) {
     EXPECT_EQ(polled[i].entity_id, report.value().entities[i].entity_id) << i;
     EXPECT_EQ(polled[i].target, report.value().entities[i].target) << i;
   }
-  EXPECT_EQ(Serialize(report.value()), Serialize(Reference(ds, 2)));
+  EXPECT_EQ(Serialize(report.value()), Serialize(Reference(ds)));
 }
 
 TEST(PipelineSessionTest,
      ReportsIdenticalAcrossCompletionWorkersWindowsAndStrategies) {
-  // The parallel-completion determinism matrix: completion workers
-  // {1, 2, 8} × window {1, 5, 64} at a fixed budget of 8 must reproduce
+  // The parallel-completion determinism matrix: phase 2 completes a
+  // window's entities on the budget's pool, one per task, so budgets
+  // {1, 2, 8} (the completion workers) × window {1, 5, 64} must reproduce
   // the serial one-window report byte for byte — the input-order
-  // reduction makes worker count and per-worker check width unobservable.
+  // reduction makes the worker count unobservable.
   const EntityDataset ds = MedDataset(/*seed=*/13, /*entities=*/18,
                                       /*corruption=*/0.8);
-  const PipelineReport legacy = Reference(ds, /*budget=*/8);
-  for (const int workers : {1, 2, 8}) {
+  const PipelineReport legacy = Reference(ds);
+  for (const int budget : {1, 2, 8}) {
     for (const int64_t window : {int64_t{1}, int64_t{5}, int64_t{64}}) {
       ServiceOptions service_options;
-      service_options.num_threads = 8;
+      service_options.num_threads = budget;
       service_options.window = window;
       auto service = MakeService(ServiceSpec(ds), service_options);
-      PipelineSessionOptions session_options;
-      session_options.completion_workers = workers;
-      const PipelineReport streamed = StreamAll(
-          *service, ds.entities, /*batch=*/7, std::move(session_options));
+      const PipelineReport streamed =
+          StreamAll(*service, ds.entities, /*batch=*/7);
       EXPECT_EQ(Serialize(streamed), Serialize(legacy))
-          << "workers " << workers << " window " << window;
+          << "budget " << budget << " window " << window;
     }
   }
-}
-
-TEST(PipelineSessionTest, NegativeCompletionWorkersIsRejected) {
-  auto service = MakeService(MjSpecification());
-  PipelineSessionOptions options;
-  options.completion_workers = -1;
-  Result<std::unique_ptr<PipelineSession>> session =
-      service->StartPipeline(std::move(options));
-  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(session.status().message().find("completion_workers"),
-            std::string::npos);
 }
 
 TEST(PipelineSessionTest, SchemaMismatchIsRejectedAtomically) {

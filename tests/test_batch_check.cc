@@ -1,27 +1,28 @@
-// Determinism regression tests for the parallel candidate-checking layer
-// (topk/batch_check.h): every top-k algorithm and the CLI must produce
-// byte-identical ranked results regardless of the thread count, on both
-// the Mj fixture and a synthetic spec. Guards the batched check paths of
-// TopKCT / TopKCTh / RankJoinCT / TopKBruteForce.
+// Budget invariance of everything that ranks candidate targets: every
+// top-k search checks one candidate at a time, in its own order, on one
+// engine, so AccuracyService::TopK (all four algorithms),
+// InteractionSession::Suggest and a Med pipeline must return the same
+// rankings and counters at every thread budget. Also covers the batch
+// `check` (AccuracyService::CheckCandidates) across thread counts, the
+// slot partition of ThreadPool::ParallelForSlots behind it, and the
+// exhausted_budget boundary of the shared accept loop.
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <sstream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/accuracy_service.h"
 #include "chase/chase_engine.h"
-#include "cli/commands.h"
+#include "datagen/profile_generator.h"
 #include "datagen/syn_generator.h"
-#include "io/spec_io.h"
 #include "mj_fixture.h"
-#include "rules/cfd.h"
 #include "service_fixture.h"
 #include "topk/batch_check.h"
-#include "topk/rank_join_ct.h"
 #include "topk/topk_ct.h"
 #include "util/thread_pool.h"
 
@@ -95,80 +96,43 @@ TEST(CheckCandidates, VerdictsMatchSequentialAcrossThreadCounts) {
   }
 }
 
-struct AlgoCase {
-  const char* name;
-  TopKResult (*run)(const CandidateChecker&, const MasterDomains&,
-                    const Tuple&, const PreferenceModel&, int,
-                    const TopKOptions&);
-};
+/// Every field of a TopKResult — the ranking and all of its counters.
+void ExpectSameResult(const TopKResult& got, const TopKResult& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.targets, want.targets) << what;
+  EXPECT_EQ(got.scores, want.scores) << what;
+  EXPECT_EQ(got.queue_pops, want.queue_pops) << what;
+  EXPECT_EQ(got.heap_pops, want.heap_pops) << what;
+  EXPECT_EQ(got.checks, want.checks) << what;
+  EXPECT_EQ(got.exhausted_budget, want.exhausted_budget) << what;
+}
 
-constexpr AlgoCase kAlgos[] = {
-    {"TopKCT", &TopKCT},
-    {"TopKCTh", &TopKCTh},
-    {"RankJoinCT", &RankJoinCT},
-    {"TopKBruteForce", &TopKBruteForce},
-};
-
-/// Runs every algorithm with 1, 2 and 8 threads on the target template
-/// `te` and requires identical ranked results, and for TopKCTh identical
-/// queue_pops and heap_pops: its seeds are never checked, so the seed
-/// search must not depend on the checker's width. `expect_accepts`
-/// demands that at least one exact algorithm finds targets, so the
-/// comparison is not vacuous.
-void ExpectIdenticalRankedResults(const Specification& spec,
-                                  const PreferenceModel& pref,
-                                  const Tuple& te, int k,
-                                  bool expect_accepts) {
-  EncodedEngine encoded(spec);
-  const ChaseEngine& engine = encoded.engine;
-  ASSERT_TRUE(engine.RunFromInitial().church_rosser);
-  std::size_t max_targets = 0;
-  for (const AlgoCase& algo : kAlgos) {
-    TopKOptions opts;
-    // Tight pop budget: bounds the runtime when few candidates pass and
-    // covers determinism of the exhausted_budget path as well.
-    opts.max_expansions = 2000;
-    const TopKResult seq = algo.run(engine, spec.masters, te, pref, k, opts);
-    max_targets = std::max(max_targets, seq.targets.size());
-    for (int threads : {2, 8}) {
-      const CandidateChecker checker(engine, threads);
-      const TopKResult par =
-          algo.run(checker, spec.masters, te, pref, k, opts);
-      EXPECT_EQ(par.targets, seq.targets)
-          << algo.name << " threads=" << threads;
-      EXPECT_EQ(par.scores, seq.scores)
-          << algo.name << " threads=" << threads;
-      EXPECT_EQ(par.exhausted_budget, seq.exhausted_budget)
-          << algo.name << " threads=" << threads;
-      if (algo.run == &TopKCTh) {
-        EXPECT_EQ(par.queue_pops, seq.queue_pops) << "threads=" << threads;
-        EXPECT_EQ(par.heap_pops, seq.heap_pops) << "threads=" << threads;
-      }
-    }
-  }
-  if (expect_accepts) {
-    EXPECT_GT(max_targets, 0u);
+/// Every target passes the from-scratch chase Run(t) on `oracle`.
+void ExpectVerified(const ChaseEngine& oracle, const TopKResult& result,
+                    const std::string& what) {
+  for (const Tuple& target : result.targets) {
+    EXPECT_TRUE(oracle.Run(target).church_rosser) << what;
   }
 }
 
-TEST(TopKDeterminism, AllAlgorithmsMatchSequentialOnMjFixture) {
-  const Specification spec = Example9Spec();
-  const PreferenceModel pref =
-      PreferenceModel::FromOccurrences(spec.ie, spec.masters);
-  EncodedEngine encoded(spec);
-  const ChaseEngine& engine = encoded.engine;
-  const ChaseOutcome outcome = engine.RunFromInitial();
-  ASSERT_TRUE(outcome.church_rosser);
-  ExpectIdenticalRankedResults(spec, pref, outcome.target, 5,
-                               /*expect_accepts=*/true);
-}
+/// The rankings one budget produces: the service's TopK with each
+/// algorithm and a Suggest round on the Mj fixture, a Suggest round on a
+/// synthetic spec, and a Med pipeline's per-entity targets.
+struct BudgetRun {
+  std::vector<TopKResult> topk;  ///< one per algorithm, in kAlgorithms order
+  TopKResult suggest_mj;
+  TopKResult suggest_syn;
+  std::vector<std::string> pipeline;  ///< per entity: flags and target
+};
 
-TEST(TopKDeterminism, AllAlgorithmsMatchSequentialOnSyntheticSpec) {
-  // The chase on a tiny Syn instance leaves most attributes null, which
-  // would blow up RankJoinCT's join tree; instead complete the template
-  // from the ground truth (consistent with the chase by construction) and
-  // re-open a handful of attributes, so every algorithm — including the
-  // brute-force oracle — searches a small product with a pass/fail mix.
+constexpr TopKAlgorithm kAlgorithms[] = {
+    TopKAlgorithm::kTopKCT, TopKAlgorithm::kHeuristic,
+    TopKAlgorithm::kRankJoin, TopKAlgorithm::kBruteForce};
+
+/// The synthetic spec of the Suggest case: small enough that a template
+/// of the ground truth with three attributes re-opened leaves a small
+/// product with a pass/fail mix.
+SynDataset SmallSyn() {
   SynConfig config;
   config.seed = 20260726;
   config.num_tuples = 40;
@@ -179,21 +143,120 @@ TEST(TopKDeterminism, AllAlgorithmsMatchSequentialOnSyntheticSpec) {
   config.num_mst_attrs = 2;
   config.num_free_attrs = 2;
   config.free_domain_size = 6;
-  const SynDataset syn = GenerateSyn(config);
-  const Schema& schema = syn.spec.ie.schema();
-  Tuple te = syn.truth;
-  for (const char* name : {"cur_0", "mst_0", "free_0"}) {
-    te.set(schema.MustIndexOf(name), Value());
+  return GenerateSyn(config);
+}
+
+/// One Suggest round (k = 5) over `service`'s own entity after folding
+/// `revisions` into the template.
+TopKResult SuggestAfter(AccuracyService& service,
+                        const std::vector<std::pair<AttrId, Value>>& revisions,
+                        const TopKOptions& opts) {
+  InteractionOptions options;
+  options.k = 5;
+  options.topk = opts;
+  Result<std::unique_ptr<InteractionSession>> session =
+      service.StartInteraction(std::move(options));
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  for (const auto& [attr, value] : revisions) {
+    EXPECT_TRUE(session.value()->Revise(attr, value).ok());
   }
-  ASSERT_GE(te.NullCount(), 3);
-  ExpectIdenticalRankedResults(syn.spec, syn.pref, te, 4,
-                               /*expect_accepts=*/true);
+  Result<Suggestion> suggestion = session.value()->Suggest();
+  EXPECT_TRUE(suggestion.ok()) << suggestion.status().ToString();
+  EXPECT_TRUE(suggestion.value().church_rosser);
+  return suggestion.value().candidates;
+}
+
+TEST(TopKDeterminism, SearchesAreIdenticalAcrossServiceBudgets) {
+  const Specification mj = Example9Spec();
+  const SynDataset syn = SmallSyn();
+  // The synthetic template: the ground truth with three attributes
+  // re-opened.
+  std::vector<std::pair<AttrId, Value>> syn_revisions;
+  const Schema& syn_schema = syn.spec.ie.schema();
+  for (AttrId a = 0; a < syn.truth.size(); ++a) {
+    const std::string& name = syn_schema.name(a);
+    if (name == "cur_0" || name == "mst_0" || name == "free_0" ||
+        syn.truth.at(a).is_null()) {
+      continue;
+    }
+    syn_revisions.emplace_back(a, syn.truth.at(a));
+  }
+  ProfileConfig med_config = MedConfig(/*seed=*/13);
+  med_config.num_entities = 18;
+  med_config.master_size = 45;
+  med_config.free_corruption_prob = 0.8;
+  const EntityDataset med = GenerateProfile(med_config);
+
+  const EncodedEngine mj_oracle(mj);
+  const EncodedEngine syn_oracle(syn.spec);
+  // Tight pop budget: bounds the runtime when few candidates pass and
+  // covers the exhausted_budget path as well.
+  TopKOptions opts;
+  opts.max_expansions = 2000;
+
+  auto run = [&](int budget) {
+    BudgetRun out;
+    ServiceOptions options;
+    options.num_threads = budget;
+    auto service = testing_fixture::CreateService(mj, options);
+    for (TopKAlgorithm algo : kAlgorithms) {
+      Result<TopKResult> ranked = service->TopK(5, algo, opts);
+      EXPECT_TRUE(ranked.ok()) << ranked.status().ToString();
+      out.topk.push_back(std::move(ranked).value());
+    }
+    out.suggest_mj = SuggestAfter(*service, {}, opts);
+    auto syn_service = testing_fixture::CreateService(syn.spec, options);
+    out.suggest_syn = SuggestAfter(*syn_service, syn_revisions, opts);
+
+    const PipelineReport report = testing_fixture::OneWindowPipeline(
+        med.entities, med.masters, med.rules, budget,
+        CompletionPolicy::kBestCandidate, nullptr, med.chase_config);
+    for (const EntityReport& e : report.entities) {
+      out.pipeline.push_back(std::to_string(e.entity_id) + '|' +
+                             std::to_string(e.church_rosser) + '|' +
+                             std::to_string(e.complete) + '|' +
+                             std::to_string(e.used_candidate) + '|' +
+                             e.target.ToString());
+    }
+    return out;
+  };
+
+  const BudgetRun reference = run(1);
+  // Not vacuous: the exact searches and both Suggest rounds find targets,
+  // and the pipeline completes some entity by a candidate.
+  EXPECT_FALSE(reference.topk[0].targets.empty());
+  EXPECT_FALSE(reference.suggest_mj.targets.empty());
+  EXPECT_FALSE(reference.suggest_syn.targets.empty());
+  EXPECT_NE(std::count_if(reference.pipeline.begin(), reference.pipeline.end(),
+                          [](const std::string& e) {
+                            return e.find("|1|1|1|") != std::string::npos;
+                          }),
+            0);
+  for (std::size_t a = 0; a < reference.topk.size(); ++a) {
+    ExpectVerified(mj_oracle.engine, reference.topk[a],
+                   "algorithm " + std::to_string(a));
+  }
+  ExpectVerified(mj_oracle.engine, reference.suggest_mj, "suggest mj");
+  ExpectVerified(syn_oracle.engine, reference.suggest_syn, "suggest syn");
+
+  for (int budget : {2, 8}) {
+    const BudgetRun got = run(budget);
+    const std::string at = " budget=" + std::to_string(budget);
+    ASSERT_EQ(got.topk.size(), reference.topk.size());
+    for (std::size_t a = 0; a < got.topk.size(); ++a) {
+      ExpectSameResult(got.topk[a], reference.topk[a],
+                       "algorithm " + std::to_string(a) + at);
+    }
+    ExpectSameResult(got.suggest_mj, reference.suggest_mj, "suggest mj" + at);
+    ExpectSameResult(got.suggest_syn, reference.suggest_syn,
+                     "suggest syn" + at);
+    EXPECT_EQ(got.pipeline, reference.pipeline) << at;
+  }
 }
 
 TEST(TopKDeterminism, BudgetAtExactSpaceExhaustionIsNotReportedAsExhausted) {
   // If the pop budget runs out at the same moment the search space does,
-  // the search completed: exhausted_budget must stay false, as in the
-  // pre-batching loop (and for every thread count).
+  // the search completed: exhausted_budget must stay false.
   const Specification spec = Example9Spec();
   const PreferenceModel pref =
       PreferenceModel::FromOccurrences(spec.ie, spec.masters);
@@ -210,45 +273,16 @@ TEST(TopKDeterminism, BudgetAtExactSpaceExhaustionIsNotReportedAsExhausted) {
   ASSERT_FALSE(full.exhausted_budget);
   ASSERT_GT(full.queue_pops, 1);
 
-  for (int threads : {1, 8}) {
-    const CandidateChecker checker(engine, threads);
-    opts.max_expansions = full.queue_pops;  // exactly the space size
-    const TopKResult boundary =
-        TopKCT(checker, spec.masters, outcome.target, pref, huge_k, opts);
-    EXPECT_FALSE(boundary.exhausted_budget) << "threads=" << threads;
-    EXPECT_EQ(boundary.targets, full.targets) << "threads=" << threads;
+  opts.max_expansions = full.queue_pops;  // exactly the space size
+  const TopKResult boundary =
+      TopKCT(engine, spec.masters, outcome.target, pref, huge_k, opts);
+  EXPECT_FALSE(boundary.exhausted_budget);
+  EXPECT_EQ(boundary.targets, full.targets);
 
-    opts.max_expansions = full.queue_pops - 1;  // one pop short
-    const TopKResult short_of =
-        TopKCT(checker, spec.masters, outcome.target, pref, huge_k, opts);
-    EXPECT_TRUE(short_of.exhausted_budget) << "threads=" << threads;
-  }
-}
-
-TEST(TopKDeterminism, CliTopKOutputIsByteIdenticalAcrossThreadCounts) {
-  SpecDocument doc;
-  doc.spec = Example9Spec();
-  doc.entity_name = "stat";
-  doc.master_names = {"nba"};
-  const std::string path =
-      ::testing::TempDir() + "/relacc_batch_check_spec.json";
-  ASSERT_TRUE(WriteFile(path, SpecToJson(doc).Dump(2)).ok());
-
-  for (const char* algo : {"topkct", "heuristic", "rankjoin", "brute"}) {
-    auto run = [&](const char* threads) {
-      std::ostringstream out, err;
-      const int rc = RunCli({"topk", path, "--k=5", "--algo", algo,
-                             "--threads", threads},
-                            out, err);
-      EXPECT_EQ(rc, 0) << algo << " threads=" << threads << ": "
-                       << err.str();
-      return out.str();
-    };
-    const std::string seq = run("1");
-    EXPECT_NE(seq.find("top-5 candidates"), std::string::npos) << algo;
-    EXPECT_EQ(run("8"), seq) << algo;
-  }
-  std::remove(path.c_str());
+  opts.max_expansions = full.queue_pops - 1;  // one pop short
+  const TopKResult short_of =
+      TopKCT(engine, spec.masters, outcome.target, pref, huge_k, opts);
+  EXPECT_TRUE(short_of.exhausted_budget);
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 // violation (the rollback must leave the checkpoint pristine) and probes
 // interleaved with ResumeWith calls on the same engine. Also covers the
 // batch layer across thread counts, ranked output of all four top-k
-// algorithms across thread counts (every returned target re-verified by
-// Run), and the checkpoint-backed RunFromCheckpoint entry point.
+// algorithms on one long-lived engine against a fresh engine per search
+// (every returned target re-verified by Run), and the checkpoint-backed
+// RunFromCheckpoint entry point.
 
 #include <algorithm>
 #include <string>
@@ -210,7 +211,7 @@ TEST(CandidateCheck, BatchVerdictsMatchFromScratchRunAcrossThreads) {
 
 struct AlgoCase {
   const char* name;
-  TopKResult (*run)(const CandidateChecker&, const MasterDomains&,
+  TopKResult (*run)(const ChaseEngine&, const MasterDomains&,
                     const Tuple&, const PreferenceModel&, int,
                     const TopKOptions&);
 };
@@ -222,13 +223,18 @@ constexpr AlgoCase kAlgos[] = {
     {"TopKBruteForce", &TopKBruteForce},
 };
 
-/// All four algorithms at thread counts {1, 4}: ranked output (targets,
-/// scores, exhausted_budget) must be identical to the sequential run, and
-/// every returned target must pass the from-scratch chase Run(t).
+/// All four algorithms on one engine shared by every search: the ranked
+/// output (targets, scores, counters) must be identical to a search on a
+/// fresh engine — the probe state a check leaves behind never leaks into
+/// the next — and every returned target must pass the from-scratch chase
+/// Run(t).
 void ExpectRankedOutputVerified(const Specification& spec,
                                 const PreferenceModel& pref, const Tuple& te,
                                 int k) {
   std::size_t max_targets = 0;
+  const EncodedEngine shared_encoded(spec);
+  const ChaseEngine& shared = shared_encoded.engine;
+  ASSERT_TRUE(shared.RunFromCheckpoint().church_rosser);
   for (const AlgoCase& algo : kAlgos) {
     TopKOptions opts;
     opts.max_expansions = 2000;
@@ -243,19 +249,11 @@ void ExpectRankedOutputVerified(const Specification& spec,
       EXPECT_TRUE(reference_engine.Run(target).church_rosser) << algo.name;
     }
 
-    const EncodedEngine encoded(spec);
-    const ChaseEngine& engine = encoded.engine;
-    for (int threads : {1, 4}) {
-      const CandidateChecker checker(engine, threads);
-      const TopKResult got =
-          algo.run(checker, spec.masters, te, pref, k, opts);
-      EXPECT_EQ(got.targets, reference.targets)
-          << algo.name << " threads=" << threads;
-      EXPECT_EQ(got.scores, reference.scores)
-          << algo.name << " threads=" << threads;
-      EXPECT_EQ(got.exhausted_budget, reference.exhausted_budget)
-          << algo.name << " threads=" << threads;
-    }
+    const TopKResult got = algo.run(shared, spec.masters, te, pref, k, opts);
+    EXPECT_EQ(got.targets, reference.targets) << algo.name;
+    EXPECT_EQ(got.scores, reference.scores) << algo.name;
+    EXPECT_EQ(got.checks, reference.checks) << algo.name;
+    EXPECT_EQ(got.exhausted_budget, reference.exhausted_budget) << algo.name;
   }
   EXPECT_GT(max_targets, 0u);  // not vacuous
 }

@@ -44,6 +44,28 @@ TEST(Args, DoubleDashEndsFlagParsing) {
 TEST(Args, RejectsShortOptionsAndEmptyInput) {
   EXPECT_FALSE(Args::Parse({"check", "-j"}).ok());
   EXPECT_FALSE(Args::Parse({}).ok());
+  // After a flag, a non-numeric `-x` is not a value, so it still fails
+  // as a short option; a lone `-` stays a positional.
+  EXPECT_FALSE(Args::Parse({"topk", "--k", "-x"}).ok());
+  EXPECT_FALSE(Args::Parse({"topk", "--k", "-1x"}).ok());
+  Result<Args> dash = Args::Parse({"topk", "--json", "-"});
+  ASSERT_TRUE(dash.ok());
+  EXPECT_EQ(dash.value().GetString("json"), "");
+  ASSERT_EQ(dash.value().positionals().size(), 1u);
+  EXPECT_EQ(dash.value().positionals()[0], "-");
+}
+
+TEST(Args, NegativeIntegerAfterAFlagIsItsValue) {
+  Result<Args> args = Args::Parse(
+      {"serve", "spec.json", "--port", "-1", "--window", "-99999999999999999999"});
+  ASSERT_TRUE(args.ok()) << args.status().ToString();
+  EXPECT_EQ(args.value().GetInt("port", 0).value(), -1);
+  ASSERT_EQ(args.value().positionals().size(), 1u);
+  // Out of int64_t's range: the flag's own error, not a parse error.
+  Result<int64_t> window = args.value().GetInt("window", 0);
+  ASSERT_FALSE(window.ok());
+  EXPECT_NE(window.status().message().find("--window is out of range"),
+            std::string::npos);
 }
 
 TEST(Args, IntFlagValidation) {
@@ -523,28 +545,59 @@ TEST_F(CliTest, ServeWithoutSpecIsUsageError) {
   EXPECT_NE(err_.str().find("spec.json"), std::string::npos);
 }
 
+// Each assertion names the flag's own range message: the usage banner
+// printed after any usage error lists every flag name, so a bare flag
+// name would also match a parse error.
+
 TEST_F(CliTest, ServeValidatesPort) {
-  EXPECT_EQ(Run({"serve", path_, "--port", "99999"}), 2);
-  EXPECT_NE(err_.str().find("--port"), std::string::npos);
-  EXPECT_EQ(Run({"serve", path_, "--port", "-1"}), 2);
+  for (const char* port : {"99999", "-1"}) {
+    EXPECT_EQ(Run({"serve", path_, "--port", port}), 2) << port;
+    EXPECT_NE(err_.str().find("--port must be in [0, 65535]"),
+              std::string::npos)
+        << err_.str();
+  }
 }
 
 TEST_F(CliTest, ServeValidatesThreadsWindowAndQueueDepth) {
   EXPECT_EQ(Run({"serve", path_, "--threads", "9999"}), 2);
-  EXPECT_NE(err_.str().find("--threads"), std::string::npos);
+  EXPECT_NE(err_.str().find("--threads must be between 0 and 256"),
+            std::string::npos)
+      << err_.str();
   EXPECT_EQ(Run({"serve", path_, "--window", "-1"}), 2);
+  EXPECT_NE(err_.str().find("--window must be >= 0"), std::string::npos)
+      << err_.str();
   EXPECT_EQ(Run({"serve", path_, "--queue-depth", "0"}), 2);
+  EXPECT_NE(err_.str().find("--queue-depth must be in [1, 4096]"),
+            std::string::npos)
+      << err_.str();
 }
 
 TEST_F(CliTest, ServeValidatesReplicasDeadlineAndQuarantine) {
-  EXPECT_EQ(Run({"serve", path_, "--replicas", "0"}), 2);
-  EXPECT_NE(err_.str().find("--replicas"), std::string::npos);
-  EXPECT_EQ(Run({"serve", path_, "--replicas", "65"}), 2);
+  for (const char* replicas : {"0", "65"}) {
+    EXPECT_EQ(Run({"serve", path_, "--replicas", replicas}), 2) << replicas;
+    EXPECT_NE(err_.str().find("--replicas must be in [1, 64]"),
+              std::string::npos)
+        << err_.str();
+  }
   EXPECT_EQ(Run({"serve", path_, "--deadline-ms", "-1"}), 2);
-  EXPECT_NE(err_.str().find("--deadline-ms"), std::string::npos);
-  EXPECT_EQ(Run({"serve", path_, "--quarantine-after", "0"}), 2);
-  EXPECT_NE(err_.str().find("--quarantine-after"), std::string::npos);
-  EXPECT_EQ(Run({"serve", path_, "--quarantine-after", "101"}), 2);
+  EXPECT_NE(err_.str().find("--deadline-ms must be >= 0"), std::string::npos)
+      << err_.str();
+  for (const char* after : {"0", "101"}) {
+    EXPECT_EQ(Run({"serve", path_, "--quarantine-after", after}), 2)
+        << after;
+    EXPECT_NE(err_.str().find("--quarantine-after must be in [1, 100]"),
+              std::string::npos)
+        << err_.str();
+  }
+}
+
+TEST_F(CliTest, NegativeFlagValuesReachTheirRangeChecks) {
+  EXPECT_EQ(Run({"pipeline", path_, "--key", "league", "--window", "-1"}), 2);
+  EXPECT_NE(err_.str().find("--window must be >= 0"), std::string::npos)
+      << err_.str();
+  EXPECT_EQ(Run({"topk", path_, "--k", "-5"}), 2);
+  EXPECT_NE(err_.str().find("k must be >= 1, got -5"), std::string::npos)
+      << err_.str();
 }
 
 TEST_F(CliTest, ServeRejectsMalformedFaultSpec) {

@@ -157,6 +157,14 @@ TEST_F(InteractiveCliTest, KOutsideIntRangeIsRejected) {
   EXPECT_NE(err_.str().find("4294967297"), std::string::npos) << err_.str();
 }
 
+TEST_F(InteractiveCliTest, KBelowOneIsRejected) {
+  for (const char* k : {"0", "-3"}) {
+    EXPECT_EQ(Run({"interactive", path_, "--k", k}, "quit\n"), 2) << k;
+    EXPECT_NE(err_.str().find("k must be >= 1"), std::string::npos)
+        << err_.str();
+  }
+}
+
 TEST_F(InteractiveCliTest, QuitReturnsPartialTarget) {
   int rc = Run({"interactive", path_}, "quit\n");
   EXPECT_EQ(rc, 0) << err_.str();

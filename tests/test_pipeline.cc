@@ -1,7 +1,5 @@
-#include <algorithm>
 #include <atomic>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,27 +64,6 @@ TEST(ThreadPool, ParallelForZeroAndSingleThread) {
 TEST(ThreadPool, DefaultThreadCountIsPositive) {
   ThreadPool pool;
   EXPECT_GE(pool.num_threads(), 1);
-}
-
-TEST(ThreadPool, SlotCapBoundsConcurrentSlots) {
-  ThreadPool pool(4);
-  // Every index covered once, and no slot index at or above the cap is
-  // ever handed out — the two-dimensional completion plan relies on it.
-  for (const int cap : {1, 2, 4, 9}) {
-    std::vector<std::atomic<int>> hits(37);
-    std::atomic<int> max_slot{-1};
-    pool.ParallelForSlots(
-        static_cast<int64_t>(hits.size()), cap, [&](int slot, int64_t i) {
-          hits[i].fetch_add(1);
-          int seen = max_slot.load();
-          while (slot > seen && !max_slot.compare_exchange_weak(seen, slot)) {
-          }
-        });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "cap " << cap << " index " << i;
-    }
-    EXPECT_LT(max_slot.load(), std::min(cap, pool.num_threads())) << cap;
-  }
 }
 
 // --- pipeline ----------------------------------------------------------------
@@ -231,55 +208,6 @@ TEST(Pipeline, EmptyInputYieldsEmptyReport) {
   EXPECT_EQ(report.targets.size(), 0);
   EXPECT_EQ(report.num_church_rosser, 0);
   EXPECT_EQ(report.deduced_attr_fraction, 0.0);
-}
-
-TEST(PipelineThreadPlanTest, BudgetIsNeverExceeded) {
-  // The N×M oversubscription bug: the entity pool and the per-entity
-  // checker pools used to multiply. The plan's phases time-multiplex the
-  // budget instead — and within the completion phase, the entity-level
-  // workers and the per-worker check width multiply into at most the
-  // budget, never beyond it.
-  for (int budget = 1; budget <= 16; ++budget) {
-    for (int64_t entities : {0LL, 1LL, 2LL, 5LL, 100LL}) {
-      const PipelineThreadPlan plan =
-          ComputePipelineThreadPlan(budget, entities);
-      EXPECT_GE(plan.chase_threads, 1) << budget << "/" << entities;
-      EXPECT_GE(plan.completion_workers, 1) << budget << "/" << entities;
-      EXPECT_GE(plan.check_threads, 1) << budget << "/" << entities;
-      EXPECT_LE(plan.chase_threads, budget) << budget << "/" << entities;
-      EXPECT_LE(plan.completion_workers * plan.check_threads, budget)
-          << budget << "/" << entities;
-      EXPECT_LE(plan.chase_threads, std::max<int64_t>(1, entities));
-      EXPECT_LE(plan.completion_workers, std::max<int64_t>(1, entities));
-    }
-  }
-}
-
-TEST(PipelineThreadPlanTest, DefaultBudgetUsesHardwareConcurrency) {
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  const PipelineThreadPlan plan = ComputePipelineThreadPlan(0, 1000);
-  EXPECT_LE(plan.chase_threads, hw);
-  EXPECT_LE(plan.completion_workers * plan.check_threads, hw);
-  // 1000 entities >= any real hardware budget: both phases fill it.
-  EXPECT_EQ(plan.chase_threads, hw);
-  EXPECT_EQ(plan.completion_workers, hw);
-}
-
-TEST(PipelineThreadPlanTest, SingleEntityGivesTheCheckerTheWholeBudget) {
-  // One pending entity cannot use entity-level workers; the old
-  // one-wide-checker schedule is the degenerate case of the 2-D plan.
-  const PipelineThreadPlan plan = ComputePipelineThreadPlan(8, 1);
-  EXPECT_EQ(plan.completion_workers, 1);
-  EXPECT_EQ(plan.check_threads, 8);
-}
-
-TEST(Pipeline, ReportsItsThreadPlan) {
-  PipelineReport report = MedPipelineReport(
-      /*num_threads=*/3, CompletionPolicy::kBestCandidate, /*num_entities=*/10);
-  EXPECT_EQ(report.plan.chase_threads, 3);
-  EXPECT_EQ(report.plan.completion_workers, 3);
-  EXPECT_EQ(report.plan.check_threads, 1);
 }
 
 TEST(Pipeline, ReportsAgreeAcrossThreadBudgets) {
