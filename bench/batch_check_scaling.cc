@@ -1,5 +1,5 @@
 // Scaling of the batch candidate check (AccuracyService::CheckCandidates
-// over topk/batch_check.h): a fixed pool of candidate targets over a Syn
+// on the service's pool): a fixed pool of candidate targets over a Syn
 // workload is checked with 1, 2, 4 and 8 worker threads. Reports
 // wall-clock per thread count, the speedup over the sequential run
 // (expect >= 2x at 8 threads on hardware with >= 4 cores; a 1-core
@@ -18,7 +18,7 @@
 #include "common.h"
 #include "datagen/syn_generator.h"
 #include "rules/grounding.h"
-#include "topk/batch_check.h"
+#include "topk/preference.h"
 
 namespace relacc {
 namespace bench {

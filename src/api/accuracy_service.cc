@@ -9,7 +9,6 @@
 #include "rules/grounding.h"
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
-#include "topk/batch_check.h"
 #include "topk/rank_join_ct.h"
 #include "util/thread_pool.h"
 
@@ -112,10 +111,6 @@ AccuracyService::AccuracyService(Specification spec, ServiceOptions options,
     : spec_(std::move(spec)), options_(std::move(options)), budget_(budget) {
   dict_ = options_.dictionary != nullptr ? options_.dictionary
                                          : std::make_shared<Dictionary>();
-  if (options_.memo_cache_entries > 0) {
-    memo_ =
-        std::make_unique<snapshot::MemoCache>(options_.memo_cache_entries);
-  }
 }
 
 AccuracyService::~AccuracyService() = default;
@@ -150,11 +145,6 @@ Result<std::unique_ptr<AccuracyService>> AccuracyService::Create(
   if (!options.snapshot_path.empty()) {
     // A snapshot restores dictionary, config and derived state wholesale;
     // options that describe a from-scratch build contradict it.
-    if (options.chase.has_value()) {
-      return Status::InvalidArgument(
-          "ServiceOptions::snapshot_path and ::chase are mutually "
-          "exclusive: the chase config is part of the artifact");
-    }
     if (options.dictionary != nullptr) {
       return Status::InvalidArgument(
           "ServiceOptions::snapshot_path and ::dictionary are mutually "
@@ -187,7 +177,6 @@ Result<std::unique_ptr<AccuracyService>> AccuracyService::Create(
     cold->degraded_reason_ = loaded.ToString();
     return cold;
   }
-  if (options.chase.has_value()) spec.config = *options.chase;
   const int budget = ResolveBudget(options.num_threads);
   return std::unique_ptr<AccuracyService>(
       new AccuracyService(std::move(spec), std::move(options), budget));
@@ -297,20 +286,6 @@ Status AccuracyService::WriteSnapshot(const std::string& path) {
   return snapshot::WriteSnapshotFile(contents, path);
 }
 
-snapshot::MemoCache::Stats AccuracyService::memo_stats() const {
-  if (memo_ == nullptr) return snapshot::MemoCache::Stats();
-  return memo_->stats();
-}
-
-uint64_t AccuracyService::OwnEntityFingerprint() {
-  if (!own_entity_fp_set_) {
-    own_entity_fp_ =
-        snapshot::FingerprintRelation(snapshot::kFnvOffset, spec_.ie);
-    own_entity_fp_set_ = true;
-  }
-  return own_entity_fp_;
-}
-
 Status AccuracyService::EnsureDefaultEngine() {
   if (engine_ != nullptr) return Status::OK();
   if (reader_ != nullptr) {
@@ -383,28 +358,12 @@ Result<ChaseOutcome> AccuracyService::DeduceEntity(const Relation& entity) {
   RELACC_RETURN_NOT_OK(CheckEntityArity("AccuracyService::DeduceEntity: entity",
                                         entity.schema()));
   RELACC_RETURN_NOT_OK(EnsureMasters());
-  const bool memoize =
-      memo_ != nullptr && memo_->enabled() && !spec_.config.keep_orders;
-  uint64_t key = 0;
-  if (memoize) {
-    key = snapshot::MemoKey(snapshot::MemoKind::kDeduce,
-                            snapshot::FingerprintRelation(
-                                snapshot::kFnvOffset, entity),
-                            0);
-    if (auto hit = memo_->Lookup(key)) return hit->outcome;
-  }
   const MasterBlock& block = EnsureMasterBlock();
   const ColumnarRelation cie =
       ColumnarRelation::FromRelation(entity, dict_.get());
   const GroundProgram program = Instantiate(cie, block, spec_.rules);
   const ChaseEngine engine(cie, &program, spec_.config);
-  const ChaseOutcome outcome = engine.RunFromInitial();
-  if (memoize) {
-    auto entry = std::make_shared<snapshot::MemoEntry>();
-    entry->outcome = outcome;
-    memo_->Insert(key, std::move(entry));
-  }
-  return outcome;
+  return engine.RunFromInitial();
 }
 
 Result<TopKResult> AccuracyService::TopK(int k, TopKAlgorithm algo,
@@ -447,24 +406,36 @@ Result<TopKResult> AccuracyService::TopK(int k, TopKAlgorithm algo,
 
 Result<std::vector<char>> AccuracyService::CheckCandidates(
     const std::vector<Tuple>& candidates) {
-  const bool memoize = memo_ != nullptr && memo_->enabled();
-  uint64_t key = 0;
-  if (memoize) {
-    key = snapshot::MemoKey(
-        snapshot::MemoKind::kVerdicts, OwnEntityFingerprint(),
-        snapshot::FingerprintTuples(snapshot::kFnvOffset, candidates));
-    if (auto hit = memo_->Lookup(key)) return hit->verdicts;
-  }
   RELACC_RETURN_NOT_OK(EnsureDefaultEngine());
-  if (checker_ == nullptr) {
-    checker_ = std::make_unique<CandidateChecker>(*engine_, budget_);
+  std::vector<char> verdicts(candidates.size(), 0);
+  // Checks are pure per candidate, so the inline path and the pooled path
+  // produce identical verdict vectors. Only single-candidate batches skip
+  // the pool (nothing to overlap); ParallelForSlots never hands out more
+  // slots than candidates, so small batches still fan out.
+  if (budget_ == 1 || candidates.size() <= 1) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      verdicts[i] = engine_->CheckCandidate(candidates[i]) ? 1 : 0;
+    }
+    return verdicts;
   }
-  std::vector<char> verdicts = checker_->CheckAll(candidates);
-  if (memoize) {
-    auto entry = std::make_shared<snapshot::MemoEntry>();
-    entry->verdicts = verdicts;
-    memo_->Insert(key, std::move(entry));
+  if (check_engines_.empty()) {
+    check_engines_.reserve(static_cast<std::size_t>(budget_));
+    for (int slot = 0; slot < budget_; ++slot) {
+      // Over engine_'s (Ie, program, config), so its TermId-encoded
+      // checkpoint is valid here. Adopting it shares the all-null chase
+      // by pointer instead of re-running it per slot; each slot engine
+      // then grows its own probe state from it.
+      auto engine =
+          std::make_unique<ChaseEngine>(*cie_, program_.get(), spec_.config);
+      engine->AdoptCheckpointFrom(*engine_);
+      check_engines_.push_back(std::move(engine));
+    }
   }
+  ChasePool().ParallelForSlots(
+      static_cast<int64_t>(candidates.size()), [&](int slot, int64_t i) {
+        verdicts[i] =
+            check_engines_[slot]->CheckCandidate(candidates[i]) ? 1 : 0;
+      });
   return verdicts;
 }
 

@@ -14,15 +14,13 @@
 #include "core/dictionary.h"
 #include "core/relation.h"
 #include "pipeline/pipeline.h"
-#include "snapshot/memo_cache.h"
 #include "topk/preference.h"
 #include "topk/topk_ct.h"
 #include "util/status.h"
 
 namespace relacc {
 
-class CandidateChecker;  // topk/batch_check.h
-class ThreadPool;        // util/thread_pool.h
+class ThreadPool;  // util/thread_pool.h
 
 namespace snapshot {
 class SnapshotReader;  // snapshot/reader.h
@@ -33,19 +31,12 @@ class InteractionSession;
 
 /// Options fixed for the lifetime of an AccuracyService.
 struct ServiceOptions {
-  /// Worker-thread budget: the width of the pool a pipeline window's
-  /// entities are chased and completed on (one entity per task), and of
-  /// the CheckCandidates fan-out. Every top-k search runs on its caller's
-  /// thread, checking one candidate at a time. <= 0 selects the hardware
-  /// concurrency.
+  /// Worker-thread budget: the width of the service's one pool, on which
+  /// a pipeline window's entities are chased and completed (one entity
+  /// per task) and a CheckCandidates batch fans out. Every top-k search
+  /// runs on its caller's thread, checking one candidate at a time. <= 0
+  /// selects the hardware concurrency.
   int num_threads = 0;
-
-  /// Chase configuration override. When set it replaces the `config`
-  /// embedded in the Specification; when empty the spec's own config
-  /// governs. An optional (rather than a plain ChaseConfig) so a
-  /// spec-pinned config (e.g. an action budget) is never silently
-  /// clobbered by a default-constructed option.
-  std::optional<ChaseConfig> chase;
 
   /// Default completion policy for pipeline sessions and one-shot runs.
   CompletionPolicy completion = CompletionPolicy::kBestCandidate;
@@ -85,7 +76,7 @@ struct ServiceOptions {
   /// ignores the passed spec and restores dictionary, entity instance,
   /// masters (zero-copy, mmap-backed), rules, config, grounded program
   /// and the chased all-null checkpoint from the file. Incompatible
-  /// with `chase`, `dictionary` and `validate_spec` — those describe a
+  /// with `dictionary` and `validate_spec` — those describe a
   /// from-scratch build, so Create rejects the combinations with
   /// kInvalidArgument.
   /// Version or CRC problems surface as kInvalidArgument / kDataLoss;
@@ -102,12 +93,6 @@ struct ServiceOptions {
   /// the snapshot options may both be supplied — the usual mutual
   /// exclusions still apply to the snapshot attempt itself.
   bool snapshot_fallback = false;
-
-  /// Capacity (entries) of the in-service verdict memo cache: repeated
-  /// CheckCandidates batches and repeated ad-hoc DeduceEntity calls —
-  /// the serve daemon's retried/replayed load — are answered from the
-  /// memo instead of re-chasing. 0 (the default) disables the cache.
-  std::size_t memo_cache_entries = 0;
 };
 
 /// Per-session options of AccuracyService::StartPipeline.
@@ -178,12 +163,11 @@ enum class TopKAlgorithm {
 ///     deduction, candidate check and interactive resume starts from
 ///     (built lazily on first use, so pipeline-only services over a
 ///     placeholder instance never pay for it);
-///   * the thread pool of ServiceOptions::num_threads: a pipeline window
-///     chases its entities on it and then completes the incomplete ones
-///     on it, one entity per task, each on its own engine; and
-///   * the CandidateChecker behind CheckCandidates, built once over the
-///     spec's own engine, which fans a candidate batch out over its own
-///     pool of the same width.
+///   * the one thread pool of ServiceOptions::num_threads: a pipeline
+///     window chases its entities on it and then completes the incomplete
+///     ones on it, one entity per task, each on its own engine; and
+///     CheckCandidates fans a candidate batch out on it, one engine per
+///     worker slot (built once, sharing the service engine's checkpoint).
 ///
 /// Every top-k search (TopK, Suggest, pipeline completion) checks one
 /// candidate at a time, in the search's order, on one engine: the
@@ -213,14 +197,14 @@ enum class TopKAlgorithm {
 ///
 /// Threading and ownership: the service and its sessions are not
 /// internally synchronized — drive them from one thread at a time (the
-/// pipeline windows and the batch check run on the budget's pool
-/// inside). Sessions hold
-/// pointers into the service and must not outlive it. The service is
-/// immovable; the Specification is copied in and owned.
+/// pipeline windows and the batch check run on the service pool
+/// inside). Sessions hold pointers into the service and must not outlive
+/// it. The service is immovable; the Specification is copied in and
+/// owned.
 class AccuracyService {
  public:
-  /// Validates `options` and takes ownership of `spec`. When
-  /// `options.chase` is set it replaces spec.config.
+  /// Validates `options` and takes ownership of `spec`; spec.config is
+  /// the chase configuration.
   static Result<std::unique_ptr<AccuracyService>> Create(
       Specification spec, ServiceOptions options = {});
 
@@ -234,13 +218,10 @@ class AccuracyService {
   /// ServiceOptions::num_threads was <= 0).
   int thread_budget() const { return budget_; }
 
-  /// The resolved default streaming window.
-  int64_t default_window() const { return options_.window; }
-
   /// The service-wide term dictionary (ServiceOptions::dictionary or
   /// service-created): every engine the service builds interns into it,
   /// so TermId-encoded checkpoints stay portable across the default
-  /// engine, checker worker engines and sessions.
+  /// engine, the CheckCandidates slot engines and sessions.
   Dictionary* dictionary() const { return dict_.get(); }
 
   /// How this service stores its data: "columnar" (built from the
@@ -260,10 +241,6 @@ class AccuracyService {
   bool degraded() const { return degraded_; }
   /// The snapshot-load error behind degraded(); empty otherwise.
   const std::string& degraded_reason() const { return degraded_reason_; }
-
-  /// Counters of the verdict memo cache; all zero when the cache is
-  /// disabled (ServiceOptions::memo_cache_entries == 0).
-  snapshot::MemoCache::Stats memo_stats() const;
 
   /// Serializes the service's full derived state — dictionary, encoded
   /// entity instance, masters, rules, config, grounded program, chased
@@ -318,8 +295,10 @@ class AccuracyService {
                           const PreferenceModel* preference = nullptr);
 
   /// The candidate-target `check` (Sec. 6) for every candidate against
-  /// the spec's own entity instance, fanned out over the budget's width;
-  /// verdicts[i] corresponds to candidates[i]. Candidates must
+  /// the spec's own entity instance, fanned out over the service pool
+  /// (inline on the service engine at budget 1 or for a single
+  /// candidate); verdicts[i] corresponds to candidates[i], the same for
+  /// every budget. Candidates must
   /// satisfy the ChaseEngine::CheckCandidate contract (complete, agreeing
   /// with the deduced target on its non-null attributes).
   Result<std::vector<char>> CheckCandidates(
@@ -372,17 +351,14 @@ class AccuracyService {
   /// ad-hoc entities, pipelines). The warm deduce path never does.
   Status EnsureMasters();
 
-  /// FNV fingerprint of the service's own entity instance, computed
-  /// once (memo-cache key half).
-  uint64_t OwnEntityFingerprint();
-
-  /// The shared chase pool (width = budget), built on first use.
+  /// The service's one thread pool (width = budget), built on first
+  /// use: pipeline windows and CheckCandidates run on it.
   ThreadPool& ChasePool();
 
   /// kInvalidArgument, prefixed by `what`, when `schema`'s arity differs
   /// from the service schema's. Grounding and the chase index read every
   /// attribute of the service schema, so every per-entity entry point
-  /// checks this before grounding or memoizing anything.
+  /// checks this before grounding anything.
   Status CheckEntityArity(const std::string& what, const Schema& schema) const;
 
   Specification spec_;
@@ -426,14 +402,11 @@ class AccuracyService {
   std::vector<ColumnarRelation> cmasters_;
   bool masters_loaded_ = false;
 
-  // The verdict memo (ServiceOptions::memo_cache_entries); null when
-  // disabled.
-  std::unique_ptr<snapshot::MemoCache> memo_;
-  uint64_t own_entity_fp_ = 0;
-  bool own_entity_fp_set_ = false;
-
-  // The CheckCandidates fan-out over engine_; null until first use.
-  std::unique_ptr<CandidateChecker> checker_;
+  // One engine per ChasePool slot for CheckCandidates' fan-out, each
+  // over engine_'s Ie and program and sharing its checkpoint: engines
+  // hold mutable probe state, so workers never share one. Empty until
+  // the first batch that fans out.
+  std::vector<std::unique_ptr<ChaseEngine>> check_engines_;
 };
 
 /// A streaming whole-database run: submit entity batches as they

@@ -8,7 +8,7 @@ namespace relacc {
 /// `relacc --version` prints it so bug reports can name the exact API
 /// surface they ran against, and bench::JsonReport stamps it into every
 /// BENCH_*.json so perf rows are attributable to an API generation.
-inline constexpr const char kRelaccVersion[] = "0.20.0";
+inline constexpr const char kRelaccVersion[] = "0.21.0";
 
 }  // namespace relacc
 

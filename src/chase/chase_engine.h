@@ -79,7 +79,7 @@ class ChaseEngine {
   /// residual-constant watch entries are all TermIds of ie.mutable_dict()
   /// (Value equality == id equality by the interning contract), so the
   /// chase hot loop compares integers, not Values. Sibling engines —
-  /// checker worker pools, pipeline windows, serve sessions — encode
+  /// CheckCandidates slot engines, pipeline windows, serve sessions — encode
   /// their entities into one shared dictionary, so each distinct term is
   /// interned once and checkpoints can be shared (AdoptCheckpointFrom
   /// requires a common dictionary). A block-backed program requires ie's
@@ -127,9 +127,10 @@ class ChaseEngine {
   /// Shares `other`'s prepared all-null checkpoint with this engine,
   /// building it on `other` first if needed. The checkpoint is a pure
   /// function of (Ie, program, config) and immutable once built, so
-  /// engines over the same triple — e.g. the per-worker engines of
-  /// topk/batch_check.h — share one instance by pointer instead of each
-  /// re-running (or deep-copying) the all-null chase.
+  /// engines over the same triple — e.g. AccuracyService's
+  /// CheckCandidates slot engines and interaction-session engines — share
+  /// one instance by pointer instead of each re-running (or deep-copying)
+  /// the all-null chase.
   void AdoptCheckpointFrom(const ChaseEngine& other);
 
   /// Incremental re-chase (Fig. 3 loop): resumes from the all-null
@@ -344,8 +345,8 @@ class ChaseEngine {
   std::vector<std::unordered_map<TermId, int32_t>> value_slot_;
 
   /// Lazily-built checkpoint for CheckCandidate (terminal all-null state).
-  /// Immutable once built and shared by pointer across the per-worker
-  /// engines of a CandidateChecker (AdoptCheckpointFrom).
+  /// Immutable once built and shared by pointer with the engines that
+  /// adopt it (AdoptCheckpointFrom).
   mutable std::shared_ptr<const RunState> checkpoint_;
   mutable bool checkpoint_failed_ = false;
   /// Violation + stats of the failed all-null chase (for RunFromCheckpoint).

@@ -1,7 +1,9 @@
 #include "cli/args.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <iterator>
 
 namespace relacc {
 namespace {
@@ -10,6 +12,15 @@ namespace {
 bool IsNegativeInteger(const std::string& token) {
   return token.size() > 1 && token[0] == '-' &&
          token.find_first_not_of("0123456789", 1) == std::string::npos;
+}
+
+/// The flags every command reads with Has(): they never take a value, so
+/// `--json spec.json` leaves spec.json a positional.
+bool IsBooleanFlag(const std::string& key) {
+  static const char* const kBooleanFlags[] = {
+      "json", "quiet", "rules-only", "flat", "werror", "snapshot-strict"};
+  return std::find(std::begin(kBooleanFlags), std::end(kBooleanFlags), key) !=
+         std::end(kBooleanFlags);
 }
 
 }  // namespace
@@ -44,10 +55,11 @@ Result<Args> Args::Parse(const std::vector<std::string>& argv) {
       value = body.substr(eq + 1);
     } else {
       key = body;
-      // `--key value` form: consume the next token iff it is not a flag.
-      // A negative integer (`--port -1`) is a value, so it reaches the
-      // flag's own range check.
-      if (i + 1 < argv.size() &&
+      // `--key value` form: consume the next token iff the flag takes a
+      // value and the token is not a flag. A negative integer
+      // (`--port -1`) is a value, so it reaches the flag's own range
+      // check.
+      if (!IsBooleanFlag(key) && i + 1 < argv.size() &&
           (argv[i + 1].empty() || argv[i + 1][0] != '-' ||
            IsNegativeInteger(argv[i + 1]))) {
         value = argv[++i];

@@ -14,7 +14,9 @@ namespace relacc {
 ///   relacc <command> [positionals...] [--flag] [--key=value] [--key value]
 /// Flags may appear anywhere after the command. `--` ends flag parsing.
 /// In the `--key value` form, a value may be a negative integer (`--k -5`);
-/// any other token starting with '-' is not taken as a value.
+/// any other token starting with '-' is not taken as a value. The boolean
+/// flags (--json, --quiet, --rules-only, --flat, --werror,
+/// --snapshot-strict) never take the next token as their value.
 class Args {
  public:
   /// Parses argv[1..). argv[0] (the program name) must be excluded.

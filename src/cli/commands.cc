@@ -138,6 +138,17 @@ Result<int> GetIntFlag(const Args& args, const std::string& name,
   return static_cast<int>(v.value());
 }
 
+/// `--k` (default 5) of topk and interactive: candidates per ranking,
+/// rejected below 1 naming the flag rather than the library option.
+Result<int> GetKFlag(const Args& args) {
+  Result<int> k = GetIntFlag(args, "k", 5);
+  if (k.ok() && k.value() < 1) {
+    return Status::InvalidArgument("--k must be >= 1, got " +
+                                   std::to_string(k.value()));
+  }
+  return k;
+}
+
 Status CmdCheck(const Args& args, std::ostream& out) {
   const bool as_json = args.Has("json");
   const bool quiet = args.Has("quiet");
@@ -207,7 +218,7 @@ Status CmdExplain(const Args& args, std::ostream& out) {
 }
 
 Status CmdTopK(const Args& args, std::ostream& out) {
-  Result<int> k = GetIntFlag(args, "k", 5);
+  Result<int> k = GetKFlag(args);
   const std::string algo = args.GetString("algo", "topkct");
   const bool as_json = args.Has("json");
   const std::string snapshot = args.GetString("snapshot");
@@ -389,7 +400,7 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
 }
 
 Status CmdInteractive(const Args& args, std::ostream& out, std::istream& in) {
-  Result<int> k = GetIntFlag(args, "k", 5);
+  Result<int> k = GetKFlag(args);
   Result<SpecDocument> doc = LoadSpec(args);
   if (!doc.ok()) return doc.status();
   if (!k.ok()) return k.status();
@@ -498,7 +509,6 @@ Status CmdServe(const Args& args, std::ostream& out) {
   Result<int64_t> threads = args.GetInt("threads", 0);
   Result<int64_t> window = args.GetInt("window", 0);
   Result<int64_t> queue_depth = args.GetInt("queue-depth", 32);
-  Result<int64_t> memo_cache = args.GetInt("memo-cache", 0);
   Result<int64_t> deadline_ms = args.GetInt("deadline-ms", 0);
   Result<int64_t> quarantine_after = args.GetInt("quarantine-after", 3);
   std::string fault_spec = args.GetString("fault-inject");
@@ -520,7 +530,6 @@ Status CmdServe(const Args& args, std::ostream& out) {
   if (!threads.ok()) return threads.status();
   if (!window.ok()) return window.status();
   if (!queue_depth.ok()) return queue_depth.status();
-  if (!memo_cache.ok()) return memo_cache.status();
   if (!deadline_ms.ok()) return deadline_ms.status();
   if (!quarantine_after.ok()) return quarantine_after.status();
   if (port.value() < 0 || port.value() > 65535) {
@@ -541,10 +550,6 @@ Status CmdServe(const Args& args, std::ostream& out) {
   if (queue_depth.value() < 1 || queue_depth.value() > 4096) {
     return Status::InvalidArgument("--queue-depth must be in [1, 4096]");
   }
-  if (memo_cache.value() < 0 || memo_cache.value() > (1 << 24)) {
-    return Status::InvalidArgument(
-        "--memo-cache must be in [0, 16777216] (0 = disabled)");
-  }
   if (deadline_ms.value() < 0) {
     return Status::InvalidArgument(
         "--deadline-ms must be >= 0 (0 = no deadline)");
@@ -563,8 +568,6 @@ Status CmdServe(const Args& args, std::ostream& out) {
   ServiceOptions service_options;
   service_options.num_threads = static_cast<int>(threads.value());
   if (window.value() > 0) service_options.window = window.value();
-  service_options.memo_cache_entries =
-      static_cast<std::size_t>(memo_cache.value());
   if (!snapshot.empty()) {
     service_options.snapshot_path = snapshot;
     service_options.snapshot_fallback = doc.has_value() && !snapshot_strict;
@@ -1031,7 +1034,7 @@ std::string CliUsage() {
       "            [--host H] [--port N] [--replicas N] [--threads N]\n"
       "            [--window N] [--queue-depth N] [--deadline-ms N]\n"
       "            [--quarantine-after N] [--fault-inject SPEC]\n"
-      "            [--port-file PATH] [--memo-cache N]\n"
+      "            [--port-file PATH]\n"
       "            [--snapshot FILE [--snapshot-strict]]\n"
       "  snapshot  build / inspect mmap-able service artifacts for O(1)\n"
       "            start (snapshot build <spec.json> --out FILE;\n"

@@ -143,12 +143,6 @@ Scheduler::Stats ReplicaPool::aggregate_stats() const {
   return total;
 }
 
-int64_t ReplicaPool::total_timeouts() const {
-  int64_t n = 0;
-  for (const auto& replica : replicas_) n += replica->timeouts.load();
-  return n;
-}
-
 int64_t ReplicaPool::total_quarantines() const {
   int64_t n = 0;
   for (const auto& replica : replicas_) n += replica->quarantines.load();

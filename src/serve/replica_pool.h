@@ -126,7 +126,6 @@ class ReplicaPool {
   /// the worst (max) replica — a conservative figure for dashboards.
   Scheduler::Stats aggregate_stats() const;
 
-  int64_t total_timeouts() const;
   int64_t total_quarantines() const;
   int64_t total_readmissions() const;
 

@@ -375,26 +375,13 @@ bool Server::Dispatch(const std::shared_ptr<Connection>& conn,
       replicas.Append(std::move(entry));
     }
     result.Set("replicas", std::move(replicas));
-    // Storage + memo telemetry of the underlying services: how they
-    // were built (columnar / snapshot — identical across the
-    // pool), how large the dictionary grew, and whether the verdict
-    // memos are earning hits (summed over replicas).
+    // Storage telemetry of the underlying services: how they were built
+    // (columnar / snapshot — identical across the pool) and how large the
+    // dictionary grew.
     result.Set("storage_mode", Json::Str(services_.front()->storage_mode()));
     result.Set(
         "dictionary_terms",
         Json::Int(static_cast<int64_t>(services_.front()->dictionary_terms())));
-    int64_t memo_hits = 0;
-    int64_t memo_misses = 0;
-    int64_t memo_entries = 0;
-    for (AccuracyService* service : services_) {
-      const snapshot::MemoCache::Stats memo = service->memo_stats();
-      memo_hits += memo.hits;
-      memo_misses += memo.misses;
-      memo_entries += memo.entries;
-    }
-    result.Set("memo_hits", Json::Int(memo_hits));
-    result.Set("memo_misses", Json::Int(memo_misses));
-    result.Set("memo_entries", Json::Int(memo_entries));
     SendResult(conn, id, std::move(result));
     return true;
   }

@@ -1,7 +1,5 @@
 #include "snapshot/memo_cache.h"
 
-#include <utility>
-
 namespace relacc {
 namespace snapshot {
 
@@ -61,68 +59,6 @@ uint64_t FingerprintTuple(uint64_t h, const Tuple& t) {
     h = FingerprintValue(h, t.at(a));
   }
   return h;
-}
-
-uint64_t FingerprintTuples(uint64_t h, const std::vector<Tuple>& tuples) {
-  const uint64_t count = tuples.size();
-  h = FingerprintBytes(h, &count, sizeof(count));
-  for (const Tuple& t : tuples) h = FingerprintTuple(h, t);
-  return h;
-}
-
-uint64_t FingerprintRelation(uint64_t h, const Relation& rel) {
-  const uint64_t rows = static_cast<uint64_t>(rel.size());
-  h = FingerprintBytes(h, &rows, sizeof(rows));
-  for (const Tuple& t : rel.tuples()) h = FingerprintTuple(h, t);
-  return h;
-}
-
-uint64_t MemoKey(MemoKind kind, uint64_t entity_fp, uint64_t payload_fp) {
-  uint64_t h = kFnvOffset;
-  const uint64_t tag = static_cast<uint64_t>(kind);
-  h = FingerprintBytes(h, &tag, sizeof(tag));
-  h = FingerprintBytes(h, &entity_fp, sizeof(entity_fp));
-  h = FingerprintBytes(h, &payload_fp, sizeof(payload_fp));
-  return h;
-}
-
-std::shared_ptr<const MemoEntry> MemoCache::Lookup(uint64_t key) {
-  if (!enabled()) return nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->entry;
-}
-
-void MemoCache::Insert(uint64_t key, std::shared_ptr<const MemoEntry> entry) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->entry = std::move(entry);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (lru_.size() >= capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  lru_.push_front(Node{key, std::move(entry)});
-  index_[key] = lru_.begin();
-  stats_.entries = static_cast<int64_t>(lru_.size());
-}
-
-MemoCache::Stats MemoCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
-  s.entries = static_cast<int64_t>(lru_.size());
-  return s;
 }
 
 }  // namespace snapshot

@@ -1,97 +1,25 @@
 #ifndef RELACC_SNAPSHOT_MEMO_CACHE_H_
 #define RELACC_SNAPSHOT_MEMO_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
 
-#include "chase/specification.h"
-#include "core/relation.h"
 #include "core/tuple.h"
+#include "core/value.h"
 
 namespace relacc {
 namespace snapshot {
 
-/// What one memo entry caches: the verdict vector of a CheckCandidates
-/// call, or the full outcome of an ad-hoc DeduceEntity. Entries are
-/// immutable once inserted and handed out by shared_ptr, so a hit
-/// costs one ref-count bump and eviction never invalidates a reader.
-struct MemoEntry {
-  std::vector<char> verdicts;  ///< MemoKind::kVerdicts
-  ChaseOutcome outcome;        ///< MemoKind::kDeduce
-};
-
-/// Namespaces the key space so a verdict fingerprint can never alias a
-/// deduce fingerprint.
-enum class MemoKind : uint64_t {
-  kDeduce = 1,    ///< entity fingerprint -> chase outcome
-  kVerdicts = 2,  ///< (entity, candidate set) fingerprint -> verdicts
-};
-
-/// FNV-1a (64-bit) accumulators for memo keys. Fingerprints fold the
-/// value type tag with the payload bytes, so `int 1` and `"1"` (and
-/// null vs. empty string) never collide structurally; distinct inputs
-/// colliding at 64 bits is the usual 2^-64 birthday risk a memo cache
-/// accepts.
+/// FNV-1a (64-bit) accumulators: cheap digests for comparing outputs
+/// (bench outcome digests, report digests). Fingerprints fold the value
+/// type tag with the payload bytes, so `int 1` and `"1"` (and null vs.
+/// empty string) never collide structurally. FNV-1a is not
+/// collision-resistant: never key untrusted input on these alone.
 inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
 uint64_t FingerprintBytes(uint64_t h, const void* data, std::size_t size);
 uint64_t FingerprintValue(uint64_t h, const Value& v);
 uint64_t FingerprintTuple(uint64_t h, const Tuple& t);
-uint64_t FingerprintTuples(uint64_t h, const std::vector<Tuple>& tuples);
-uint64_t FingerprintRelation(uint64_t h, const Relation& rel);
-
-/// Combines the namespace tag with the entity and payload fingerprints
-/// into one cache key.
-uint64_t MemoKey(MemoKind kind, uint64_t entity_fp, uint64_t payload_fp);
-
-/// A bounded, thread-safe LRU memo for chase verdicts: the service
-/// consults it before fanning a candidate batch out to the checker (or
-/// grounding an ad-hoc entity), and repeated requests — the serve
-/// daemon's bread and butter under replayed or retried load — skip the
-/// chase entirely. Capacity 0 disables the cache (Lookup always
-/// misses and counts nothing; Insert drops), which is the default for
-/// embedded services; `relacc serve --memo-cache N` turns it on.
-class MemoCache {
- public:
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t entries = 0;
-    int64_t evictions = 0;
-  };
-
-  explicit MemoCache(std::size_t capacity) : capacity_(capacity) {}
-
-  MemoCache(const MemoCache&) = delete;
-  MemoCache& operator=(const MemoCache&) = delete;
-
-  bool enabled() const { return capacity_ > 0; }
-
-  /// The entry under `key`, refreshing its LRU position; null on miss.
-  std::shared_ptr<const MemoEntry> Lookup(uint64_t key);
-
-  /// Inserts (or refreshes) `key`, evicting the least recently used
-  /// entry when at capacity.
-  void Insert(uint64_t key, std::shared_ptr<const MemoEntry> entry);
-
-  Stats stats() const;
-
- private:
-  struct Node {
-    uint64_t key;
-    std::shared_ptr<const MemoEntry> entry;
-  };
-
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::list<Node> lru_;  ///< front = most recent
-  std::unordered_map<uint64_t, std::list<Node>::iterator> index_;
-  Stats stats_;
-};
 
 }  // namespace snapshot
 }  // namespace relacc

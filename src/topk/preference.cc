@@ -247,4 +247,19 @@ void ForEachCompletion(const SearchSpace& space, const Tuple& te,
   }
 }
 
+std::vector<Tuple> EnumerateCandidateProduct(
+    const ColumnarRelation& ie, const MasterDomains& masters,
+    const Tuple& te, bool include_default_values, std::size_t limit) {
+  std::vector<Tuple> out;
+  // Unweighted: the default model scores every value 0.
+  ForEachCompletion(BuildSearchSpace(ie, masters, te, PreferenceModel(),
+                                     include_default_values),
+                    te, 0.0, [&](Tuple t, double) {
+                      if (out.size() >= limit) return false;
+                      out.push_back(std::move(t));
+                      return true;
+                    });
+  return out;
+}
+
 }  // namespace relacc

@@ -157,6 +157,13 @@ void ForEachCompletion(const SearchSpace& space, const Tuple& te,
                        double base_score,
                        const std::function<bool(Tuple, double)>& visit);
 
+/// The first `limit` completions of `te` over the top-k search space
+/// (ForEachCompletion over BuildSearchSpace, odometer order); empty if a
+/// domain is empty. Tests and benchmarks build candidate pools from it.
+std::vector<Tuple> EnumerateCandidateProduct(
+    const ColumnarRelation& ie, const MasterDomains& masters,
+    const Tuple& te, bool include_default_values, std::size_t limit);
+
 }  // namespace relacc
 
 #endif  // RELACC_TOPK_PREFERENCE_H_

@@ -11,10 +11,10 @@
 
 namespace relacc {
 
-/// A fixed-size worker pool: an AccuracyService's pool runs a pipeline
-/// window's entities (phase-1 chase and phase-2 completion, one entity
-/// per task) and the batch `check` fans candidates out over a
-/// CandidateChecker's own pool. Deliberately minimal: fire-and-forget
+/// A fixed-size worker pool: an AccuracyService's one pool runs a
+/// pipeline window's entities (phase-1 chase and phase-2 completion, one
+/// entity per task) and fans a CheckCandidates batch out, one engine per
+/// slot (ParallelForSlots). Deliberately minimal: fire-and-forget
 /// tasks plus a blocking Wait(); result ordering is the caller's concern
 /// (callers write results by index, so output is deterministic
 /// regardless of scheduling).

@@ -18,7 +18,7 @@
 #include "mj_fixture.h"
 #include "pipeline/pipeline.h"
 #include "service_fixture.h"
-#include "topk/batch_check.h"
+#include "topk/preference.h"
 #include "topk/rank_join_ct.h"
 
 namespace relacc {
@@ -382,17 +382,6 @@ TEST(AccuracyServiceTest, RowStorageIsRejected) {
       << bad.status().ToString();
 }
 
-TEST(AccuracyServiceTest, ChaseOverrideReplacesSpecConfig) {
-  Specification spec = MjSpecification();
-  ASSERT_EQ(spec.config.max_actions, -1);
-  ServiceOptions options;
-  ChaseConfig override_config = spec.config;
-  override_config.max_actions = 1000000;
-  options.chase = override_config;
-  auto service = MakeService(std::move(spec), std::move(options));
-  EXPECT_EQ(service->specification().config.max_actions, 1000000);
-}
-
 // --- one-shot conveniences ---------------------------------------------------
 
 TEST(AccuracyServiceTest, DeduceEntityMatchesIsCR) {
@@ -433,10 +422,8 @@ Relation WithArity(const Relation& ie, int arity) {
 TEST(AccuracyServiceTest, PerEntityCallsRejectAnotherArity) {
   // Grounding and the chase index read every attribute of the service
   // schema, so a narrower or wider entity is rejected up front, naming
-  // both arities, before anything is grounded or memoized.
-  ServiceOptions options;
-  options.memo_cache_entries = 8;
-  auto service = MakeService(MjSpecification(), std::move(options));
+  // both arities, before anything is grounded.
+  auto service = MakeService(MjSpecification());
   const Relation ie = MjSpecification().ie;
   const int arity = ie.schema().size();
   for (const int other : {arity - 1, arity + 1}) {
@@ -462,8 +449,6 @@ TEST(AccuracyServiceTest, PerEntityCallsRejectAnotherArity) {
     EXPECT_NE(session.status().message().find(expected), std::string::npos)
         << session.status().ToString();
   }
-  EXPECT_EQ(service->memo_stats().hits + service->memo_stats().misses, 0);
-  EXPECT_EQ(service->memo_stats().entries, 0);
 
   // The service is untouched: an entity of the right arity still works.
   Result<ChaseOutcome> custom = service->DeduceEntity(ie);

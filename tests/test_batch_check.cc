@@ -3,9 +3,10 @@
 // engine, so AccuracyService::TopK (all four algorithms),
 // InteractionSession::Suggest and a Med pipeline must return the same
 // rankings and counters at every thread budget. Also covers the batch
-// `check` (AccuracyService::CheckCandidates) across thread counts, the
-// slot partition of ThreadPool::ParallelForSlots behind it, and the
-// exhausted_budget boundary of the shared accept loop.
+// `check` (AccuracyService::CheckCandidates) across thread counts and on
+// the pool a pipeline shares with it, the slot partition of
+// ThreadPool::ParallelForSlots behind it, and the exhausted_budget
+// boundary of the shared accept loop.
 
 #include <algorithm>
 #include <atomic>
@@ -22,7 +23,7 @@
 #include "datagen/syn_generator.h"
 #include "mj_fixture.h"
 #include "service_fixture.h"
-#include "topk/batch_check.h"
+#include "topk/preference.h"
 #include "topk/topk_ct.h"
 #include "util/thread_pool.h"
 
@@ -94,6 +95,100 @@ TEST(CheckCandidates, VerdictsMatchSequentialAcrossThreadCounts) {
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     EXPECT_EQ(seq[i] == 1, engine.CheckCandidate(candidates[i]));
   }
+}
+
+/// A pipeline report, one line per entity (its flags and target) and a
+/// last line of the aggregate counters.
+std::vector<std::string> ReportLines(const PipelineReport& report) {
+  std::vector<std::string> lines;
+  for (const EntityReport& e : report.entities) {
+    lines.push_back(std::to_string(e.entity_id) + '|' +
+                    std::to_string(e.church_rosser) + '|' +
+                    std::to_string(e.complete) + '|' +
+                    std::to_string(e.used_candidate) + '|' +
+                    e.target.ToString());
+  }
+  lines.push_back("totals " + std::to_string(report.num_church_rosser) + ' ' +
+                  std::to_string(report.num_complete_by_chase) + ' ' +
+                  std::to_string(report.num_completed_by_candidates) + ' ' +
+                  std::to_string(report.num_incomplete));
+  return lines;
+}
+
+/// A Med dataset with most entities left incomplete by the chase, so
+/// pipelines complete some of them by a candidate.
+EntityDataset CorruptedMed(int entities) {
+  ProfileConfig config = MedConfig(/*seed=*/13);
+  config.num_entities = entities;
+  config.master_size = 45;
+  config.free_corruption_prob = 0.8;
+  return GenerateProfile(config);
+}
+
+TEST(CheckCandidates, SharesThePoolWithPipelineWindows) {
+  // CheckCandidates fans out on the service pool that pipeline windows
+  // also run on. A check, a window, then a second check on one budget-4
+  // service must give the verdicts and the report of a budget-1 service.
+  const EntityDataset med = CorruptedMed(18);
+  // The service's own entity: the first whose deduced target is
+  // incomplete, with (part of) its candidate product to check.
+  Specification spec;
+  std::vector<Tuple> candidates;
+  for (int e = 0; e < static_cast<int>(med.entities.size()); ++e) {
+    spec = med.SpecFor(e);
+    EncodedEngine encoded(spec);
+    const ChaseOutcome outcome = encoded.engine.RunFromCheckpoint();
+    if (!outcome.church_rosser || outcome.target.IsComplete()) continue;
+    candidates = EnumerateCandidateProduct(
+        encoded.engine.encoded_ie(), spec.masters, outcome.target,
+        /*include_default_values=*/false, /*limit=*/64);
+    if (candidates.size() > 1) break;
+  }
+  ASSERT_GT(candidates.size(), 1u);
+
+  struct Run {
+    std::vector<char> before;
+    std::vector<std::string> pipeline;
+    std::vector<char> after;
+  };
+  auto run = [&](int budget) {
+    ServiceOptions options;
+    options.num_threads = budget;
+    auto service = testing_fixture::CreateService(spec, options);
+    Run out;
+    Result<std::vector<char>> before = service->CheckCandidates(candidates);
+    EXPECT_TRUE(before.ok()) << before.status().ToString();
+    out.before = std::move(before).value();
+    Result<std::unique_ptr<PipelineSession>> session =
+        service->StartPipeline();
+    EXPECT_TRUE(session.ok()) << session.status().ToString();
+    const Status submitted = session.value()->Submit(med.entities);
+    EXPECT_TRUE(submitted.ok()) << submitted.ToString();
+    Result<PipelineReport> report = session.value()->Finish();
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    out.pipeline = ReportLines(report.value());
+    Result<std::vector<char>> after = service->CheckCandidates(candidates);
+    EXPECT_TRUE(after.ok()) << after.status().ToString();
+    out.after = std::move(after).value();
+    return out;
+  };
+
+  const Run reference = run(1);
+  ASSERT_EQ(reference.before.size(), candidates.size());
+  EXPECT_EQ(reference.after, reference.before);
+  // Not vacuous: some candidate passes, and the pipeline completes some
+  // entity by a candidate.
+  EXPECT_NE(std::count(reference.before.begin(), reference.before.end(), 1),
+            0);
+  EXPECT_NE(std::count_if(reference.pipeline.begin(), reference.pipeline.end(),
+                          [](const std::string& e) {
+                            return e.find("|1|1|1|") != std::string::npos;
+                          }),
+            0);
+  const Run shared = run(4);
+  EXPECT_EQ(shared.before, reference.before);
+  EXPECT_EQ(shared.pipeline, reference.pipeline);
+  EXPECT_EQ(shared.after, reference.before);
 }
 
 /// Every field of a TopKResult — the ranking and all of its counters.
@@ -181,11 +276,7 @@ TEST(TopKDeterminism, SearchesAreIdenticalAcrossServiceBudgets) {
     }
     syn_revisions.emplace_back(a, syn.truth.at(a));
   }
-  ProfileConfig med_config = MedConfig(/*seed=*/13);
-  med_config.num_entities = 18;
-  med_config.master_size = 45;
-  med_config.free_corruption_prob = 0.8;
-  const EntityDataset med = GenerateProfile(med_config);
+  const EntityDataset med = CorruptedMed(18);
 
   const EncodedEngine mj_oracle(mj);
   const EncodedEngine syn_oracle(syn.spec);
@@ -208,16 +299,9 @@ TEST(TopKDeterminism, SearchesAreIdenticalAcrossServiceBudgets) {
     auto syn_service = testing_fixture::CreateService(syn.spec, options);
     out.suggest_syn = SuggestAfter(*syn_service, syn_revisions, opts);
 
-    const PipelineReport report = testing_fixture::OneWindowPipeline(
+    out.pipeline = ReportLines(testing_fixture::OneWindowPipeline(
         med.entities, med.masters, med.rules, budget,
-        CompletionPolicy::kBestCandidate, nullptr, med.chase_config);
-    for (const EntityReport& e : report.entities) {
-      out.pipeline.push_back(std::to_string(e.entity_id) + '|' +
-                             std::to_string(e.church_rosser) + '|' +
-                             std::to_string(e.complete) + '|' +
-                             std::to_string(e.used_candidate) + '|' +
-                             e.target.ToString());
-    }
+        CompletionPolicy::kBestCandidate, nullptr, med.chase_config));
     return out;
   };
 

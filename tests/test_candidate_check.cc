@@ -21,7 +21,7 @@
 #include "mj_fixture.h"
 #include "rules/grounding.h"
 #include "service_fixture.h"
-#include "topk/batch_check.h"
+#include "topk/preference.h"
 #include "topk/rank_join_ct.h"
 #include "topk/topk_ct.h"
 

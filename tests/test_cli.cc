@@ -1,6 +1,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 #include <unistd.h>
 
@@ -92,6 +93,22 @@ TEST(Args, IntFlagOutsideInt64IsRejectedNotClamped) {
   EXPECT_EQ(args.value().GetInt("window", 0).value(), INT64_MAX);
 }
 
+TEST(Args, BooleanFlagsNeverTakeTheNextToken) {
+  for (const char* flag : {"--json", "--quiet", "--rules-only", "--flat",
+                           "--werror", "--snapshot-strict"}) {
+    Result<Args> args = Args::Parse({"check", flag, "spec.json"});
+    ASSERT_TRUE(args.ok()) << flag;
+    ASSERT_EQ(args.value().positionals().size(), 1u) << flag;
+    EXPECT_EQ(args.value().positionals()[0], "spec.json") << flag;
+    EXPECT_TRUE(args.value().Has(std::string(flag).substr(2))) << flag;
+  }
+  // A valued flag still takes it.
+  Result<Args> valued = Args::Parse({"topk", "--algo", "heuristic"});
+  ASSERT_TRUE(valued.ok());
+  EXPECT_TRUE(valued.value().positionals().empty());
+  EXPECT_EQ(valued.value().GetString("algo"), "heuristic");
+}
+
 TEST(Args, UnreadFlagsAreReported) {
   Result<Args> args = Args::Parse({"check", "--json", "--bogus=1"});
   ASSERT_TRUE(args.ok());
@@ -149,6 +166,34 @@ TEST_F(CliTest, CheckJsonOutputParses) {
   EXPECT_TRUE(json.value().GetBool("church_rosser").value());
   EXPECT_EQ(json.value().Find("target")->GetString("team").value(),
             "Chicago Bulls");
+}
+
+TEST_F(CliTest, BooleanFlagFirstMatchesFlagLast) {
+  // `relacc <cmd> --json spec.json` is `relacc <cmd> spec.json --json`:
+  // a boolean flag never swallows the positional after it.
+  const std::string snap = path_ + ".snap";
+  ASSERT_EQ(Run({"snapshot", "build", path_, "--out", snap}), 0) << err_.str();
+  const std::vector<std::pair<std::vector<std::string>,
+                              std::vector<std::string>>>
+      orders = {
+          {{"check", "--json", path_}, {"check", path_, "--json"}},
+          {{"check", "--quiet", path_}, {"check", path_, "--quiet"}},
+          {{"topk", "--json", path_, "--k", "3"},
+           {"topk", path_, "--k", "3", "--json"}},
+          {{"pipeline", "--json", path_, "--key", "league"},
+           {"pipeline", path_, "--key", "league", "--json"}},
+          {{"lint", "--json", path_}, {"lint", path_, "--json"}},
+          {{"snapshot", "info", "--json", snap},
+           {"snapshot", "info", snap, "--json"}},
+      };
+  for (const auto& [first, last] : orders) {
+    const int want_rc = Run(last);
+    const std::string want = out_.str();
+    EXPECT_EQ(want_rc, 0) << last[0] << ": " << err_.str();
+    EXPECT_EQ(Run(first), want_rc) << first[0] << ": " << err_.str();
+    EXPECT_EQ(out_.str(), want) << first[0];
+  }
+  std::remove(snap.c_str());
 }
 
 TEST_F(CliTest, CheckNonChurchRosserExitCode) {
@@ -595,9 +640,15 @@ TEST_F(CliTest, NegativeFlagValuesReachTheirRangeChecks) {
   EXPECT_EQ(Run({"pipeline", path_, "--key", "league", "--window", "-1"}), 2);
   EXPECT_NE(err_.str().find("--window must be >= 0"), std::string::npos)
       << err_.str();
-  EXPECT_EQ(Run({"topk", path_, "--k", "-5"}), 2);
-  EXPECT_NE(err_.str().find("k must be >= 1, got -5"), std::string::npos)
-      << err_.str();
+  // --k range errors name the flag the user typed, not a library field.
+  for (const char* command : {"topk", "interactive"}) {
+    for (const char* k : {"-5", "0"}) {
+      EXPECT_EQ(Run({command, path_, "--k", k}), 2) << command << ' ' << k;
+      EXPECT_NE(err_.str().find(std::string("--k must be >= 1, got ") + k),
+                std::string::npos)
+          << command << ": " << err_.str();
+    }
+  }
 }
 
 TEST_F(CliTest, ServeRejectsMalformedFaultSpec) {

@@ -10,7 +10,7 @@
 #include "framework/framework.h"
 #include "mj_fixture.h"
 #include "service_fixture.h"
-#include "topk/batch_check.h"
+#include "topk/preference.h"
 
 namespace relacc {
 namespace {

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -495,6 +496,39 @@ TEST_F(ServeServerTest, PingVersionStats) {
   Result<Json> stats = client->Call("stats", Json::Object());
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats.value().GetInt("connections").value(), 1);
+}
+
+TEST_F(ServeServerTest, StatsCarryExactlyTheDocumentedFields) {
+  // The field set README's "Stats" paragraph documents, no more and no
+  // less, at the top level and per replica.
+  std::unique_ptr<ServeClient> client = Connect();
+  ASSERT_NE(client, nullptr);
+  Result<Json> stats = client->Call("stats", Json::Object());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto keys = [](const Json& object) {
+    std::vector<std::string> names;
+    for (const auto& [name, value] : object.members()) names.push_back(name);
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  std::vector<std::string> documented = {
+      "connections",       "draining",           "executed_interactive",
+      "executed_batch",    "rejected",           "p50_interactive_ms",
+      "p99_interactive_ms", "p50_batch_ms",      "p99_batch_ms",
+      "deadline_exceeded", "cancelled_queued",   "expired_running",
+      "shed",              "quarantined_replicas", "replicas",
+      "storage_mode",      "dictionary_terms"};
+  std::sort(documented.begin(), documented.end());
+  EXPECT_EQ(keys(stats.value()), documented);
+  const Json* replicas = stats.value().Find("replicas");
+  ASSERT_NE(replicas, nullptr);
+  ASSERT_EQ(replicas->size(), 1);
+  std::vector<std::string> per_replica = {"replica",  "healthy",
+                                          "load",     "executed",
+                                          "timeouts", "quarantines",
+                                          "readmissions"};
+  std::sort(per_replica.begin(), per_replica.end());
+  EXPECT_EQ(keys(replicas->at(0)), per_replica);
 }
 
 TEST_F(ServeServerTest, StatsExposePerClassLatencyPercentiles) {

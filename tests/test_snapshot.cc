@@ -3,7 +3,7 @@
 // concatenation), the dictionary bulk-load path behind warm starts,
 // artifact round-trips through SnapshotReader, cold-vs-warm service
 // identity (deduce / top-k / candidate checks, including a failed
-// checkpoint), the verdict memo cache, and corruption handling — every
+// checkpoint), and corruption handling — every
 // damaged artifact must fail Open cleanly with kDataLoss or
 // kInvalidArgument before any service state is built.
 
@@ -22,7 +22,6 @@
 #include "datagen/profile_generator.h"
 #include "framework/framework.h"
 #include "snapshot/format.h"
-#include "snapshot/memo_cache.h"
 #include "snapshot/reader.h"
 
 namespace relacc {
@@ -30,7 +29,6 @@ namespace {
 
 using snapshot::Crc32;
 using snapshot::Crc32Combine;
-using snapshot::MemoCache;
 using snapshot::SnapshotReader;
 
 EntityDataset SmallMed(uint64_t seed = 5, int entities = 24) {
@@ -427,66 +425,6 @@ TEST(SnapshotServiceTest, FailedCheckpointRoundTrips) {
   ASSERT_TRUE(warm_outcome.ok());
   EXPECT_EQ(Serialize(cold_outcome.value()), Serialize(warm_outcome.value()));
   std::filesystem::remove(path);
-}
-
-// --- memo cache ------------------------------------------------------------
-
-TEST(MemoCacheTest, HitMissEvictionAndDisabled) {
-  MemoCache cache(2);
-  EXPECT_TRUE(cache.enabled());
-  EXPECT_EQ(cache.Lookup(1), nullptr);
-
-  auto entry = std::make_shared<snapshot::MemoEntry>();
-  entry->verdicts = {1, 0, 1};
-  cache.Insert(1, entry);
-  cache.Insert(2, entry);
-  ASSERT_NE(cache.Lookup(1), nullptr);  // refreshes 1; 2 is now LRU
-  EXPECT_EQ(cache.Lookup(1)->verdicts, entry->verdicts);
-  cache.Insert(3, entry);  // evicts 2
-  EXPECT_EQ(cache.Lookup(2), nullptr);
-  EXPECT_NE(cache.Lookup(1), nullptr);
-  EXPECT_NE(cache.Lookup(3), nullptr);
-
-  const MemoCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 2);
-  EXPECT_EQ(stats.evictions, 1);
-  EXPECT_GT(stats.hits, 0);
-  EXPECT_GT(stats.misses, 0);
-
-  MemoCache off(0);
-  EXPECT_FALSE(off.enabled());
-  off.Insert(1, entry);
-  EXPECT_EQ(off.Lookup(1), nullptr);
-  EXPECT_EQ(off.stats().entries, 0);
-  EXPECT_EQ(off.stats().misses, 0);  // a disabled cache counts nothing
-}
-
-TEST(SnapshotServiceTest, MemoizedCallsAreIdenticalAndCounted) {
-  const EntityDataset ds = SmallMed();
-  ServiceOptions options;
-  options.num_threads = 2;
-  options.memo_cache_entries = 16;
-  std::unique_ptr<AccuracyService> service =
-      MakeService(SpecOf(ds, ds.SpecFor(0).ie), std::move(options));
-
-  Result<TopKResult> topk = service->TopK(3);
-  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-  Result<std::vector<char>> first =
-      service->CheckCandidates(topk.value().targets);
-  ASSERT_TRUE(first.ok());
-  const int64_t hits_before = service->memo_stats().hits;
-  Result<std::vector<char>> second =
-      service->CheckCandidates(topk.value().targets);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value(), second.value());
-  EXPECT_GT(service->memo_stats().hits, hits_before);
-
-  const Relation other = ds.SpecFor(1).ie;
-  Result<ChaseOutcome> a = service->DeduceEntity(other);
-  Result<ChaseOutcome> b = service->DeduceEntity(other);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(Serialize(a.value()), Serialize(b.value()));
-  EXPECT_GT(service->memo_stats().entries, 0);
 }
 
 // --- corruption ------------------------------------------------------------
